@@ -34,6 +34,7 @@ from .tdse import (
     EvolutionTrace,
     PauliHamiltonianSpec,
     SpinorWaveFunction,
+    SplitStepEngine,
     WaveFunction,
     apply_absorbing_boundary,
     compute_uncertainty,

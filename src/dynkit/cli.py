@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -40,6 +41,15 @@ KINETICS = ("free", "poly")
 # ---------------------------------------------------------------------------
 
 
+def _is_finite_number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 class _Check:
     """Collects dotted-path diagnostics while walking the config tree."""
 
@@ -65,12 +75,14 @@ class _Check:
 
     def number(self, cfg, path, key, default=None, minimum=None,
                maximum=None, exclusive_min=False):
+        """The value as a float, default if absent, None if invalid."""
         if key not in cfg:
             return default
         value = cfg[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.error(f"{path}.{key}", "must be a number")
-            return default
+        if not _is_finite_number(value):
+            self.error(f"{path}.{key}", "must be a finite number")
+            return None
+        problems = len(self.problems)
         if minimum is not None:
             if exclusive_min and value <= minimum:
                 self.error(f"{path}.{key}", f"must be > {minimum}")
@@ -78,7 +90,21 @@ class _Check:
                 self.error(f"{path}.{key}", f"must be >= {minimum}")
         if maximum is not None and value > maximum:
             self.error(f"{path}.{key}", f"must be <= {maximum}")
-        return float(value)
+        return float(value) if len(self.problems) == problems else None
+
+    def run_length(self, cfg, path, span_key, dt_key, minimum=1):
+        """Positive step and span making a whole number of >= ``minimum`` steps."""
+        dt = self.number(cfg, path, dt_key, minimum=0.0, exclusive_min=True)
+        span = self.number(cfg, path, span_key, minimum=0.0, exclusive_min=True)
+        if span is None or dt is None:
+            return
+        try:
+            n_steps = tdse.step_count(span, dt)
+        except (ValueError, OverflowError):
+            n_steps = None
+        if n_steps is None or n_steps < minimum:
+            self.error(f"{path}.{span_key}", f"must be a whole number of "
+                       f"{dt_key} steps, at least {minimum}")
 
     def integer(self, cfg, path, key, default=None, minimum=None,
                 choices=None):
@@ -126,9 +152,9 @@ def _check_potential(check, cfg, path):
     if name == "poly":
         coeffs = cfg.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs \
-                or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                           for c in coeffs):
-            check.error(f"{path}.coeffs", "must be a nonempty list of numbers")
+                or not all(_is_finite_number(c) for c in coeffs):
+            check.error(f"{path}.coeffs",
+                        "must be a nonempty list of finite numbers")
     check.number(cfg, path, "omega", default=1.0)
     check.number(cfg, path, "strength", default=1.0)
     check.number(cfg, path, "depth", default=1.0)
@@ -149,9 +175,9 @@ def _check_kinetic(check, cfg, path):
     if name == "poly":
         coeffs = cfg.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs \
-                or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                           for c in coeffs):
-            check.error(f"{path}.coeffs", "must be a nonempty list of numbers")
+                or not all(_is_finite_number(c) for c in coeffs):
+            check.error(f"{path}.coeffs",
+                        "must be a nonempty list of finite numbers")
 
 
 def _check_hamiltonian(check, cfg, path="hamiltonian"):
@@ -229,8 +255,7 @@ def validate_config(cfg) -> list[str]:
     elif task == "propagate":
         if check.block(block, path, required=("dt", "t_max"),
                        optional=("order", "stride", "initial", "absorber")):
-            check.number(block, path, "dt", minimum=0.0, exclusive_min=True)
-            check.number(block, path, "t_max", minimum=0.0, exclusive_min=True)
+            check.run_length(block, path, "t_max", "dt")
             check.integer(block, path, "order", default=2, choices=(2, 4))
             check.integer(block, path, "stride", default=1, minimum=1)
             if "initial" in block:
@@ -255,9 +280,7 @@ def validate_config(cfg) -> list[str]:
     elif task == "gap":
         if check.block(block, path, required=("dtau", "tau_max"),
                        optional=("observable", "initial")):
-            check.number(block, path, "dtau", minimum=0.0, exclusive_min=True)
-            check.number(block, path, "tau_max", minimum=0.0,
-                         exclusive_min=True)
+            check.run_length(block, path, "tau_max", "dtau", minimum=8)
             check.string(block, path, "observable", ("x", "x2"), default="x")
             if "initial" in block:
                 _check_gaussian_state(check, block["initial"], f"{path}.initial")
@@ -291,8 +314,7 @@ def validate_config(cfg) -> list[str]:
     elif task == "lindblad":
         if check.block(block, path, required=("dt", "t_max"),
                        optional=("stride", "coupling", "initial")):
-            check.number(block, path, "dt", minimum=0.0, exclusive_min=True)
-            check.number(block, path, "t_max", minimum=0.0, exclusive_min=True)
+            check.run_length(block, path, "t_max", "dt")
             check.integer(block, path, "stride", default=1, minimum=1)
             if "coupling" in block:
                 sub = block["coupling"]
@@ -308,8 +330,7 @@ def validate_config(cfg) -> list[str]:
         if check.block(block, path,
                        required=("dt", "t_max", "n_traj", "seed"),
                        optional=("stride", "decay_rate", "rabi")):
-            check.number(block, path, "dt", minimum=0.0, exclusive_min=True)
-            check.number(block, path, "t_max", minimum=0.0, exclusive_min=True)
+            check.run_length(block, path, "t_max", "dt")
             check.integer(block, path, "n_traj", minimum=1)
             check.integer(block, path, "seed", minimum=0)
             check.integer(block, path, "stride", default=1, minimum=1)
@@ -328,10 +349,9 @@ def validate_config(cfg) -> list[str]:
                          exclusive_min=True)
             norms = block.get("norms")
             if not isinstance(norms, list) or not norms \
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               and v > 0 for v in norms):
+                    or not all(_is_finite_number(v) and v > 0 for v in norms):
                 check.error(f"{path}.norms",
-                            "must be a nonempty list of positive numbers")
+                            "must be a nonempty list of positive finite numbers")
     return check.problems
 
 
@@ -399,7 +419,7 @@ def _hamiltonian_spec(cfg, hbar):
     mass = float(cfg.get("kinetic", {}).get("mass", 1.0))
     return st.HamiltonianSpec(kinetic=lambda t, p: k(p),
                               potential=lambda t, x: u(x),
-                              hbar=hbar, mass=mass)
+                              hbar=hbar, mass=mass, time_independent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +632,7 @@ def _run_lindblad(cfg, sink):
     rho = osys.pure_state_density(_gaussian_from_config(grid,
                                                         block.get("initial")))
     dt = float(block["dt"])
-    n_steps = int(round(float(block["t_max"]) / dt))
+    n_steps = tdse.step_count(float(block["t_max"]), dt)
     stride = int(block.get("stride", 1))
     rows = []
 

@@ -11,6 +11,7 @@ restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,8 +95,12 @@ class SpectralSignal:
             self.momenta = self.grid.p_fft
 
 
+@lru_cache(maxsize=64)
 def _alt_signs(n: int) -> np.ndarray:
-    return 1.0 - 2.0 * (np.arange(n) % 2)
+    """(-1)^k for k < n, shared read-only between callers."""
+    s = 1.0 - 2.0 * (np.arange(n) % 2)
+    s.setflags(write=False)
+    return s
 
 
 def _signs_along(shape, axis):

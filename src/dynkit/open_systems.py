@@ -10,7 +10,7 @@ unravelling whose trajectory average reproduces the master equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ from .errors import DegenerateJumpError, HermiticityError
 from .grids import UniformGrid, _alt_signs, fft_bridge, ifft_bridge
 from .matfunc import expm_pade
 from .stationary import HamiltonianSpec
-from .tdse import WaveFunction, split_op_step
+from .tdse import SplitStepEngine, WaveFunction, step_count
 
 
 @dataclass
@@ -416,8 +416,8 @@ def mcwf_trajectory(psi0, spec, jump_ops, dt: float, t_max: float, seed: int,
     grid systems pass (WaveFunction, HamiltonianSpec, position callables).
     """
     rng = np.random.default_rng(seed)
-    n_steps = int(round(t_max / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):
+    n_steps = step_count(t_max, dt)
+    if n_steps < 1:
         raise ValueError("t_max must be a positive integer multiple of dt")
     ops = _unpack_jump_ops(jump_ops)
 
@@ -489,17 +489,9 @@ def _grid_mcwf_machinery(grid, spec, ops):
     abs2 = [np.abs(p) ** 2 for p in profiles]
     total_abs2 = sum(abs2, np.zeros(grid.n))
     base_potential = spec.potential
-    hbar = spec.hbar
-    eff_spec = HamiltonianSpec(
-        kinetic=spec.kinetic,
-        potential=lambda t, x: np.asarray(base_potential(t, x), dtype=complex)
-        - 0.5j * hbar * total_abs2,
-        hbar=hbar,
-        mass=spec.mass,
-    )
-
-    def evolve(values, t, dt_):
-        return split_op_step(WaveFunction(values, grid), t, dt_, eff_spec).values
+    eff_spec = replace(spec, potential=lambda t, x: np.asarray(
+        base_potential(t, x), dtype=complex) - 0.5j * spec.hbar * total_abs2)
+    engine = SplitStepEngine(grid, eff_spec)
 
     def lambdas(values):
         prob = np.abs(values) ** 2 * grid.dx
@@ -515,7 +507,7 @@ def _grid_mcwf_machinery(grid, spec, ops):
     def normalize(values):
         return values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx)
 
-    return evolve, lambdas, jump, normalize
+    return engine.step, lambdas, jump, normalize
 
 
 def mcwf_ensemble(psi0, spec, jump_ops, dt: float, t_max: float, n_traj: int,

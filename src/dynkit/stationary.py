@@ -27,12 +27,16 @@ class HamiltonianSpec:
 
     ``mass`` enters through K by convention; it is kept as metadata for
     diagnostics such as the Ehrenfest check m d<x>/dt = <p>.
+    ``time_independent`` states that K and U ignore t, so split-operator
+    stepping may evaluate them once and reuse their phases; it changes no
+    result beyond rounding.
     """
 
     kinetic: Callable[[float, np.ndarray], np.ndarray]
     potential: Callable[[float, np.ndarray], np.ndarray]
     hbar: float = 1.0
     mass: float = 1.0
+    time_independent: bool = False
 
 
 @dataclass(frozen=True)
@@ -161,21 +165,22 @@ def spectrum_via_propagation(psi0, spec: HamiltonianSpec, duration: float,
     present in psi0 with weights proportional to |c_n|^2, broadened to sinc
     lobes of width 2 pi hbar / T by the finite window.
     """
-    from .tdse import split_op_step  # local import: tdse depends on this module
+    # local import: tdse depends on this module
+    from .tdse import SplitStepEngine, step_count
 
-    n_steps = int(round(duration / dt))
-    if n_steps < 2 or abs(n_steps * dt - duration) > 1e-9 * max(1.0, abs(duration)):
+    n_steps = step_count(duration, dt)
+    if n_steps < 2:
         raise ValueError("duration must be a positive integer multiple of dt")
     if n_steps % 2 != 0:
         raise ValueError("duration/dt must be even so the energy grid is centered")
     grid = psi0.grid
     hbar = spec.hbar
     auto = np.empty(n_steps, dtype=complex)
-    psi = psi0
     ref = np.conj(psi0.values)
-    for m in range(n_steps):
-        auto[m] = np.sum(ref * psi.values) * grid.dx
-        psi = split_op_step(psi, m * dt, dt, spec)
+    auto[0] = np.sum(ref * psi0.values) * grid.dx
+    engine = SplitStepEngine(grid, spec)
+    for m, values in engine.run(psi0.values, 0.0, dt, n_steps - 1):
+        auto[m] = np.sum(ref * values) * grid.dx
     total = n_steps * dt
     k = np.arange(n_steps)
     energies = (k - n_steps // 2) * (2.0 * np.pi * hbar / total)

@@ -11,12 +11,12 @@ degree of freedom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .grids import UniformGrid, fft_bridge, ifft_bridge
+from .grids import UniformGrid, _alt_signs, fft_bridge, ifft_bridge
 from .stationary import HamiltonianSpec
 
 #: Triple-jump substep coefficient, the real root of 2 s^3 + (1 - 2s)^3 = 0.
@@ -97,39 +97,163 @@ def gaussian_packet(grid: UniformGrid, x0: float = 0.0, p0: float = 0.0,
     return out.normalized()
 
 
-def position_mean(psi: WaveFunction) -> float:
-    prob = np.abs(psi.values) ** 2
-    return float(np.sum(psi.grid.x * prob) / np.sum(prob))
-
-
-def _momentum_weights(psi: WaveFunction) -> np.ndarray:
-    g = fft_bridge(psi.values)
-    w = np.abs(g) ** 2
-    return w / np.sum(w)
-
-
-def momentum_mean(psi: WaveFunction) -> float:
-    return float(np.sum(psi.grid.p_fft * _momentum_weights(psi)))
-
-
 def energy_expectation(psi: WaveFunction, spec: HamiltonianSpec,
                        t: float = 0.0) -> float:
     """<K(t,p)> + <U(t,x)> with momentum moments through the FFT bridge."""
-    grid = psi.grid
-    prob = np.abs(psi.values) ** 2
-    prob = prob / np.sum(prob)
-    pot = float(np.sum(np.asarray(spec.potential(t, grid.x)) * prob))
-    kin = float(np.sum(np.asarray(spec.kinetic(t, grid.p_fft))
-                       * _momentum_weights(psi)))
-    return kin + pot
+    return SplitStepEngine(psi.grid, spec).energy(psi.values, t)
 
 
 def apply_hamiltonian(psi: WaveFunction, spec: HamiltonianSpec,
                       t: float = 0.0) -> np.ndarray:
     """H psi = F^-1[K(t,p) F[psi]] + U(t,x) psi as raw amplitudes."""
-    grid = psi.grid
-    kin = ifft_bridge(np.asarray(spec.kinetic(t, grid.p_fft)) * fft_bridge(psi.values))
-    return kin + np.asarray(spec.potential(t, grid.x)) * psi.values
+    return SplitStepEngine(psi.grid, spec).apply_hamiltonian(psi.values, t)
+
+
+def step_count(span: float, dt: float) -> int:
+    """span/dt as an integer; ValueError unless it is one to 1e-9 relative."""
+    n_steps = int(round(span / dt))
+    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise ValueError(f"{span!r} is not an integer multiple of the step {dt!r}")
+    return n_steps
+
+
+def _checked_mask(mask, n: int) -> np.ndarray:
+    mask = np.asarray(mask, dtype=float)
+    if mask.shape != (n,):
+        raise ValueError("mask length must match the grid")
+    if np.any(mask < 0.0) or np.any(mask > 1.0):
+        raise ValueError("mask values must lie in [0, 1]")
+    return mask
+
+
+#: Substeps of one step as (start, length) fractions of dt: Strang (order 2)
+#: and the triple jump (order 4).
+_SUBSTEPS = {2: ((0.0, 1.0),),
+             4: ((0.0, TRIPLE_JUMP_S), (TRIPLE_JUMP_S, 1.0 - 2.0 * TRIPLE_JUMP_S),
+                 (1.0 - TRIPLE_JUMP_S, TRIPLE_JUMP_S))}
+
+
+class _StepPhases(NamedTuple):
+    """x- and p-space factors of one step, per substep of length h."""
+
+    kins: list  # exp(-i h K / hbar)
+    inner: list  # products of adjacent half-potential phases exp(-i h U / 2 hbar)
+    head: np.ndarray  # the first half-potential phase
+    tail: np.ndarray  # the last one times the absorbing mask
+    lead: np.ndarray  # (-1)^k head, applied before the first FFT
+    out: np.ndarray  # (-1)^k tail, applied after the last inverse FFT
+
+
+class SplitStepEngine:
+    """Split-operator stepping of scalar wave functions for one (grid, spec).
+
+    A substep of length h applies half-potential, kinetic and half-potential
+    phases with the FFT bridge between x and p.  The bridge's (-1)^k signs
+    are folded into the outer x-space factors, leaving plain FFTs, and each
+    trailing half-kick is merged with the next leading one (and, between
+    steps, with the optional absorbing ``mask``), since all are diagonal in
+    x.  For a ``time_independent`` spec U and K are evaluated once and the
+    phases cached per step length, so a Strang step costs two FFTs and two
+    pointwise products; otherwise U and K are evaluated at every substep
+    midpoint.
+    """
+
+    def __init__(self, grid: UniformGrid, spec: HamiltonianSpec,
+                 mask: np.ndarray | None = None):
+        grid.require_fft_bridge()
+        self.grid, self.spec = grid, spec
+        self.signs = _alt_signs(grid.n)
+        self.mask = None if mask is None else _checked_mask(mask, grid.n)
+        self._static = None
+        if spec.time_independent:
+            self._static = self.terms()
+        self._phases: dict = {}  # (dt, order) -> _StepPhases, static specs only
+
+    def terms(self, t: complex = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """(U(t, x), K(t, p)), evaluated once for a time-independent spec."""
+        if self._static is not None:
+            return self._static
+        return (np.asarray(self.spec.potential(t, self.grid.x)),
+                np.asarray(self.spec.kinetic(t, self.grid.p_fft)))
+
+    def _step_phases(self, t, dt, order) -> _StepPhases:
+        if (dt, order) in self._phases:
+            return self._phases[(dt, order)]
+        halves, kins = [], []
+        for start, length in _SUBSTEPS[order]:
+            h = length * dt
+            u, k = self.terms(t + start * dt + h / 2.0)
+            halves.append(np.exp(-0.5j * h * u / self.spec.hbar))
+            kins.append(np.exp(-1j * h * k / self.spec.hbar))
+        tail = halves[-1] if self.mask is None else halves[-1] * self.mask
+        phases = _StepPhases(kins, [a * b for a, b in zip(halves, halves[1:])],
+                             halves[0], tail, self.signs * halves[0],
+                             self.signs * tail)
+        if self._static is not None:
+            self._phases[(dt, order)] = phases
+        return phases
+
+    def run(self, values: np.ndarray, t0: float, dt: complex, n_steps: int,
+            order: int = 2, stride: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (m, amplitudes at t0 + m dt) every ``stride`` steps and after the last.
+
+        ``order`` selects Strang (2) or triple-jump (4) steps.  dt may be
+        complex (Wick-rotated -i dtau).
+        """
+        if dt == 0:
+            raise ValueError("dt must be nonzero")
+        if order not in _SUBSTEPS:
+            raise ValueError("order must be 2 or 4")
+        if stride < 1:
+            raise ValueError("stride must be >= 1")
+        fft, ifft = np.fft.fft, np.fft.ifft
+        cur = self._step_phases(t0, dt, order)
+        w = cur.lead * values
+        across = None
+        for m in range(1, n_steps + 1):
+            y = ifft(cur.kins[0] * fft(w))
+            for kick, kin in zip(cur.inner, cur.kins[1:]):
+                y = ifft(kin * fft(kick * y))
+            if m % stride == 0 or m == n_steps:
+                yield m, cur.out * y
+            if m < n_steps:
+                nxt = self._step_phases(t0 + m * dt, dt, order)
+                if across is None or nxt is not cur:
+                    across = cur.tail * nxt.head
+                w, cur = across * y, nxt
+
+    def step(self, values: np.ndarray, t: float, dt: complex,
+             order: int = 2) -> np.ndarray:
+        """Amplitudes one step of length dt after ``values`` at time t."""
+        return next(self.run(values, t, dt, 1, order))[1]
+
+    def momentum_weights(self, values: np.ndarray) -> np.ndarray:
+        """Normalized |psi(p_k)|^2; the bridge's output signs drop out of abs."""
+        w = np.abs(np.fft.fft(self.signs * values)) ** 2
+        return w / np.sum(w)
+
+    def energy(self, values: np.ndarray, t: float = 0.0,
+               weights: np.ndarray | None = None) -> float:
+        """<K(t,p)> + <U(t,x)>; ``weights`` are momentum_weights(values) if known."""
+        u, k = self.terms(t)
+        prob = np.abs(values) ** 2
+        prob = prob / np.sum(prob)
+        if weights is None:
+            weights = self.momentum_weights(values)
+        return float(np.sum(k * weights)) + float(np.sum(u * prob))
+
+    def apply_hamiltonian(self, values: np.ndarray, t: float = 0.0) -> np.ndarray:
+        """H psi = F^-1[K(t,p) F[psi]] + U(t,x) psi as raw amplitudes."""
+        u, k = self.terms(t)
+        return self.signs * np.fft.ifft(k * np.fft.fft(self.signs * values)) \
+            + u * values
+
+    def commutator(self, values: np.ndarray, observable: np.ndarray,
+                   t: float = 0.0) -> complex:
+        """<psi|[H, O]|psi> for a position-diagonal real observable O(x)."""
+        obs = np.asarray(observable, dtype=float)
+        inner = np.sum(np.conj(self.apply_hamiltonian(values, t)) * obs * values)
+        return 2j * (inner * self.grid.dx).imag
 
 
 def split_op_step(psi: WaveFunction, t: float, dt: complex,
@@ -140,18 +264,8 @@ def split_op_step(psi: WaveFunction, t: float, dt: complex,
     O(dt^3); for real dt the step is exactly unitary up to rounding.  dt may
     be complex (Wick-rotated -i dtau) in which case the caller renormalizes.
     """
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
-    grid = psi.grid
-    grid.require_fft_bridge()
-    tm = t + dt / 2.0
-    hbar = spec.hbar
-    half_u = np.exp(-0.5j * dt * np.asarray(spec.potential(tm, grid.x)) / hbar)
-    kin = np.exp(-1j * dt * np.asarray(spec.kinetic(tm, grid.p_fft)) / hbar)
-    values = half_u * psi.values
-    values = ifft_bridge(kin * fft_bridge(values))
-    values = half_u * values
-    return WaveFunction(values, grid)
+    return WaveFunction(SplitStepEngine(psi.grid, spec).step(psi.values, t, dt),
+                        psi.grid)
 
 
 def split_op_step_o4(psi: WaveFunction, t: float, dt: complex,
@@ -163,10 +277,8 @@ def split_op_step_o4(psi: WaveFunction, t: float, dt: complex,
     substep evaluates K and U at its own shifted midpoint, so the composition
     stays fourth order for time-dependent Hamiltonians.
     """
-    s = TRIPLE_JUMP_S
-    psi = split_op_step(psi, t, s * dt, spec)
-    psi = split_op_step(psi, t + s * dt, (1.0 - 2.0 * s) * dt, spec)
-    return split_op_step(psi, t + (1.0 - s) * dt, s * dt, spec)
+    values = SplitStepEngine(psi.grid, spec).step(psi.values, t, dt, order=4)
+    return WaveFunction(values, psi.grid)
 
 
 def propagate(psi0: WaveFunction, t0: float, t1: float, dt: float,
@@ -179,45 +291,32 @@ def propagate(psi0: WaveFunction, t0: float, t1: float, dt: float,
     or triple-jump (4) stepper; an optional absorbing mask is applied after
     every step.
     """
-    n_steps = int(round((t1 - t0) / dt))
-    if n_steps < 0 or abs(n_steps * dt - (t1 - t0)) > 1e-9 * max(1.0, abs(t1 - t0)):
+    n_steps = step_count(t1 - t0, dt)
+    if n_steps < 0:
         raise ValueError("(t1 - t0)/dt must be a nonnegative integer")
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    step = split_op_step if order == 2 else split_op_step_o4
-    times, xs, ps, es, norms = [], [], [], [], []
+    grid = psi0.grid
+    engine = SplitStepEngine(grid, spec, absorbing_mask)
+    rows = []
 
-    def record(t, psi):
-        times.append(t)
-        xs.append(position_mean(psi))
-        ps.append(momentum_mean(psi))
-        es.append(energy_expectation(psi, spec, t))
-        norms.append(psi.norm())
+    def record(t, values):
+        prob = np.abs(values) ** 2
+        weights = engine.momentum_weights(values)
+        rows.append((t, float(np.sum(grid.x * prob) / np.sum(prob)),
+                     float(np.sum(grid.p_fft * weights)),
+                     engine.energy(values, t, weights),
+                     float(np.sqrt(np.sum(prob) * grid.dx))))
 
-    psi = psi0
-    record(t0, psi)
-    for m in range(n_steps):
-        psi = step(psi, t0 + m * dt, dt, spec)
-        if absorbing_mask is not None:
-            psi = apply_absorbing_boundary(psi, absorbing_mask)
-        if (m + 1) % stride == 0 or m == n_steps - 1:
-            record(t0 + (m + 1) * dt, psi)
-    trace = EvolutionTrace(times=np.asarray(times), x_mean=np.asarray(xs),
-                           p_mean=np.asarray(ps), energy=np.asarray(es),
-                           norm=np.asarray(norms))
-    return psi, trace
+    values = psi0.values
+    record(t0, values)
+    for m, values in engine.run(values, t0, dt, n_steps, order, stride):
+        record(t0 + m * dt, values)
+    times, xs, ps, es, norms = map(np.asarray, zip(*rows))
+    return WaveFunction(values, grid), EvolutionTrace(times, xs, ps, es, norms)
 
 
 def apply_absorbing_boundary(psi: WaveFunction, mask: np.ndarray) -> WaveFunction:
     """Pointwise multiply by a window 0 <= w(x) <= 1; the norm never grows."""
-    mask = np.asarray(mask, dtype=float)
-    if mask.shape != (psi.grid.n,):
-        raise ValueError("mask length must match the grid")
-    if np.any(mask < 0.0) or np.any(mask > 1.0):
-        raise ValueError("mask values must lie in [0, 1]")
-    return WaveFunction(psi.values * mask, psi.grid)
+    return WaveFunction(psi.values * _checked_mask(mask, psi.grid.n), psi.grid)
 
 
 def absorbing_potential(mask: np.ndarray, dt: float, hbar: float = 1.0) -> np.ndarray:
@@ -281,15 +380,15 @@ def _imaginary_time(psi_guess, dtau, spec, tol, max_iter, known):
     if dtau <= 0:
         raise ValueError("dtau must be positive")
     grid = psi_guess.grid
-    values = psi_guess.values.copy()
-    values = _orthogonalize(values, known, grid.dx)
+    engine = SplitStepEngine(grid, spec)
+    values = _orthogonalize(psi_guess.values.copy(), known, grid.dx)
     psi = WaveFunction(values, grid).normalized()
-    energy = energy_expectation(psi, spec)
+    energy = engine.energy(psi.values)
     for _ in range(max_iter):
-        stepped = split_op_step(psi, 0.0, -1j * dtau, spec)
-        values = _orthogonalize(stepped.values, known, grid.dx)
+        stepped = engine.step(psi.values, 0.0, -1j * dtau)
+        values = _orthogonalize(stepped, known, grid.dx)
         psi = WaveFunction(values, grid).normalized()
-        new_energy = energy_expectation(psi, spec)
+        new_energy = engine.energy(psi.values)
         if abs(new_energy - energy) < tol:
             return new_energy, psi
         energy = new_energy
@@ -301,11 +400,7 @@ def _imaginary_time(psi_guess, dtau, spec, tol, max_iter, known):
 def commutator_expectation(psi: WaveFunction, observable: np.ndarray,
                            spec: HamiltonianSpec, t: float = 0.0) -> complex:
     """<psi|[H, O]|psi> for a position-diagonal real observable O(x)."""
-    obs = np.asarray(observable, dtype=float)
-    h_psi = apply_hamiltonian(psi, spec, t)
-    dx = psi.grid.dx
-    inner = np.sum(np.conj(h_psi) * obs * psi.values) * dx
-    return 2j * inner.imag
+    return SplitStepEngine(psi.grid, spec).commutator(psi.values, observable, t)
 
 
 def _fit_decay_slope(taus, ys, fit_fraction):
@@ -346,14 +441,16 @@ def spectral_gap_estimate(psi0: WaveFunction, observable: np.ndarray,
     n_steps = int(round(tau_max / dtau))
     if n_steps < 8:
         raise ValueError("tau_max/dtau must allow at least 8 samples")
+    engine = SplitStepEngine(psi0.grid, spec)
     psi = psi0.normalized()
     taus, ys = [], []
     for m in range(n_steps + 1):
-        c = commutator_expectation(psi, observable, spec)
-        mag = np.abs(c)
+        if m:
+            psi = WaveFunction(engine.step(psi.values, 0.0, -1j * dtau),
+                               psi.grid).normalized()
+        mag = np.abs(engine.commutator(psi.values, observable))
         taus.append(m * dtau)
         ys.append(np.log(mag) if mag > 0 else -np.inf)
-        psi = split_op_step(psi, 0.0, -1j * dtau, spec).normalized()
     return _fit_decay_slope(taus, ys, fit_fraction)
 
 
@@ -441,7 +538,8 @@ def compute_uncertainty(psi: WaveFunction) -> tuple[float, float]:
     prob = prob / np.sum(prob)
     x_mean = np.sum(grid.x * prob)
     x2_mean = np.sum(grid.x ** 2 * prob)
-    w = _momentum_weights(psi)
+    w = np.abs(fft_bridge(psi.values)) ** 2
+    w = w / np.sum(w)
     p_mean = np.sum(grid.p_fft * w)
     p2_mean = np.sum(grid.p_fft ** 2 * w)
     sigma_x = np.sqrt(max(x2_mean - x_mean ** 2, 0.0))

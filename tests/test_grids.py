@@ -5,6 +5,7 @@ from dynkit.grids import (
     MOMENTUM,
     POSITION,
     SpectralSignal,
+    _alt_signs,
     cft_forward,
     cft_forward_custom,
     cft_inverse,
@@ -135,6 +136,13 @@ class TestCftInverse:
         oracle = kernel @ gp * dp / (2 * np.pi)
         assert np.max(np.abs(out.values - oracle)) < 1e-10
         assert np.max(np.abs(out.values - np.exp(-g.x ** 2 / 2))) < 1e-10
+
+
+def test_bridge_signs_cached_read_only():
+    signs = _alt_signs(12)
+    assert _alt_signs(12) is signs
+    assert not signs.flags.writeable
+    assert np.array_equal(signs, (-1.0) ** np.arange(12))
 
 
 class TestFrft:
