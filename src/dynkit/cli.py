@@ -16,11 +16,12 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceError, HermiticityError
+from .errors import ConvergenceError
 from .grids import make_grid
 from . import classical as cl
 from . import open_systems as osys
@@ -29,15 +30,8 @@ from . import tdse
 from . import wigner as wg
 from .matfunc import expm_pade, expm_taylor
 
-TASKS = ("eigen", "bands", "propagate", "imagtime", "gap", "classical",
-         "lindblad", "mcwf", "wigner", "expm-bench")
-
-POTENTIALS = ("harmonic", "quartic", "softcore", "cosine", "free", "poly")
-KINETICS = ("free", "poly")
-
-
 # ---------------------------------------------------------------------------
-# schema validation
+# config schema: one table both validates a config and fills its defaults
 # ---------------------------------------------------------------------------
 
 
@@ -50,309 +44,309 @@ def _is_finite_number(value):
         return False
 
 
-class _Check:
-    """Collects dotted-path diagnostics while walking the config tree."""
+_REQUIRED = object()  # default of a key the config must give
+_ABSENT = object()    # the value of a key the config leaves out
 
-    def __init__(self):
-        self.problems: list[str] = []
 
-    def error(self, path, message):
-        self.problems.append(f"{path}: {message}")
+@dataclass(frozen=True)
+class _Field:
+    """One config key: its kind, default and bounds.
 
-    def block(self, cfg, path, required, optional):
-        if not isinstance(cfg, dict):
-            self.error(path, "must be a mapping")
-            return False
-        for key in cfg:
-            if key not in required and key not in optional:
-                self.error(f"{path}.{key}", "unknown key")
-        ok = True
-        for key in required:
-            if key not in cfg:
-                self.error(f"{path}.{key}", "missing required key")
-                ok = False
-        return ok
+    ``kind`` is ``number`` (a finite float), ``integer``, ``choice`` (one of
+    the strings in ``choices``), ``numbers`` (a nonempty list of finite
+    floats) or ``block`` (a mapping whose keys are ``fields``).  An absent
+    block with a default mapping is filled in from it like a given block; a
+    default of None leaves the block off.  ``rule`` runs the cross-field
+    checks of a block once its keys are resolved.
+    """
 
-    def number(self, cfg, path, key, default=None, minimum=None,
-               maximum=None, exclusive_min=False):
-        """The value as a float, default if absent, None if invalid."""
-        if key not in cfg:
-            return default
-        value = cfg[key]
-        if not _is_finite_number(value):
-            self.error(f"{path}.{key}", "must be a finite number")
-            return None
-        problems = len(self.problems)
-        if minimum is not None:
-            if exclusive_min and value <= minimum:
-                self.error(f"{path}.{key}", f"must be > {minimum}")
-            elif not exclusive_min and value < minimum:
-                self.error(f"{path}.{key}", f"must be >= {minimum}")
-        if maximum is not None and value > maximum:
-            self.error(f"{path}.{key}", f"must be <= {maximum}")
-        return float(value) if len(self.problems) == problems else None
+    kind: str
+    default: object = _REQUIRED
+    minimum: float | None = None  # inclusive
+    above: float | None = None    # exclusive lower bound
+    maximum: float | None = None
+    choices: tuple = ()
+    fields: dict | None = None
+    rule: object = None
+    when: tuple | None = None     # (sibling key, value): read only in that case
+    empty_default: bool = False   # an empty block also takes the default
 
-    def run_length(self, cfg, path, span_key, dt_key, minimum=1):
-        """Positive step and span making a whole number of >= ``minimum`` steps."""
-        dt = self.number(cfg, path, dt_key, minimum=0.0, exclusive_min=True)
-        span = self.number(cfg, path, span_key, minimum=0.0, exclusive_min=True)
+
+def _number(default=_REQUIRED, **bounds):
+    return _Field("number", default, **bounds)
+
+
+def _integer(default=_REQUIRED, **bounds):
+    return _Field("integer", default, **bounds)
+
+
+def _choice(*choices, default=_REQUIRED):
+    return _Field("choice", default, choices=choices)
+
+
+def _block(fields, default=_REQUIRED, **options):
+    return _Field("block", default, fields=fields, **options)
+
+
+def _grid_rule(grid, path, problems):
+    if grid["n"] is not None and grid["n"] % 4:
+        problems.append(f"{path}.n: must be divisible by 4")
+
+
+def _bands_rule(bands, path, problems):
+    n_bands, n_cell = bands["n_bands"], bands["n_cell"]
+    if n_bands is not None and n_cell is not None and n_bands > n_cell:
+        problems.append(f"{path}.n_bands: must be <= n_cell")
+
+
+def _whole_steps(span_key, dt_key, minimum=1):
+    """Rule: ``span_key/dt_key`` is a whole number of >= ``minimum`` steps."""
+    def rule(block, path, problems):
+        span, dt = block[span_key], block[dt_key]
         if span is None or dt is None:
             return
         try:
-            n_steps = tdse.step_count(span, dt)
+            ok = tdse.step_count(span, dt) >= minimum
         except (ValueError, OverflowError):
-            n_steps = None
-        if n_steps is None or n_steps < minimum:
-            self.error(f"{path}.{span_key}", f"must be a whole number of "
-                       f"{dt_key} steps, at least {minimum}")
+            ok = False
+        if not ok:
+            problems.append(f"{path}.{span_key}: must be a whole number of "
+                            f"{dt_key} steps, at least {minimum}")
+    return rule
 
-    def integer(self, cfg, path, key, default=None, minimum=None,
-                choices=None):
-        if key not in cfg:
-            return default
-        value = cfg[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.error(f"{path}.{key}", "must be an integer")
-            return default
-        if minimum is not None and value < minimum:
-            self.error(f"{path}.{key}", f"must be >= {minimum}")
-        if choices is not None and value not in choices:
-            self.error(f"{path}.{key}", f"must be one of {sorted(choices)}")
+
+POTENTIALS = ("harmonic", "quartic", "softcore", "cosine", "free", "poly")
+KINETICS = ("free", "poly")
+
+_POTENTIAL_FIELDS = {
+    "name": _choice(*POTENTIALS),
+    "coeffs": _Field("numbers", when=("name", "poly")),
+    "omega": _number(1.0),
+    "strength": _number(1.0),
+    "depth": _number(1.0),
+    "width": _number(1.0, above=0.0),
+    "amplitude": _number(1.0),
+    "period": _number(2 * np.pi, above=0.0),
+}
+_POTENTIAL = _block(_POTENTIAL_FIELDS)
+_KINETIC = _block({"name": _choice(*KINETICS),
+                   "mass": _number(1.0, above=0.0),
+                   "coeffs": _Field("numbers", when=("name", "poly"))},
+                  default={"name": "free"})
+_GRID = _block({"L": _number(above=0.0), "n": _integer(minimum=4),
+                "hbar": _number(1.0, above=0.0)}, rule=_grid_rule)
+_HAMILTONIAN = _block({"potential": _POTENTIAL, "kinetic": _KINETIC})
+_GAUSSIAN = {"x0": _number(0.0), "p0": _number(0.0),
+             "sigma": _number(1.0, above=0.0)}
+_INITIAL = _block(_GAUSSIAN, default={})
+_POSITIVE = _number(above=0.0)
+_STRIDE = _integer(1, minimum=1)
+_SEED = _integer(minimum=0)
+_TOL = _number(1e-12, above=0.0)
+
+# task -> its top-level blocks.  An absent task block reads as {}, so each of
+# its required keys is reported by name.
+_SCHEMA = {
+    "eigen": {
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "eigen": _block({
+            "n_states": _integer(minimum=1),
+            "method": _choice("central", "forward", "backward", "spectral",
+                              default="spectral"),
+        }, default={}),
+    },
+    "bands": {
+        "hamiltonian": _HAMILTONIAN,
+        "bands": _block({
+            "lattice_constant": _POSITIVE,
+            "n_cell": _integer(minimum=2),
+            "n_bands": _integer(minimum=1),
+            "n_k": _integer(minimum=1),
+        }, default={}, rule=_bands_rule),
+    },
+    "propagate": {
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "propagate": _block({
+            "dt": _POSITIVE, "t_max": _POSITIVE,
+            "order": _integer(2, choices=(2, 4)),
+            "stride": _STRIDE,
+            "initial": _INITIAL,
+            "absorber": _block({"fraction": _number(0.2, above=0.0,
+                                                    maximum=0.49),
+                                "power": _number(0.125, above=0.0)},
+                               default=None),
+        }, default={}, rule=_whole_steps("t_max", "dt")),
+    },
+    "imagtime": {
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "imagtime": _block({"dtau": _POSITIVE, "tol": _TOL,
+                            "n_states": _integer(1, minimum=1)}, default={}),
+    },
+    "gap": {
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "gap": _block({
+            "dtau": _POSITIVE, "tau_max": _POSITIVE,
+            "observable": _choice("x", "x2", default="x"),
+            "initial": _block(_GAUSSIAN, default={"p0": 1.0},
+                              empty_default=True),
+        }, default={}, rule=_whole_steps("tau_max", "dtau", minimum=8)),
+    },
+    "classical": {
+        "classical": _block({
+            "dt": _POSITIVE,
+            "n_steps": _integer(minimum=1),
+            "n_particles": _integer(minimum=1),
+            "seed": _SEED,
+            "stride": _STRIDE,
+            "cloud": _block({"x0": _number(1.0), "p0": _number(0.0),
+                             "sigma_x": _number(0.2, minimum=0.0),
+                             "sigma_p": _number(0.2, minimum=0.0)},
+                            default={}),
+            "forces": _block(_POTENTIAL_FIELDS, default={"name": "harmonic"}),
+            "drive": _block({"amplitude": _number(0.0),
+                             "omega": _number(1.0)}, default=None),
+        }, default={}),
+    },
+    "lindblad": {
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "lindblad": _block({
+            "dt": _POSITIVE, "t_max": _POSITIVE,
+            "stride": _STRIDE,
+            "coupling": _block({"name": _choice("linear", "constant"),
+                                "strength": _number(0.1)},
+                               default={"name": "linear"}),
+            "initial": _INITIAL,
+        }, default={}, rule=_whole_steps("t_max", "dt")),
+    },
+    "mcwf": {
+        "mcwf": _block({
+            "dt": _POSITIVE, "t_max": _POSITIVE,
+            "n_traj": _integer(minimum=1),
+            "seed": _SEED,
+            "stride": _STRIDE,
+            "decay_rate": _number(1.0, minimum=0.0),
+            "rabi": _number(0.0),
+        }, default={}, rule=_whole_steps("t_max", "dt")),
+    },
+    "wigner": {
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "wigner": _block({"initial": _INITIAL}, default={}),
+    },
+    "expm-bench": {
+        "expm_bench": _block({
+            "dim": _integer(minimum=2),
+            "norms": _Field("numbers", above=0.0),
+            "seed": _SEED,
+            "tol": _TOL,
+        }, default={}),
+    },
+}
+TASKS = tuple(_SCHEMA)
+
+
+def _problem(field, value):
+    """Why ``value`` does not fit a non-block field, or None if it does."""
+    if field.kind == "choice":
+        if isinstance(value, str) and value in field.choices:
+            return None
+        return f"must be one of {list(field.choices)}"
+    if field.kind == "numbers":
+        low = -math.inf if field.above is None else field.above
+        if isinstance(value, list) and value and all(
+                _is_finite_number(v) and v > low for v in value):
+            return None
+        sign = "" if field.above is None else "positive "
+        return f"must be a nonempty list of {sign}finite numbers"
+    if field.kind == "integer" and (isinstance(value, bool)
+                                    or not isinstance(value, int)):
+        return "must be an integer"
+    if field.kind == "number" and not _is_finite_number(value):
+        return "must be a finite number"
+    if field.above is not None and value <= field.above:
+        return f"must be > {field.above}"
+    if field.minimum is not None and value < field.minimum:
+        return f"must be >= {field.minimum}"
+    if field.maximum is not None and value > field.maximum:
+        return f"must be <= {field.maximum}"
+    if field.choices and value not in field.choices:
+        return f"must be one of {list(field.choices)}"
+    return None
+
+
+def _resolve(field, value, path, problems):
+    """``value`` with every default filled in, or None where it is invalid.
+
+    Each problem is appended to ``problems`` as ``"<dotted path>: <why>"``.
+    """
+    if field.default is not _REQUIRED and (
+            value is _ABSENT or (field.empty_default and value == {})):
+        if field.kind != "block" or field.default is None:
+            return field.default
+        value = field.default
+    if field.kind != "block":
+        problem = _problem(field, value)
+        if problem:
+            problems.append(f"{path}: {problem}")
+            return None
+        if field.kind == "number":
+            return float(value)
+        if field.kind == "numbers":
+            return [float(v) for v in value]
         return value
-
-    def string(self, cfg, path, key, choices, default=None):
-        if key not in cfg:
-            if default is None:
-                self.error(f"{path}.{key}", "missing required key")
-            return default
-        value = cfg[key]
-        if not isinstance(value, str) or value not in choices:
-            self.error(f"{path}.{key}", f"must be one of {list(choices)}")
-            return default
-        return value
-
-
-def _check_grid(check, cfg, path="grid"):
-    if not check.block(cfg, path, required=("L", "n"), optional=("hbar",)):
-        return
-    check.number(cfg, path, "L", minimum=0.0, exclusive_min=True)
-    n = check.integer(cfg, path, "n", minimum=4)
-    if n is not None and n % 4 != 0:
-        check.error(f"{path}.n", "must be divisible by 4")
-    check.number(cfg, path, "hbar", default=1.0, minimum=0.0,
-                 exclusive_min=True)
+    if not isinstance(value, dict):
+        problems.append(f"{path}: must be a mapping")
+        return None
+    problems += [f"{path}.{key}: unknown key" for key in value
+                 if key not in field.fields]
+    missing = [f"{path}.{key}: missing required key"
+               for key, sub in field.fields.items()
+               if sub.default is _REQUIRED and sub.when is None
+               and key not in value]
+    if missing:
+        problems += missing
+        return None
+    block = {}
+    for key, sub in field.fields.items():
+        if sub.when is None or block[sub.when[0]] == sub.when[1]:
+            block[key] = _resolve(sub, value.get(key, _ABSENT),
+                                  f"{path}.{key}", problems)
+    if field.rule:
+        field.rule(block, path, problems)
+    return block
 
 
-def _check_potential(check, cfg, path):
-    if not check.block(cfg, path, required=("name",),
-                       optional=("omega", "strength", "depth", "width",
-                                 "amplitude", "period", "coeffs")):
-        return
-    name = check.string(cfg, path, "name", POTENTIALS)
-    if name == "poly":
-        coeffs = cfg.get("coeffs")
-        if not isinstance(coeffs, list) or not coeffs \
-                or not all(_is_finite_number(c) for c in coeffs):
-            check.error(f"{path}.coeffs",
-                        "must be a nonempty list of finite numbers")
-    check.number(cfg, path, "omega", default=1.0)
-    check.number(cfg, path, "strength", default=1.0)
-    check.number(cfg, path, "depth", default=1.0)
-    check.number(cfg, path, "width", default=1.0, minimum=0.0,
-                 exclusive_min=True)
-    check.number(cfg, path, "amplitude", default=1.0)
-    check.number(cfg, path, "period", default=2 * np.pi, minimum=0.0,
-                 exclusive_min=True)
-
-
-def _check_kinetic(check, cfg, path):
-    if not check.block(cfg, path, required=("name",),
-                       optional=("mass", "coeffs")):
-        return
-    name = check.string(cfg, path, "name", KINETICS)
-    check.number(cfg, path, "mass", default=1.0, minimum=0.0,
-                 exclusive_min=True)
-    if name == "poly":
-        coeffs = cfg.get("coeffs")
-        if not isinstance(coeffs, list) or not coeffs \
-                or not all(_is_finite_number(c) for c in coeffs):
-            check.error(f"{path}.coeffs",
-                        "must be a nonempty list of finite numbers")
-
-
-def _check_hamiltonian(check, cfg, path="hamiltonian"):
-    if not check.block(cfg, path, required=("potential",),
-                       optional=("kinetic",)):
-        return
-    _check_potential(check, cfg["potential"], f"{path}.potential")
-    if "kinetic" in cfg:
-        _check_kinetic(check, cfg["kinetic"], f"{path}.kinetic")
-
-
-def _check_gaussian_state(check, cfg, path):
-    if not check.block(cfg, path, required=(),
-                       optional=("x0", "p0", "sigma")):
-        return
-    check.number(cfg, path, "x0", default=0.0)
-    check.number(cfg, path, "p0", default=0.0)
-    check.number(cfg, path, "sigma", default=1.0, minimum=0.0,
-                 exclusive_min=True)
+def _walk(cfg):
+    """(problems, resolved config); the config is None unless it is valid."""
+    if not isinstance(cfg, dict):
+        return ["config: top level must be a mapping"], None
+    task = cfg.get("task")
+    if not isinstance(task, str) or task not in _SCHEMA:
+        return [f"task: must be one of {list(TASKS)}"], None
+    blocks = _SCHEMA[task]
+    problems = [f"{key}: unknown key" for key in cfg
+                if key != "task" and key not in blocks]
+    resolved = {"task": task}
+    for name, field in blocks.items():
+        if field.default is _REQUIRED and name not in cfg:
+            problems.append(f"{name}: missing required block")
+        else:
+            resolved[name] = _resolve(field, cfg.get(name, _ABSENT), name,
+                                      problems)
+    return problems, None if problems else resolved
 
 
 def validate_config(cfg) -> list[str]:
     """Return all schema diagnostics for a parsed config; empty means valid."""
-    check = _Check()
-    if not isinstance(cfg, dict):
-        check.error("config", "top level must be a mapping")
-        return check.problems
-    task = cfg.get("task")
-    if task not in TASKS:
-        check.error("task", f"must be one of {list(TASKS)}")
-        return check.problems
+    return _walk(cfg)[0]
 
-    needs_grid = task in ("eigen", "propagate", "imagtime", "gap",
-                          "lindblad", "wigner")
-    needs_hamiltonian = task in ("eigen", "bands", "propagate", "imagtime",
-                                 "gap", "lindblad", "wigner")
-    allowed = {"task"}
-    if needs_grid:
-        allowed.add("grid")
-    if needs_hamiltonian:
-        allowed.add("hamiltonian")
-    block_name = task.replace("-", "_")
-    allowed.add(block_name)
-    for key in cfg:
-        if key not in allowed:
-            check.error(key, "unknown key")
-    if needs_grid:
-        if "grid" not in cfg:
-            check.error("grid", "missing required block")
-        else:
-            _check_grid(check, cfg["grid"])
-    if needs_hamiltonian:
-        if "hamiltonian" not in cfg:
-            check.error("hamiltonian", "missing required block")
-        else:
-            _check_hamiltonian(check, cfg["hamiltonian"])
 
-    block = cfg.get(block_name, {})
-    path = block_name
-    if task == "eigen":
-        if check.block(block, path, required=("n_states",),
-                       optional=("method",)):
-            check.integer(block, path, "n_states", minimum=1)
-            check.string(block, path, "method",
-                         ("central", "forward", "backward", "spectral"),
-                         default="spectral")
-    elif task == "bands":
-        if check.block(block, path, required=("lattice_constant", "n_cell",
-                                              "n_bands", "n_k"), optional=()):
-            check.number(block, path, "lattice_constant", minimum=0.0,
-                         exclusive_min=True)
-            check.integer(block, path, "n_cell", minimum=2)
-            check.integer(block, path, "n_bands", minimum=1)
-            check.integer(block, path, "n_k", minimum=1)
-    elif task == "propagate":
-        if check.block(block, path, required=("dt", "t_max"),
-                       optional=("order", "stride", "initial", "absorber")):
-            check.run_length(block, path, "t_max", "dt")
-            check.integer(block, path, "order", default=2, choices=(2, 4))
-            check.integer(block, path, "stride", default=1, minimum=1)
-            if "initial" in block:
-                _check_gaussian_state(check, block["initial"], f"{path}.initial")
-            if "absorber" in block:
-                sub = block["absorber"]
-                if check.block(sub, f"{path}.absorber", required=(),
-                               optional=("fraction", "power")):
-                    check.number(sub, f"{path}.absorber", "fraction",
-                                 default=0.2, minimum=0.0, exclusive_min=True,
-                                 maximum=0.49)
-                    check.number(sub, f"{path}.absorber", "power",
-                                 default=0.125, minimum=0.0,
-                                 exclusive_min=True)
-    elif task == "imagtime":
-        if check.block(block, path, required=("dtau",),
-                       optional=("tol", "n_states")):
-            check.number(block, path, "dtau", minimum=0.0, exclusive_min=True)
-            check.number(block, path, "tol", default=1e-12, minimum=0.0,
-                         exclusive_min=True)
-            check.integer(block, path, "n_states", default=1, minimum=1)
-    elif task == "gap":
-        if check.block(block, path, required=("dtau", "tau_max"),
-                       optional=("observable", "initial")):
-            check.run_length(block, path, "tau_max", "dtau", minimum=8)
-            check.string(block, path, "observable", ("x", "x2"), default="x")
-            if "initial" in block:
-                _check_gaussian_state(check, block["initial"], f"{path}.initial")
-    elif task == "classical":
-        if check.block(block, path,
-                       required=("dt", "n_steps", "n_particles", "seed"),
-                       optional=("stride", "cloud", "forces", "drive")):
-            check.number(block, path, "dt", minimum=0.0, exclusive_min=True)
-            check.integer(block, path, "n_steps", minimum=1)
-            check.integer(block, path, "n_particles", minimum=1)
-            check.integer(block, path, "seed", minimum=0)
-            check.integer(block, path, "stride", default=1, minimum=1)
-            if "cloud" in block:
-                sub = block["cloud"]
-                if check.block(sub, f"{path}.cloud", required=(),
-                               optional=("x0", "p0", "sigma_x", "sigma_p")):
-                    check.number(sub, f"{path}.cloud", "x0", default=1.0)
-                    check.number(sub, f"{path}.cloud", "p0", default=0.0)
-                    check.number(sub, f"{path}.cloud", "sigma_x", default=0.2,
-                                 minimum=0.0)
-                    check.number(sub, f"{path}.cloud", "sigma_p", default=0.2,
-                                 minimum=0.0)
-            if "forces" in block:
-                _check_potential(check, block["forces"], f"{path}.forces")
-            if "drive" in block:
-                sub = block["drive"]
-                if check.block(sub, f"{path}.drive", required=(),
-                               optional=("amplitude", "omega")):
-                    check.number(sub, f"{path}.drive", "amplitude", default=0.0)
-                    check.number(sub, f"{path}.drive", "omega", default=1.0)
-    elif task == "lindblad":
-        if check.block(block, path, required=("dt", "t_max"),
-                       optional=("stride", "coupling", "initial")):
-            check.run_length(block, path, "t_max", "dt")
-            check.integer(block, path, "stride", default=1, minimum=1)
-            if "coupling" in block:
-                sub = block["coupling"]
-                if check.block(sub, f"{path}.coupling", required=("name",),
-                               optional=("strength",)):
-                    check.string(sub, f"{path}.coupling", "name",
-                                 ("linear", "constant"))
-                    check.number(sub, f"{path}.coupling", "strength",
-                                 default=0.1)
-            if "initial" in block:
-                _check_gaussian_state(check, block["initial"], f"{path}.initial")
-    elif task == "mcwf":
-        if check.block(block, path,
-                       required=("dt", "t_max", "n_traj", "seed"),
-                       optional=("stride", "decay_rate", "rabi")):
-            check.run_length(block, path, "t_max", "dt")
-            check.integer(block, path, "n_traj", minimum=1)
-            check.integer(block, path, "seed", minimum=0)
-            check.integer(block, path, "stride", default=1, minimum=1)
-            check.number(block, path, "decay_rate", default=1.0, minimum=0.0)
-            check.number(block, path, "rabi", default=0.0)
-    elif task == "wigner":
-        if check.block(block, path, required=(), optional=("initial",)):
-            if "initial" in block:
-                _check_gaussian_state(check, block["initial"], f"{path}.initial")
-    elif task == "expm-bench":
-        if check.block(block, path, required=("dim", "norms", "seed"),
-                       optional=("tol",)):
-            check.integer(block, path, "dim", minimum=2)
-            check.integer(block, path, "seed", minimum=0)
-            check.number(block, path, "tol", default=1e-12, minimum=0.0,
-                         exclusive_min=True)
-            norms = block.get("norms")
-            if not isinstance(norms, list) or not norms \
-                    or not all(_is_finite_number(v) and v > 0 for v in norms):
-                check.error(f"{path}.norms",
-                            "must be a nonempty list of positive finite numbers")
-    return check.problems
+def _filled(field, cfg, path):
+    """One block resolved through the table; ValueError if it is invalid."""
+    problems = []
+    block = _resolve(field, _ABSENT if cfg is None else cfg, path, problems)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -362,64 +356,57 @@ def validate_config(cfg) -> list[str]:
 
 def potential_from_config(cfg):
     """(U(x), dU/dx(x)) callables for a named potential block."""
+    cfg = _filled(_POTENTIAL, cfg, "potential")
     name = cfg["name"]
     if name == "harmonic":
-        omega = float(cfg.get("omega", 1.0))
+        omega = cfg["omega"]
         return (lambda x: 0.5 * omega ** 2 * np.asarray(x) ** 2,
                 lambda x: omega ** 2 * np.asarray(x))
     if name == "quartic":
-        a = float(cfg.get("strength", 1.0))
+        a = cfg["strength"]
         return (lambda x: a * np.asarray(x) ** 4,
                 lambda x: 4.0 * a * np.asarray(x) ** 3)
     if name == "softcore":
-        depth = float(cfg.get("depth", 1.0))
-        width = float(cfg.get("width", 1.0))
+        depth, width = cfg["depth"], cfg["width"]
         return (lambda x: -depth / np.sqrt(np.asarray(x) ** 2 + width ** 2),
                 lambda x: depth * np.asarray(x)
                 / (np.asarray(x) ** 2 + width ** 2) ** 1.5)
     if name == "cosine":
-        amp = float(cfg.get("amplitude", 1.0))
-        period = float(cfg.get("period", 2 * np.pi))
-        k = 2 * np.pi / period
+        amp = cfg["amplitude"]
+        k = 2 * np.pi / cfg["period"]
         return (lambda x: amp * np.cos(k * np.asarray(x)),
                 lambda x: -amp * k * np.sin(k * np.asarray(x)))
     if name == "free":
         return (lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                 lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-    if name == "poly":
-        coeffs = np.asarray(cfg["coeffs"], dtype=float)
-        deriv = coeffs[1:] * np.arange(1, len(coeffs))
-        return (lambda x: np.polynomial.polynomial.polyval(np.asarray(x), coeffs),
-                lambda x: np.polynomial.polynomial.polyval(np.asarray(x), deriv)
-                if len(deriv) else np.zeros_like(np.asarray(x, dtype=float)))
-    raise ValueError(f"unknown potential {name!r}")
+    coeffs = np.asarray(cfg["coeffs"], dtype=float)  # poly
+    deriv = coeffs[1:] * np.arange(1, len(coeffs))
+    return (lambda x: np.polynomial.polynomial.polyval(np.asarray(x), coeffs),
+            lambda x: np.polynomial.polynomial.polyval(np.asarray(x), deriv)
+            if len(deriv) else np.zeros_like(np.asarray(x, dtype=float)))
 
 
 def kinetic_from_config(cfg):
     """(K(p), dK/dp(p)) callables; defaults to p^2/2."""
-    if cfg is None:
-        cfg = {"name": "free"}
-    name = cfg["name"]
-    if name == "free":
-        mass = float(cfg.get("mass", 1.0))
+    cfg = _filled(_KINETIC, cfg, "kinetic")
+    if cfg["name"] == "free":
+        mass = cfg["mass"]
         return (lambda p: np.asarray(p) ** 2 / (2.0 * mass),
                 lambda p: np.asarray(p) / mass)
-    if name == "poly":
-        coeffs = np.asarray(cfg["coeffs"], dtype=float)
-        deriv = coeffs[1:] * np.arange(1, len(coeffs))
-        return (lambda p: np.polynomial.polynomial.polyval(np.asarray(p), coeffs),
-                lambda p: np.polynomial.polynomial.polyval(np.asarray(p), deriv)
-                if len(deriv) else np.zeros_like(np.asarray(p, dtype=float)))
-    raise ValueError(f"unknown kinetic {name!r}")
+    coeffs = np.asarray(cfg["coeffs"], dtype=float)  # poly
+    deriv = coeffs[1:] * np.arange(1, len(coeffs))
+    return (lambda p: np.polynomial.polynomial.polyval(np.asarray(p), coeffs),
+            lambda p: np.polynomial.polynomial.polyval(np.asarray(p), deriv)
+            if len(deriv) else np.zeros_like(np.asarray(p, dtype=float)))
 
 
 def _hamiltonian_spec(cfg, hbar):
     u, _ = potential_from_config(cfg["potential"])
-    k, _ = kinetic_from_config(cfg.get("kinetic"))
-    mass = float(cfg.get("kinetic", {}).get("mass", 1.0))
+    k, _ = kinetic_from_config(cfg["kinetic"])
     return st.HamiltonianSpec(kinetic=lambda t, p: k(p),
                               potential=lambda t, x: u(x),
-                              hbar=hbar, mass=mass, time_independent=True)
+                              hbar=hbar, mass=cfg["kinetic"]["mass"],
+                              time_independent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -477,26 +464,18 @@ class _OutputSink:
 
 
 # ---------------------------------------------------------------------------
-# task runners
+# task runners: each reads a config resolved by _walk, every key present
 # ---------------------------------------------------------------------------
 
 
 def _grid_from_config(cfg):
-    return make_grid(float(cfg["L"]), int(cfg["n"]),
-                     float(cfg.get("hbar", 1.0)))
-
-
-def _gaussian_from_config(grid, cfg):
-    cfg = cfg or {}
-    return tdse.gaussian_packet(grid, x0=float(cfg.get("x0", 0.0)),
-                                p0=float(cfg.get("p0", 0.0)),
-                                sigma=float(cfg.get("sigma", 1.0)))
+    return make_grid(cfg["L"], cfg["n"], cfg["hbar"])
 
 
 def _run_eigen(cfg, sink):
     grid = _grid_from_config(cfg["grid"])
     block = cfg["eigen"]
-    method = block.get("method", "spectral")
+    method = block["method"]
     spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
     if method == "spectral":
         h = st.build_spectral_hamiltonian(grid, spec)
@@ -508,18 +487,17 @@ def _run_eigen(cfg, sink):
             energies = st.eigensolve(h, dx=grid.dx).energies
         else:
             energies = np.sort(np.linalg.eigvals(h).real)
-    n_states = min(int(block["n_states"]), grid.n)
+    n_states = min(block["n_states"], grid.n)
     sink.csv("energies.csv", ("index", "E"),
              [(i, energies[i]) for i in range(n_states)])
 
 
 def _run_bands(cfg, sink):
     block = cfg["bands"]
-    a = float(block["lattice_constant"])
+    a = block["lattice_constant"]
     spec = _hamiltonian_spec(cfg["hamiltonian"], 1.0)
-    ks = np.linspace(-np.pi / a, np.pi / a, int(block["n_k"]))
-    bands = st.band_structure(spec, a, int(block["n_cell"]), ks,
-                              int(block["n_bands"]))
+    ks = np.linspace(-np.pi / a, np.pi / a, block["n_k"])
+    bands = st.band_structure(spec, a, block["n_cell"], ks, block["n_bands"])
     rows = []
     for i, k in enumerate(ks):
         for n in range(bands.shape[1]):
@@ -537,16 +515,12 @@ def _run_propagate(cfg, sink):
     grid = _grid_from_config(cfg["grid"])
     block = cfg["propagate"]
     spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
-    psi0 = _gaussian_from_config(grid, block.get("initial"))
+    psi0 = tdse.gaussian_packet(grid, **block["initial"])
     mask = None
-    if "absorber" in block:
-        mask = tdse.cosine_absorbing_mask(
-            grid, fraction=float(block["absorber"].get("fraction", 0.2)),
-            power=float(block["absorber"].get("power", 0.125)))
-    _, trace = tdse.propagate(psi0, 0.0, float(block["t_max"]),
-                              float(block["dt"]), spec,
-                              stride=int(block.get("stride", 1)),
-                              order=int(block.get("order", 2)),
+    if block["absorber"] is not None:
+        mask = tdse.cosine_absorbing_mask(grid, **block["absorber"])
+    _, trace = tdse.propagate(psi0, 0.0, block["t_max"], block["dt"], spec,
+                              stride=block["stride"], order=block["order"],
                               absorbing_mask=mask)
     sink.csv("trace.csv", ("t", "x_mean", "p_mean", "energy", "norm"),
              _trace_rows(trace))
@@ -556,12 +530,10 @@ def _run_imagtime(cfg, sink):
     grid = _grid_from_config(cfg["grid"])
     block = cfg["imagtime"]
     spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
-    dtau = float(block["dtau"])
-    tol = float(block.get("tol", 1e-12))
-    n_states = int(block.get("n_states", 1))
+    dtau, tol = block["dtau"], block["tol"]
     energies = []
     states = []
-    for n in range(n_states):
+    for n in range(block["n_states"]):
         guess = tdse.gaussian_packet(grid, x0=0.3 * n, sigma=1.0 / (1.0 + 0.3 * n))
         if n == 0:
             e, psi = tdse.imaginary_time_ground(guess, dtau, spec, tol)
@@ -577,39 +549,34 @@ def _run_gap(cfg, sink):
     grid = _grid_from_config(cfg["grid"])
     block = cfg["gap"]
     spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
-    initial = dict(block.get("initial") or {"p0": 1.0})
-    psi0 = _gaussian_from_config(grid, initial)
-    observable = grid.x if block.get("observable", "x") == "x" else grid.x ** 2
-    gap = tdse.spectral_gap_estimate(psi0, observable, float(block["dtau"]),
-                                     float(block["tau_max"]), spec)
+    psi0 = tdse.gaussian_packet(grid, **block["initial"])
+    observable = grid.x if block["observable"] == "x" else grid.x ** 2
+    gap = tdse.spectral_gap_estimate(psi0, observable, block["dtau"],
+                                     block["tau_max"], spec)
     sink.csv("energies.csv", ("index", "E"), [(0, gap)])
 
 
 def _run_classical(cfg, sink):
     block = cfg["classical"]
-    u_fun, du = potential_from_config(block.get("forces", {"name": "harmonic"}))
+    u_fun, du = potential_from_config(block["forces"])
     k_fun, dk = kinetic_from_config(None)
-    drive = block.get("drive")
-    if drive:
-        amp = float(drive.get("amplitude", 0.0))
-        omega = float(drive.get("omega", 1.0))
+    drive = block["drive"]
+    if drive is not None:
+        amp, omega = drive["amplitude"], drive["omega"]
         spec = cl.extend_time_dependent(
             lambda p, t: dk(p),
             lambda x, t: du(x) - amp * np.cos(omega * t))
     else:
         spec = cl.ClassicalSpec(dk_dp=lambda p, s: dk(p),
                                 du_dx=lambda x, s: du(x))
-    cloud = block.get("cloud", {})
-    rng = np.random.default_rng(int(block["seed"]))
-    n = int(block["n_particles"])
-    x = rng.normal(float(cloud.get("x0", 1.0)),
-                   float(cloud.get("sigma_x", 0.2)), n)
-    p = rng.normal(float(cloud.get("p0", 0.0)),
-                   float(cloud.get("sigma_p", 0.2)), n)
+    cloud = block["cloud"]
+    rng = np.random.default_rng(block["seed"])
+    n = block["n_particles"]
+    x = rng.normal(cloud["x0"], cloud["sigma_x"], n)
+    p = rng.normal(cloud["p0"], cloud["sigma_p"], n)
     ens = cl.ClassicalEnsemble(x=x, p=p, weights=cl.uniform_weights(n))
-    snaps = cl.propagate_ensemble(ens, float(block["dt"]),
-                                  int(block["n_steps"]), spec,
-                                  stride=int(block.get("stride", 1)))
+    snaps = cl.propagate_ensemble(ens, block["dt"], block["n_steps"], spec,
+                                  stride=block["stride"])
     rows = []
     for snap in snaps:
         energy = float(np.sum(snap.weights * (k_fun(snap.p) + u_fun(snap.x))))
@@ -623,17 +590,15 @@ def _run_lindblad(cfg, sink):
     grid = _grid_from_config(cfg["grid"])
     block = cfg["lindblad"]
     spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
-    coupling_cfg = block.get("coupling", {"name": "linear", "strength": 0.1})
-    strength = float(coupling_cfg.get("strength", 0.1))
-    if coupling_cfg["name"] == "linear":
+    strength = block["coupling"]["strength"]
+    if block["coupling"]["name"] == "linear":
         coupling = lambda x: strength * x
     else:
         coupling = lambda x: np.full_like(np.asarray(x, dtype=float), strength)
-    rho = osys.pure_state_density(_gaussian_from_config(grid,
-                                                        block.get("initial")))
-    dt = float(block["dt"])
-    n_steps = tdse.step_count(float(block["t_max"]), dt)
-    stride = int(block.get("stride", 1))
+    rho = osys.pure_state_density(tdse.gaussian_packet(grid, **block["initial"]))
+    dt = block["dt"]
+    n_steps = tdse.step_count(block["t_max"], dt)
+    stride = block["stride"]
     rows = []
 
     def record(step, rho):
@@ -660,16 +625,13 @@ def _run_lindblad(cfg, sink):
 
 def _run_mcwf(cfg, sink):
     block = cfg["mcwf"]
-    gamma = float(block.get("decay_rate", 1.0))
-    rabi = float(block.get("rabi", 0.0))
-    h = rabi * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    ops = [np.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]
+    h = block["rabi"] * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    ops = [np.sqrt(block["decay_rate"])
+           * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]
     psi0 = np.array([0.0, 1.0], dtype=complex)
-    times, rhos = osys.mcwf_ensemble(psi0, h, ops, float(block["dt"]),
-                                     float(block["t_max"]),
-                                     int(block["n_traj"]),
-                                     base_seed=int(block["seed"]),
-                                     stride=int(block.get("stride", 1)))
+    times, rhos = osys.mcwf_ensemble(psi0, h, ops, block["dt"], block["t_max"],
+                                     block["n_traj"], base_seed=block["seed"],
+                                     stride=block["stride"])
     stacked = np.stack([rhos.real, rhos.imag])
     sink.field("field_rho", stacked, axes={"t": times},
                notes="two-level ensemble density; axes (re/im, t, row, col)")
@@ -677,26 +639,24 @@ def _run_mcwf(cfg, sink):
 
 def _run_wigner(cfg, sink):
     grid = _grid_from_config(cfg["grid"])
-    block = cfg.get("wigner", {})
-    psi = _gaussian_from_config(grid, block.get("initial"))
+    psi = tdse.gaussian_packet(grid, **cfg["wigner"]["initial"])
     w = wg.wigner_from_density(osys.pure_state_density(psi))
     sink.field("field_wigner", w.values, axes={"x": w.x, "p": w.p},
                notes="Wigner function W[x, p]")
 
 
 def _run_expm_bench(cfg, sink):
-    block = cfg["expm-bench"] if "expm-bench" in cfg else cfg["expm_bench"]
-    rng = np.random.default_rng(int(block["seed"]))
-    dim = int(block["dim"])
-    tol = float(block.get("tol", 1e-12))
+    block = cfg["expm_bench"]
+    rng = np.random.default_rng(block["seed"])
+    dim = block["dim"]
     rows = []
     for norm in block["norms"]:
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         a = (a + a.conj().T) / 2
         a *= norm / np.linalg.norm(a, 1)
-        taylor = expm_taylor(a, tol=tol)
+        taylor = expm_taylor(a, tol=block["tol"])
         pade = expm_pade(a)
-        rows.append((float(norm), float(taylor.matrix_multiplications),
+        rows.append((norm, float(taylor.matrix_multiplications),
                      float(pade.matrix_multiplications), float(pade.squarings)))
     sink.field("field_expm_counts", np.asarray(rows, dtype=float),
                notes="columns: norm, taylor_mults, pade_mults, pade_squarings")
@@ -716,22 +676,34 @@ _RUNNERS = {
 }
 
 
-def run(config_path: str, out_dir: str, threads: int = 1) -> int:
-    """Execute one config; returns a process exit code."""
+def _load(config_path, stream, prefix):
+    """Read, validate and resolve a config: (exit code, config, resolved).
+
+    Invalid JSON and schema problems go to ``stream`` behind ``prefix``;
+    the exit code is 0 only for a readable, valid config.
+    """
     try:
         with open(config_path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 4
+        return 4, None, None
     except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+        print(f"{prefix}config is not valid JSON: {exc}", file=stream)
+        return 2, None, None
     problems = validate_config(cfg)
+    for problem in problems:
+        print(prefix + problem, file=stream)
     if problems:
-        for problem in problems:
-            print(f"schema error: {problem}", file=sys.stderr)
-        return 2
+        return 2, None, None
+    return 0, cfg, _walk(cfg)[1]
+
+
+def run(config_path: str, out_dir: str, threads: int = 1) -> int:
+    """Execute one config; returns a process exit code."""
+    code, cfg, resolved = _load(config_path, sys.stderr, "schema error: ")
+    if code:
+        return code
     started = time.monotonic()
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -739,15 +711,11 @@ def run(config_path: str, out_dir: str, threads: int = 1) -> int:
     except OSError as exc:
         print(f"error: cannot prepare output directory: {exc}", file=sys.stderr)
         return 4
-    task = cfg["task"]
-    block_key = task.replace("-", "_")
-    if block_key != task and block_key in cfg:
-        cfg = dict(cfg)
-        cfg[task] = cfg[block_key]
     try:
-        _RUNNERS[task](cfg, sink)
-    except (ConvergenceError, HermiticityError, np.linalg.LinAlgError,
-            FloatingPointError, ZeroDivisionError) as exc:
+        _RUNNERS[cfg["task"]](resolved, sink)
+    except (ConvergenceError, ArithmeticError, ValueError) as exc:
+        # ValueError covers HermiticityError and numpy's LinAlgError;
+        # ArithmeticError covers overflow, zero division and floating point
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
@@ -773,22 +741,10 @@ def run(config_path: str, out_dir: str, threads: int = 1) -> int:
 
 
 def validate(config_path: str) -> int:
-    try:
-        with open(config_path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 4
-    except json.JSONDecodeError as exc:
-        print(f"config is not valid JSON: {exc}")
-        return 2
-    problems = validate_config(cfg)
-    if problems:
-        for problem in problems:
-            print(problem)
-        return 2
-    print("ok")
-    return 0
+    code, _, _ = _load(config_path, sys.stdout, "")
+    if code == 0:
+        print("ok")
+    return code
 
 
 def main(argv=None) -> int:

@@ -438,7 +438,7 @@ def spectral_gap_estimate(psi0: WaveFunction, observable: np.ndarray,
     initial state) the log-commutator decays with slope -(E_1 - E_0); the
     slope is fit over the trailing ``fit_fraction`` of the recorded window.
     """
-    n_steps = int(round(tau_max / dtau))
+    n_steps = step_count(tau_max, dtau)
     if n_steps < 8:
         raise ValueError("tau_max/dtau must allow at least 8 samples")
     engine = SplitStepEngine(psi0.grid, spec)
@@ -461,7 +461,7 @@ def spectral_gap_estimate_discrete(psi0: np.ndarray, hamiltonian: np.ndarray,
     """Same estimator for a discrete-level system given dense H and O."""
     from .matfunc import func_of_hermitian
 
-    n_steps = int(round(tau_max / dtau))
+    n_steps = step_count(tau_max, dtau)
     if n_steps < 8:
         raise ValueError("tau_max/dtau must allow at least 8 samples")
     h = np.asarray(hamiltonian, dtype=complex)

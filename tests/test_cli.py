@@ -171,3 +171,237 @@ def test_bundled_config_determinism(tmp_path, name):
     assert run(config, str(first)) == 0
     assert run(config, str(second)) == 0
     assert _data_checksums(first) == _data_checksums(second)
+
+
+# ---------------------------------------------------------------------------
+# defaults: a config that omits every optional key runs exactly like the same
+# config with each default written out
+# ---------------------------------------------------------------------------
+
+GRID = {"L": 5.0, "n": 32}
+GRID_FULL = {"L": 5.0, "n": 32, "hbar": 1.0}
+HARMONIC_FULL = {"name": "harmonic", "omega": 1.0, "strength": 1.0,
+                 "depth": 1.0, "width": 1.0, "amplitude": 1.0,
+                 "period": 2 * np.pi}
+HAMILTONIAN = {"potential": {"name": "harmonic"}}
+HAMILTONIAN_FULL = {"potential": HARMONIC_FULL,
+                    "kinetic": {"name": "free", "mass": 1.0}}
+GAUSSIAN_FULL = {"x0": 0.0, "p0": 0.0, "sigma": 1.0}
+
+
+def _gap_pair(initial, initial_full):
+    short = {"dtau": 0.02, "tau_max": 8.0}
+    if initial is not None:
+        short["initial"] = initial
+    return ({"task": "gap", "grid": GRID, "hamiltonian": HAMILTONIAN,
+             "gap": short},
+            {"task": "gap", "grid": GRID_FULL, "hamiltonian": HAMILTONIAN_FULL,
+             "gap": {"dtau": 0.02, "tau_max": 8.0, "observable": "x",
+                     "initial": initial_full}})
+
+
+DEFAULTS = {  # name: (config with defaults omitted, written out, exit code)
+    "eigen": (
+        {"task": "eigen", "grid": GRID, "hamiltonian": HAMILTONIAN,
+         "eigen": {"n_states": 3}},
+        {"task": "eigen", "grid": GRID_FULL, "hamiltonian": HAMILTONIAN_FULL,
+         "eigen": {"n_states": 3, "method": "spectral"}}, 0),
+    "bands": (
+        {"task": "bands", "hamiltonian": {"potential": {"name": "cosine"}},
+         "bands": {"lattice_constant": 2 * np.pi, "n_cell": 8, "n_bands": 2,
+                   "n_k": 3}},
+        {"task": "bands",
+         "hamiltonian": {"potential": dict(HARMONIC_FULL, name="cosine"),
+                         "kinetic": {"name": "free", "mass": 1.0}},
+         "bands": {"lattice_constant": 2 * np.pi, "n_cell": 8, "n_bands": 2,
+                   "n_k": 3}}, 0),
+    "propagate": (
+        {"task": "propagate", "grid": GRID, "hamiltonian": HAMILTONIAN,
+         "propagate": {"dt": 0.05, "t_max": 0.5}},
+        {"task": "propagate", "grid": GRID_FULL,
+         "hamiltonian": HAMILTONIAN_FULL,
+         "propagate": {"dt": 0.05, "t_max": 0.5, "order": 2, "stride": 1,
+                       "initial": GAUSSIAN_FULL}}, 0),
+    "propagate_absorber": (
+        {"task": "propagate", "grid": GRID, "hamiltonian": HAMILTONIAN,
+         "propagate": {"dt": 0.05, "t_max": 0.5, "absorber": {}}},
+        {"task": "propagate", "grid": GRID, "hamiltonian": HAMILTONIAN,
+         "propagate": {"dt": 0.05, "t_max": 0.5,
+                       "absorber": {"fraction": 0.2, "power": 0.125}}}, 0),
+    "imagtime": (
+        {"task": "imagtime", "grid": GRID, "hamiltonian": HAMILTONIAN,
+         "imagtime": {"dtau": 0.05}},
+        {"task": "imagtime", "grid": GRID_FULL,
+         "hamiltonian": HAMILTONIAN_FULL,
+         "imagtime": {"dtau": 0.05, "tol": 1e-12, "n_states": 1}}, 0),
+    # absent or empty: boosted to p0 = 1 so the gap commutator is nonzero
+    "gap_initial_absent": (*_gap_pair(None, {"x0": 0.0, "p0": 1.0,
+                                             "sigma": 1.0}), 0),
+    "gap_initial_empty": (*_gap_pair({}, {"x0": 0.0, "p0": 1.0,
+                                          "sigma": 1.0}), 0),
+    # any other block fills in p0 = 0: a real state, no decay window to fit
+    "gap_initial_x0": (*_gap_pair({"x0": 0.4}, {"x0": 0.4, "p0": 0.0,
+                                                 "sigma": 1.0}), 3),
+    "classical": (
+        {"task": "classical",
+         "classical": {"dt": 0.05, "n_steps": 20, "n_particles": 8,
+                       "seed": 1}},
+        {"task": "classical",
+         "classical": {"dt": 0.05, "n_steps": 20, "n_particles": 8, "seed": 1,
+                       "stride": 1,
+                       "cloud": {"x0": 1.0, "p0": 0.0, "sigma_x": 0.2,
+                                 "sigma_p": 0.2},
+                       "forces": HARMONIC_FULL}}, 0),
+    "classical_drive": (
+        {"task": "classical",
+         "classical": {"dt": 0.05, "n_steps": 20, "n_particles": 8, "seed": 1,
+                       "drive": {}}},
+        {"task": "classical",
+         "classical": {"dt": 0.05, "n_steps": 20, "n_particles": 8, "seed": 1,
+                       "drive": {"amplitude": 0.0, "omega": 1.0}}}, 0),
+    "lindblad": (
+        {"task": "lindblad", "grid": GRID, "hamiltonian": HAMILTONIAN,
+         "lindblad": {"dt": 0.01, "t_max": 0.05}},
+        {"task": "lindblad", "grid": GRID_FULL,
+         "hamiltonian": HAMILTONIAN_FULL,
+         "lindblad": {"dt": 0.01, "t_max": 0.05, "stride": 1,
+                      "coupling": {"name": "linear", "strength": 0.1},
+                      "initial": GAUSSIAN_FULL}}, 0),
+    "mcwf": (
+        {"task": "mcwf",
+         "mcwf": {"dt": 0.02, "t_max": 0.2, "n_traj": 4, "seed": 5}},
+        {"task": "mcwf",
+         "mcwf": {"dt": 0.02, "t_max": 0.2, "n_traj": 4, "seed": 5,
+                  "stride": 1, "decay_rate": 1.0, "rabi": 0.0}}, 0),
+    "wigner": (
+        {"task": "wigner", "grid": GRID, "hamiltonian": HAMILTONIAN},
+        {"task": "wigner", "grid": GRID_FULL, "hamiltonian": HAMILTONIAN_FULL,
+         "wigner": {"initial": GAUSSIAN_FULL}}, 0),
+    "expm-bench": (
+        {"task": "expm-bench",
+         "expm_bench": {"dim": 4, "norms": [1.0, 8.0], "seed": 2}},
+        {"task": "expm-bench",
+         "expm_bench": {"dim": 4, "norms": [1.0, 8.0], "seed": 2,
+                        "tol": 1e-12}}, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_omitted_defaults_match_written_out(tmp_path, capsys, name):
+    short, full, code = DEFAULTS[name]
+    assert validate_config(short) == [] and validate_config(full) == []
+    assert run(write_config(tmp_path, short, "short.json"),
+               str(tmp_path / "short")) == code
+    assert run(write_config(tmp_path, full, "full.json"),
+               str(tmp_path / "full")) == code
+    short_files = _data_checksums(tmp_path / "short")
+    assert short_files == _data_checksums(tmp_path / "full")
+    assert bool(short_files) == (code == 0)
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: rejected at validation, or a one-line numerical failure
+# ---------------------------------------------------------------------------
+
+
+def test_more_bands_than_cells_rejected(tmp_path, capsys):
+    cfg = {"task": "bands",
+           "hamiltonian": {"potential": {"name": "cosine", "amplitude": 1.0,
+                                         "period": 2.0}},
+           "bands": {"lattice_constant": 2.0, "n_cell": 2, "n_bands": 3,
+                     "n_k": 9}}
+    assert validate_config(cfg) == ["bands.n_bands: must be <= n_cell"]
+    path = write_config(tmp_path, cfg)
+    assert validate(path) == 2
+    assert run(path, str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err == "schema error: bands.n_bands: must be <= n_cell\n"
+    cfg["bands"]["n_bands"] = 2
+    assert validate_config(cfg) == []
+
+
+def _shipped_with(name, *keys_and_value):
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        cfg = json.load(fh)
+    *keys, last, value = keys_and_value
+    node = cfg
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return cfg
+
+
+LIBRARY_FAILURES = {
+    "omega_overflow": _shipped_with("propagate_coherent.json", "hamiltonian",
+                                    "potential", "omega", 1e200),
+    "sigma_overflow": _shipped_with("propagate_coherent.json", "propagate",
+                                    "initial", "sigma", 1e200),
+    "potential_not_finite": _shipped_with("eigen_central_fd.json", "grid", "L",
+                                          1e200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_FAILURES))
+def test_library_errors_exit_3(tmp_path, capsys, name):
+    path = write_config(tmp_path, LIBRARY_FAILURES[name])
+    assert validate(path) == 0
+    capsys.readouterr()
+    assert run(path, str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    failures = [line for line in err.splitlines()
+                if line.startswith("numerical failure: ")]
+    assert len(failures) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out" / "manifest").exists()
+
+
+# ---------------------------------------------------------------------------
+# validate_config is total: any JSON value anywhere yields a list of strings
+# ---------------------------------------------------------------------------
+
+
+def _node_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _node_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _node_paths(value, prefix + (index,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    node = json.loads(json.dumps(node))
+    parent = node
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return node
+
+
+def test_validate_config_total_on_mutated_shipped_configs():
+    hypothesis = pytest.importorskip("hypothesis")
+    hst = hypothesis.strategies
+    shipped = []
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        with open(os.path.join(CONFIG_DIR, name)) as fh:
+            shipped.append(json.load(fh))
+    json_values = hst.recursive(
+        hst.none() | hst.booleans() | hst.integers() | hst.floats()
+        | hst.text(max_size=8),
+        lambda inner: hst.lists(inner, max_size=4)
+        | hst.dictionaries(hst.text(max_size=8), inner, max_size=4),
+        max_leaves=10)
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(hst.data())
+    def check(data):
+        cfg = data.draw(hst.sampled_from(shipped))
+        path = data.draw(hst.sampled_from(list(_node_paths(cfg))))
+        problems = validate_config(_replaced(cfg, path, data.draw(json_values)))
+        assert isinstance(problems, list)
+        assert all(isinstance(problem, str) for problem in problems)
+
+    check()

@@ -305,6 +305,17 @@ class TestSpectralGap:
         with pytest.raises(ConvergenceError):
             spectral_gap_estimate(psi0, g.x, 0.05, 8.0, OSCILLATOR)
 
+    def test_partial_last_step_rejected(self):
+        g = make_grid(10.0, 128)
+        psi0 = gaussian_packet(g, x0=0.4, p0=1.0)
+        with pytest.raises(ValueError):
+            spectral_gap_estimate(psi0, g.x, 0.02, 10.05, OSCILLATOR)
+        h = np.diag([0.0, 1.7]).astype(complex)
+        sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+        with pytest.raises(ValueError):
+            spectral_gap_estimate_discrete(np.array([1.0, 1.0j]), h, sigma_x,
+                                           0.02, 10.05)
+
 
 class TestPauliStep:
     def test_all_zero_is_identity(self):
