@@ -425,11 +425,19 @@ class _OutputSink:
 
     def _register(self, name):
         path = os.path.join(self.directory, name)
-        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         self.files.append({"name": name, "sha256": digest,
                            "bytes": os.path.getsize(path)})
 
+    @staticmethod
+    def _require_finite(name, values):
+        if not np.all(np.isfinite(values)):
+            raise FloatingPointError(f"{name} has non-finite values")
+
     def csv(self, name, header, rows):
+        rows = list(rows)
+        self._require_finite(name, np.asarray(rows, dtype=float))
         path = os.path.join(self.directory, name)
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
@@ -439,6 +447,7 @@ class _OutputSink:
 
     def field(self, name, array, axes=None, notes=None):
         array = np.ascontiguousarray(array, dtype="<f8")
+        self._require_finite(name, array)
         path = os.path.join(self.directory, name + ".f64")
         with open(path, "wb") as fh:
             fh.write(array.tobytes())
@@ -712,7 +721,10 @@ def run(config_path: str, out_dir: str, threads: int = 1) -> int:
         print(f"error: cannot prepare output directory: {exc}", file=sys.stderr)
         return 4
     try:
-        _RUNNERS[cfg["task"]](resolved, sink)
+        # overflow, 0/0 and x/0 in numpy raise FloatingPointError instead of
+        # warning and carrying inf or nan into the outputs
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _RUNNERS[cfg["task"]](resolved, sink)
     except (ConvergenceError, ArithmeticError, ValueError) as exc:
         # ValueError covers HermiticityError and numpy's LinAlgError;
         # ArithmeticError covers overflow, zero division and floating point

@@ -414,100 +414,138 @@ def mcwf_trajectory(psi0, spec, jump_ops, dt: float, t_max: float, seed: int,
 
     Discrete systems pass (state vector, hamiltonian matrix, matrices);
     grid systems pass (WaveFunction, HamiltonianSpec, position callables).
+    This is ``mcwf_ensemble``'s loop run as a batch of one.
     """
-    rng = np.random.default_rng(seed)
+    states = []
+    if isinstance(psi0, WaveFunction):
+        record = lambda batch: states.append(WaveFunction(batch[0].copy(), psi0.grid))
+    else:
+        record = lambda batch: states.append(batch[0].copy())
+    times, jumps = _mcwf_loop(psi0, spec, jump_ops, dt, t_max, stride)([seed], record)
+    return McwfTrajectory(times=times, states=states, jumps=jumps[0])
+
+
+def _mcwf_loop(psi0, spec, jump_ops, dt, t_max, stride):
+    """Build the machinery once; returns run(seeds, record) -> (times, jumps).
+
+    ``run`` steps one trajectory per seed as the rows of an (n_rows, d)
+    array.  Row i draws from its own ``default_rng(seeds[i])``, first its
+    n_ch starting thresholds and then one new threshold each time one of its
+    channels fires, so a row's path does not depend on the other rows.
+    ``record(states)`` sees the live batch at t = 0, every ``stride`` steps
+    and after the last step, and must copy what it keeps.  ``run`` returns
+    the sample times and each row's (time, channel) jumps.
+    """
     n_steps = step_count(t_max, dt)
     if n_steps < 1:
         raise ValueError("t_max must be a positive integer multiple of dt")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     ops = _unpack_jump_ops(jump_ops)
-
     if isinstance(psi0, WaveFunction):
         evolve, lambdas, jump, normalize = _grid_mcwf_machinery(psi0.grid, spec, ops)
         state = psi0.values / psi0.norm()
-        wrap = lambda v: WaveFunction(v.copy(), psi0.grid)
     else:
         evolve, lambdas, jump, normalize = _discrete_mcwf_machinery(spec, ops, dt)
         state = np.asarray(psi0, dtype=complex)
         state = state / np.linalg.norm(state)
-        wrap = lambda v: v.copy()
-
     n_ch = len(ops)
-    thresholds = rng.random(n_ch) if n_ch else np.empty(0)
-    survival = np.ones(n_ch)
-    times = [0.0]
-    states = [wrap(state)]
-    jumps = []
-    lam_old = lambdas(state)
-    for m in range(n_steps):
-        state = evolve(state, m * dt, dt)
-        state = normalize(state)
-        lam_new = lambdas(state)
-        if n_ch:
+
+    def run(seeds, record):
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        thresholds = np.array([rng.random(n_ch) for rng in rngs])
+        survival = np.ones_like(thresholds)
+        states = np.tile(state, (len(rngs), 1))
+        times = [0.0]
+        jumps = [[] for _ in rngs]
+        record(states)
+        lam_old = lambdas(states)
+        for m in range(n_steps):
+            states = normalize(evolve(states, m * dt, dt))
+            lam_new = lambdas(states)
             survival *= np.exp(-(lam_old + lam_new) * dt / 2.0)
             for k in range(n_ch):
-                if survival[k] < thresholds[k]:
-                    state = jump(state, k)
-                    jumps.append(((m + 1) * dt, k))
-                    survival[k] = 1.0
-                    thresholds[k] = rng.random()
-                    lam_new = lambdas(state)
-        lam_old = lam_new
-        if (m + 1) % stride == 0 or m == n_steps - 1:
-            times.append((m + 1) * dt)
-            states.append(wrap(state))
-    return McwfTrajectory(times=np.asarray(times), states=states, jumps=jumps)
+                fired = np.flatnonzero(survival[:, k] < thresholds[:, k])
+                if fired.size:
+                    states[fired] = jump(states[fired], k)
+                    survival[fired, k] = 1.0
+                    for i in fired:
+                        jumps[i].append(((m + 1) * dt, k))
+                        thresholds[i, k] = rngs[i].random()
+                    lam_new[fired] = lambdas(states[fired])
+            lam_old = lam_new
+            if (m + 1) % stride == 0 or m == n_steps - 1:
+                times.append((m + 1) * dt)
+                record(states)
+        return np.asarray(times), jumps
+
+    return run
 
 
 def _discrete_mcwf_machinery(h, ops, dt):
+    """(evolve, lambdas, jump, normalize) for d-level states on the last axis."""
     h = np.asarray(h, dtype=complex)
     mats = [np.asarray(a, dtype=complex) for a in ops]
-    adags = [a.conj().T @ a for a in mats]
-    h_eff = h - 0.5j * sum(adags, np.zeros_like(h))
-    u_eff = expm_pade(-1j * dt * h_eff).result  # hbar = 1 for level systems
+    h_eff = h - 0.5j * sum((a.conj().T @ a for a in mats), np.zeros_like(h))
+    u_eff_t = expm_pade(-1j * dt * h_eff).result.T  # hbar = 1 for level systems
+    # lambda_k = |A_k psi|^2 for every channel k from one product
+    stacked_t = np.array(mats, dtype=complex).reshape(-1, h.shape[0]).T
 
-    def evolve(state, t, dt_):
-        return u_eff @ state
+    def evolve(states, t, dt_):
+        return states @ u_eff_t
 
-    def lambdas(state):
-        return np.array([np.real(np.conj(state) @ aa @ state) for aa in adags])
+    def lambdas(states):
+        phi = states @ stacked_t
+        phi = phi.reshape(phi.shape[:-1] + (len(mats), -1))
+        return np.sum(np.abs(phi) ** 2, axis=-1)
 
-    def jump(state, k):
-        phi = mats[k] @ state
-        nrm = np.linalg.norm(phi)
-        if nrm == 0.0:
+    def jump(states, k):
+        phi = states @ mats[k].T
+        nrm = np.linalg.norm(phi, axis=-1, keepdims=True)
+        if np.any(nrm == 0.0):
             raise DegenerateJumpError(f"jump channel {k} annihilated the state")
         return phi / nrm
 
-    def normalize(state):
-        return state / np.linalg.norm(state)
+    def normalize(states):
+        return states / np.linalg.norm(states, axis=-1, keepdims=True)
 
     return evolve, lambdas, jump, normalize
 
 
 def _grid_mcwf_machinery(grid, spec, ops):
-    profiles = [np.asarray(a(grid.x), dtype=complex) for a in ops]
-    abs2 = [np.abs(p) ** 2 for p in profiles]
-    total_abs2 = sum(abs2, np.zeros(grid.n))
+    """(evolve, lambdas, jump, normalize) for grid amplitudes on the last axis."""
+    profiles = np.zeros((len(ops), grid.n), dtype=complex)
+    for k, a in enumerate(ops):
+        profiles[k] = a(grid.x)
+    abs2 = np.abs(profiles.T) ** 2
+    total_abs2 = np.sum(abs2, axis=-1)
     base_potential = spec.potential
     eff_spec = replace(spec, potential=lambda t, x: np.asarray(
         base_potential(t, x), dtype=complex) - 0.5j * spec.hbar * total_abs2)
     engine = SplitStepEngine(grid, eff_spec)
 
     def lambdas(values):
-        prob = np.abs(values) ** 2 * grid.dx
-        return np.array([np.sum(a2 * prob) for a2 in abs2])
+        return (np.abs(values) ** 2 * grid.dx) @ abs2
 
     def jump(values, k):
         phi = profiles[k] * values
-        nrm = np.sqrt(np.sum(np.abs(phi) ** 2) * grid.dx)
-        if nrm == 0.0:
+        nrm = np.sqrt(np.sum(np.abs(phi) ** 2, axis=-1, keepdims=True) * grid.dx)
+        if np.any(nrm == 0.0):
             raise DegenerateJumpError(f"jump channel {k} annihilated the state")
         return phi / nrm
 
     def normalize(values):
-        return values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx)
+        return values / np.sqrt(np.sum(np.abs(values) ** 2, axis=-1,
+                                       keepdims=True) * grid.dx)
 
     return engine.step, lambdas, jump, normalize
+
+
+#: A block of trajectories stepped together holds at most this many rows and
+#: amplitudes, which bounds the live generators and states for any n_traj;
+#: from about 512 rows on, a two-level step costs the same per trajectory.
+_MCWF_BLOCK_ROWS = 1024
+_MCWF_BLOCK_AMPLITUDES = 2 ** 18
 
 
 def mcwf_ensemble(psi0, spec, jump_ops, dt: float, t_max: float, n_traj: int,
@@ -515,23 +553,22 @@ def mcwf_ensemble(psi0, spec, jump_ops, dt: float, t_max: float, n_traj: int,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Average of outer products over trajectories seeded base_seed + i.
 
-    Returns (sample times, density matrices of shape (n_times, d, d)); the
-    summation order is fixed by trajectory index, so results are reproducible
-    regardless of execution order.
+    The machinery is built once; trajectories then step together as the
+    rows of (n_rows, d) blocks, and each recorded density matrix is summed
+    from the live block, so no trajectory history is kept.  Returns (sample
+    times, density matrices of shape (n_times, d, d)); whatever n_traj is,
+    trajectory i follows the path ``mcwf_trajectory`` gives for seed
+    base_seed + i, to rounding.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    times = None
-    rhos = None
-    for i in range(n_traj):
-        traj = mcwf_trajectory(psi0, spec, jump_ops, dt, t_max,
-                               seed=base_seed + i, stride=stride)
-        if times is None:
-            times = traj.times
-            d = (traj.states[0].values.size if isinstance(traj.states[0], WaveFunction)
-                 else traj.states[0].size)
-            rhos = np.zeros((len(times), d, d), dtype=complex)
-        for j, state in enumerate(traj.states):
-            v = state.values if isinstance(state, WaveFunction) else state
-            rhos[j] += np.outer(v, np.conj(v))
-    return times, rhos / n_traj
+    run = _mcwf_loop(psi0, spec, jump_ops, dt, t_max, stride)
+    d = np.size(psi0.values if isinstance(psi0, WaveFunction) else psi0)
+    rows = max(1, min(_MCWF_BLOCK_ROWS, _MCWF_BLOCK_AMPLITUDES // d))
+    total = 0.0
+    for first in range(base_seed, base_seed + n_traj, rows):
+        sums = []
+        times, _ = run(range(first, min(first + rows, base_seed + n_traj)),
+                       lambda states: sums.append(states.T @ np.conj(states)))
+        total = total + np.stack(sums)
+    return times, total / n_traj

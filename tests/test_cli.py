@@ -1,11 +1,12 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from dynkit.cli import main, run, validate, validate_config
+from dynkit.cli import _OutputSink, main, run, validate, validate_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -352,6 +353,52 @@ def test_library_errors_exit_3(tmp_path, capsys, name):
                 if line.startswith("numerical failure: ")]
     assert len(failures) == 1 and "Traceback" not in err
     assert not (tmp_path / "out" / "manifest").exists()
+
+
+# each of these used to run to exit 0, writing NaN and printing RuntimeWarnings
+NON_FINITE_RUNS = {
+    "classical_dt": _shipped_with("classical_driven.json", "classical", "dt",
+                                  1e200),
+    "coupling_strength": _shipped_with("lindblad_dephasing.json", "lindblad",
+                                       "coupling", "strength", 1e200),
+    "mcwf_rabi": _shipped_with("mcwf_decay.json", "mcwf", "rabi", 1e200),
+    "wigner_sigma": _shipped_with("wigner_ground.json", "wigner", "initial",
+                                  "sigma", 1e-300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_RUNS))
+def test_non_finite_run_exits_3_without_warnings(tmp_path, capsys, name):
+    path = write_config(tmp_path, NON_FINITE_RUNS[name])
+    assert validate(path) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(path, str(tmp_path / "out")) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "manifest").exists()
+
+
+def test_output_sink_refuses_non_finite_data(tmp_path):
+    sink = _OutputSink(str(tmp_path))
+    with pytest.raises(FloatingPointError, match="field_x has non-finite"):
+        sink.field("field_x", np.array([1.0, np.nan]))
+    with pytest.raises(FloatingPointError, match="trace.csv has non-finite"):
+        sink.csv("trace.csv", ("t", "x"), [(0.0, 1.0), (1.0, np.inf)])
+    assert sink.files == [] and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("name, block", [("propagate_coherent.json", "propagate"),
+                                         ("wigner_ground.json", "wigner")])
+def test_zero_initial_sigma_rejected(tmp_path, capsys, name, block):
+    path = write_config(tmp_path, _shipped_with(name, block, "initial", "sigma",
+                                                0.0))
+    assert validate(path) == 2
+    assert capsys.readouterr().out == f"{block}.initial.sigma: must be > 0.0\n"
+    assert run(path, str(tmp_path / "out")) == 2
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
