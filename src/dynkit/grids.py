@@ -59,8 +59,8 @@ def make_grid(half_width: float, n: int, hbar: float = 1.0) -> UniformGrid:
         raise ValueError(f"half_width must be positive and finite, got {half_width}")
     if n < 4 or n % 2 != 0:
         raise ValueError(f"grid size must be even and >= 4, got n={n}")
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    if not np.isfinite(hbar) or hbar <= 0:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
     dx = 2.0 * half_width / n
     k = np.arange(n)
     x = (k - n // 2) * dx

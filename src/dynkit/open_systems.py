@@ -1,11 +1,12 @@
 """Density-matrix propagation and stochastic wave-function unravelling.
 
-Grid density matrices evolve by a two-sided split-operator kernel: a phase
-(or decay) factor in the (x, x') representation, a double FFT bridge to
-(p, p'), the kinetic phase, and the way back.  Level-resolved dynamics is
-covered by Pauli master equations with detailed-balance rate builders, the
-random-collision thermalization model, and a Monte-Carlo wave-function
-unravelling whose trajectory average reproduces the master equation.
+Grid density matrices evolve as U rho U^H with U the split step of
+``tdse.SplitStepEngine``, applied to the ket index and conjugated on the bra
+index; a position-diagonal dissipator adds an (x, x') decay factor on both
+sides of that sandwich.  Level-resolved dynamics is covered by Pauli master
+equations with detailed-balance rate builders, the random-collision
+thermalization model, and a Monte-Carlo wave-function unravelling whose
+trajectory average reproduces the master equation.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateJumpError, HermiticityError
-from .grids import UniformGrid, _alt_signs, fft_bridge, ifft_bridge
+from .grids import UniformGrid, fft_bridge, ifft_bridge
 from .matfunc import expm_pade
 from .stationary import HamiltonianSpec
-from .tdse import SplitStepEngine, WaveFunction, step_count
+from .tdse import SplitStepEngine, WaveFunction, _spreads, step_count
 
 
 @dataclass
@@ -100,17 +101,8 @@ def momentum_distribution(rho: DensityMatrix) -> np.ndarray:
 
 def density_uncertainty(rho: DensityMatrix) -> tuple[float, float]:
     """(sigma_x, sigma_p) from trace moments of a grid density matrix."""
-    grid = rho.grid
-    px = position_distribution(rho)
-    px = px / px.sum()
-    x_mean = np.sum(grid.x * px)
-    x2 = np.sum(grid.x ** 2 * px)
-    pp = momentum_distribution(rho)
-    pp = pp / pp.sum()
-    p_mean = np.sum(grid.p_fft * pp)
-    p2 = np.sum(grid.p_fft ** 2 * pp)
-    return (float(np.sqrt(max(x2 - x_mean ** 2, 0.0))),
-            float(np.sqrt(max(p2 - p_mean ** 2, 0.0))))
+    return _spreads(rho.grid, position_distribution(rho),
+                    momentum_distribution(rho))
 
 
 def gibbs_density(h: np.ndarray, beta: float,
@@ -131,74 +123,54 @@ def gibbs_density(h: np.ndarray, beta: float,
 # ---------------------------------------------------------------------------
 
 
-def _two_sided_kernel(values: np.ndarray, xfactor: np.ndarray,
-                      kfactor: np.ndarray) -> np.ndarray:
-    """xfactor o B[ kfactor o B^-1[ xfactor o rho ] ] with B the double FFT bridge."""
-    n = values.shape[0]
-    s = np.outer(_alt_signs(n), _alt_signs(n))
-    a = xfactor * values
-    a = s * a
-    a = np.fft.fft(a, axis=0)
-    a = np.fft.ifft(a, axis=1)
-    a = kfactor * a
-    a = np.fft.ifft(a, axis=0)
-    a = np.fft.fft(a, axis=1)
-    a = s * a
-    return xfactor * a
+def _grid_engine(rho: DensityMatrix, spec: HamiltonianSpec,
+                 caller: str) -> SplitStepEngine:
+    if rho.grid is None:
+        raise ValueError(f"{caller} needs a grid density matrix")
+    return SplitStepEngine(rho.grid, spec)
 
 
-def _kinetic_factor(grid, spec, t_eval, dt):
-    k = np.asarray(spec.kinetic(t_eval, grid.p_fft), dtype=float)
-    return np.exp(1j * dt * (k[None, :] - k[:, None]) / spec.hbar)
+def _sandwich(engine: SplitStepEngine, values: np.ndarray, t: float,
+              dt: float) -> np.ndarray:
+    """U rho U^H for the engine's step U from t to t + dt.
 
-
-def _vonneumann_kernel(values, grid, spec, t_eval, dt):
-    v = np.asarray(spec.potential(t_eval, grid.x), dtype=float)
-    xfactor = np.exp(0.5j * dt * (v[None, :] - v[:, None]) / spec.hbar)
-    return _two_sided_kernel(values, xfactor, _kinetic_factor(grid, spec, t_eval, dt))
+    U acts on the ket index (the columns, stepped as the rows of rho^T) and
+    conj(U) on the bra index: (rho U^H)[l, :] = conj(U conj(rho[l, :])).
+    """
+    kets = engine.step(values.T, t, dt).T
+    return np.conj(engine.step(np.conj(kets), t, dt))
 
 
 def vonneumann_step(rho: DensityMatrix, t: float, dt: float,
                     spec: HamiltonianSpec) -> DensityMatrix:
-    """Second-order unitary step rho <- U rho U^H through the double FFT bridge.
+    """Second-order unitary step rho <- U rho U^H with U the Strang split step.
 
-    The (x, x') phase uses V(x') - V(x) and the (p, p') phase K(p') - K(p),
-    both evaluated at the midpoint; trace and hermiticity are preserved
-    exactly (the bridge is a unitary similarity), local error O(dt^3).
+    U is ``SplitStepEngine``'s step, with the potential and kinetic terms
+    at the midpoint; on the pair (x, x') it amounts to the phases
+    V(x') - V(x) and K(p') - K(p).  Trace and hermiticity are preserved
+    exactly (a unitary similarity), local error O(dt^3).
     """
-    if rho.grid is None:
-        raise ValueError("vonneumann_step needs a grid density matrix")
-    rho.grid.require_fft_bridge()
-    out = _vonneumann_kernel(rho.values, rho.grid, spec, t + dt / 2.0, dt)
-    return DensityMatrix(out, rho.grid)
+    engine = _grid_engine(rho, spec, "vonneumann_step")
+    return DensityMatrix(_sandwich(engine, rho.values, t, dt), rho.grid)
 
 
 def lindblad_x_step(rho: DensityMatrix, t: float, dt: float,
                     spec: HamiltonianSpec, coupling: Callable) -> DensityMatrix:
-    """Dissipative step for a position-diagonal coupling A(x).
+    """Dissipative step G o U (G o rho) U^H for a position-diagonal coupling A(x).
 
-    The unitary (x, x') phase is replaced by exp[(dt/2) F(x, x')] with
+    U is the unitary step of ``vonneumann_step`` and G the (x, x') factor
 
-        F = (i/hbar)[V(x') - V(x)] + A(x) A(x')* - |A(x')|^2/2 - |A(x)|^2/2,
+        G = exp[(dt/2)(A(x) A(x')* - |A(x')|^2/2 - |A(x)|^2/2)],
 
-    whose diagonal vanishes, so the trace is conserved and hermiticity kept.
-    A constant coupling cancels identically and reproduces the unitary step.
+    whose diagonal is one, so the trace is conserved and hermiticity kept.
+    A constant coupling gives G = 1 and reproduces the unitary step.
     """
-    if rho.grid is None:
-        raise ValueError("lindblad_x_step needs a grid density matrix")
-    grid = rho.grid
-    grid.require_fft_bridge()
-    tm = t + dt / 2.0
-    v = np.asarray(spec.potential(tm, grid.x), dtype=float)
-    a = np.asarray(coupling(grid.x), dtype=complex)
+    engine = _grid_engine(rho, spec, "lindblad_x_step")
+    a = np.asarray(coupling(rho.grid.x), dtype=complex)
     abs2 = np.abs(a) ** 2
-    f = (1j / spec.hbar) * (v[None, :] - v[:, None]) \
-        + a[:, None] * np.conj(a)[None, :] \
-        - 0.5 * abs2[None, :] - 0.5 * abs2[:, None]
-    xfactor = np.exp(0.5 * dt * f)
-    out = _two_sided_kernel(rho.values, xfactor,
-                            _kinetic_factor(grid, spec, tm, dt))
-    return DensityMatrix(out, grid)
+    g = np.exp(0.5 * dt * (a[:, None] * np.conj(a)[None, :]
+                           - 0.5 * abs2[None, :] - 0.5 * abs2[:, None]))
+    return DensityMatrix(g * _sandwich(engine, g * rho.values, t, dt), rho.grid)
 
 
 def random_collision_step(rho: DensityMatrix, t: float, dt: float,
@@ -210,16 +182,17 @@ def random_collision_step(rho: DensityMatrix, t: float, dt: float,
     rho <- rho_beta + exp(-gamma dt)(rho - rho_beta), and half a unitary step
     again, with both unitary halves frozen at the midpoint time.
     """
-    if rho.grid is None:
-        raise ValueError("random_collision_step needs a grid density matrix")
-    rho.grid.require_fft_bridge()
+    engine = _grid_engine(rho, spec, "random_collision_step")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    tm = t + dt / 2.0
-    values = _vonneumann_kernel(rho.values, rho.grid, spec, tm, dt / 2.0)
+    if rho_beta.values.shape != rho.values.shape:
+        raise ValueError(f"rho_beta has shape {rho_beta.values.shape}, "
+                         f"rho has {rho.values.shape}")
+    # a step of dt/2 from t + dt/4 evaluates H at its midpoint t + dt/2
+    values = _sandwich(engine, rho.values, t + dt / 4.0, dt / 2.0)
     decay = np.exp(-gamma * dt)
     values = rho_beta.values + decay * (values - rho_beta.values)
-    values = _vonneumann_kernel(values, rho.grid, spec, tm, dt / 2.0)
+    values = _sandwich(engine, values, t + dt / 4.0, dt / 2.0)
     return DensityMatrix(values, rho.grid)
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, HermiticityError
-from .grids import UniformGrid, fft_bridge, ifft_bridge
+from .grids import UniformGrid, _alt_signs, fft_bridge, ifft_bridge
 
 FD_SCHEMES = ("forward", "backward", "central")
 
@@ -139,6 +139,8 @@ def band_structure(cell_spec: HamiltonianSpec, lattice_constant: float,
         raise ValueError("lattice_constant must be positive")
     if n_bands < 1 or n_cell_grid < 2:
         raise ValueError("need n_bands >= 1 and n_cell_grid >= 2")
+    if n_bands > n_cell_grid:
+        raise ValueError(f"n_bands={n_bands} exceeds n_cell_grid={n_cell_grid}")
     a = float(lattice_constant)
     n = int(n_cell_grid)
     hbar = cell_spec.hbar
@@ -184,8 +186,8 @@ def spectrum_via_propagation(psi0, spec: HamiltonianSpec, duration: float,
     total = n_steps * dt
     k = np.arange(n_steps)
     energies = (k - n_steps // 2) * (2.0 * np.pi * hbar / total)
-    signs = 1.0 - 2.0 * (k % 2)
-    density = np.abs(n_steps * np.fft.ifft(signs * auto)) * dt / np.sqrt(2.0 * np.pi * hbar)
+    density = np.abs(n_steps * np.fft.ifft(_alt_signs(n_steps) * auto))
+    density = density * dt / np.sqrt(2.0 * np.pi * hbar)
     return energies, density
 
 

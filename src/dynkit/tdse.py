@@ -91,6 +91,8 @@ class EvolutionTrace:
 def gaussian_packet(grid: UniformGrid, x0: float = 0.0, p0: float = 0.0,
                     sigma: float = 1.0) -> WaveFunction:
     """Normalized Gaussian with position spread sigma, centered at (x0, p0)."""
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     psi = np.exp(-(grid.x - x0) ** 2 / (4.0 * sigma ** 2)
                  + 1j * p0 * grid.x / grid.hbar)
     out = WaveFunction(psi, grid)
@@ -531,17 +533,18 @@ def pauli_split_op_step(spinor: SpinorWaveFunction, t: float, dt: float,
     return SpinorWaveFunction(up, down, grid)
 
 
+def _spreads(grid: UniformGrid, position_weights: np.ndarray,
+             momentum_weights: np.ndarray) -> tuple[float, float]:
+    """(sigma_x, sigma_p) of unnormalized weights over grid.x and grid.p_fft."""
+    out = []
+    for axis, w in ((grid.x, position_weights), (grid.p_fft, momentum_weights)):
+        w = w / np.sum(w)
+        mean = np.sum(axis * w)
+        out.append(float(np.sqrt(max(np.sum(axis ** 2 * w) - mean ** 2, 0.0))))
+    return out[0], out[1]
+
+
 def compute_uncertainty(psi: WaveFunction) -> tuple[float, float]:
     """(sigma_x, sigma_p) standard deviations; their product is >= hbar/2."""
-    grid = psi.grid
-    prob = np.abs(psi.values) ** 2
-    prob = prob / np.sum(prob)
-    x_mean = np.sum(grid.x * prob)
-    x2_mean = np.sum(grid.x ** 2 * prob)
-    w = np.abs(fft_bridge(psi.values)) ** 2
-    w = w / np.sum(w)
-    p_mean = np.sum(grid.p_fft * w)
-    p2_mean = np.sum(grid.p_fft ** 2 * w)
-    sigma_x = np.sqrt(max(x2_mean - x_mean ** 2, 0.0))
-    sigma_p = np.sqrt(max(p2_mean - p_mean ** 2, 0.0))
-    return float(sigma_x), float(sigma_p)
+    return _spreads(psi.grid, np.abs(psi.values) ** 2,
+                    np.abs(fft_bridge(psi.values)) ** 2)

@@ -54,6 +54,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(L, n)
 
+    @pytest.mark.parametrize("hbar", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_hbar(self, hbar):
+        with pytest.raises(ValueError, match="hbar"):
+            make_grid(1.0, 8, hbar)
+
     def test_signal_length_validated(self):
         g = make_grid(1.0, 8)
         with pytest.raises(ValueError):

@@ -149,6 +149,12 @@ class TestRandomCollision:
         assert deviation(0.04) < 1e-5
         assert deviation(0.02) < deviation(0.04) / 6
 
+    def test_rejects_mismatched_rho_beta(self):
+        rho = pure_state_density(gaussian_packet(make_grid(8.0, 64)))
+        rho_beta = pure_state_density(gaussian_packet(make_grid(8.0, 32)))
+        with pytest.raises(ValueError, match="rho_beta"):
+            random_collision_step(rho, 0.0, 0.05, OSCILLATOR, 0.5, rho_beta)
+
     def test_static_hamiltonian_exact_relaxation(self):
         g = make_grid(8.0, 64)
         h = build_spectral_hamiltonian(g, OSCILLATOR)

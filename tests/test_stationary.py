@@ -125,6 +125,12 @@ class TestEigensolve:
 
 
 class TestBandStructure:
+    def test_rejects_more_bands_than_cell_points(self):
+        spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
+                               potential=lambda t, x: 0.0 * x)
+        with pytest.raises(ValueError, match="n_bands"):
+            band_structure(spec, 2.0, 4, [0.0], 5)
+
     def test_free_particle_folded_parabola(self):
         a = 2.0
         spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,

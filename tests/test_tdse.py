@@ -389,3 +389,9 @@ class TestUncertainty:
         psi = WaveFunction(res.states[:, 1].astype(complex), g)
         sx, sp = compute_uncertainty(psi)
         assert abs(sx * sp - 1.5) < 1e-4
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+def test_gaussian_packet_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_packet(make_grid(8.0, 64), sigma=sigma)
