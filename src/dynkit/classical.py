@@ -10,11 +10,20 @@ along unchanged.  Explicitly time-dependent forces are handled by a
 fictitious coordinate/momentum pair advancing at unit rate; since both
 components of the pair grow identically, the ensemble carries them as a
 single clock ``s``.
+
+All Verlet stepping goes through one first-same-as-last (FSAL) loop,
+``_kick_drift_kick``: the closing force ``U'(x1, s + dt)`` of one step is
+the opening force of the next, so ``n`` steps evaluate ``U'`` ``n + 1``
+times instead of ``2n``.  Reusing the force changes no bit of the result.
+The loop steps raw ``x``, ``p`` and ``s``; ``propagate_ensemble`` builds a
+``ClassicalEnsemble`` only for the snapshots it returns, and
+``verlet_step`` and ``multi_dim_verlet_step`` are the loop run for one
+step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,17 +52,34 @@ class ClassicalEnsemble:
     s: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "p", np.atleast_1d(np.asarray(self.p, dtype=float)))
         object.__setattr__(self, "weights",
                            np.atleast_1d(np.asarray(self.weights, dtype=float)))
-        if not (self.x.shape == self.p.shape == self.weights.shape):
-            raise ValueError("x, p and weights must have equal lengths")
+        self._set_coordinates(self.x, self.p)
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         total = self.weights.sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total!r}")
+
+    def _set_coordinates(self, x, p):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        p = np.atleast_1d(np.asarray(p, dtype=float))
+        if not (x.shape == p.shape == self.weights.shape):
+            raise ValueError("x, p and weights must have equal lengths")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "p", p)
+
+    def _moved(self, x, p, s: float) -> "ClassicalEnsemble":
+        """This ensemble's weights at new (x, p, s).
+
+        The weights object is the one ``__post_init__`` already checked, so
+        only the coordinates are converted and checked against it.
+        """
+        out = object.__new__(ClassicalEnsemble)
+        object.__setattr__(out, "weights", self.weights)
+        object.__setattr__(out, "s", s)
+        out._set_coordinates(x, p)
+        return out
 
 
 def uniform_weights(n: int) -> np.ndarray:
@@ -72,21 +98,33 @@ def extend_time_dependent(dk_dp_t: Callable, du_dx_t: Callable) -> ClassicalSpec
                          du_dx=lambda x, s_x: du_dx_t(x, s_x))
 
 
-def verlet_step(ensemble: ClassicalEnsemble, dt: float,
-                spec: ClassicalSpec) -> ClassicalEnsemble:
-    """One kick-drift-kick step; weights are never mutated.
+def _kick_drift_kick(x: np.ndarray, p: np.ndarray, s: float, dt: float,
+                     n_steps: int, spec: ClassicalSpec, stride: int):
+    """The FSAL Verlet loop: yields (x, p, s) after every ``stride`` steps and the last.
 
     Forces are evaluated at clock values s, the drift velocity at s + dt/2,
     and the closing kick at s + dt, matching the unit-rate flow of the
-    fictitious pair.
+    fictitious pair.  The closing force is kept as the next step's opening
+    force, so ``du_dx`` is called ``n_steps + 1`` times.  The arrays are
+    never updated in place: a yielded array or a force may share memory
+    with the state.
     """
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
-    s = ensemble.s
-    p1 = ensemble.p - np.asarray(spec.du_dx(ensemble.x, s)) * (dt / 2.0)
-    x1 = ensemble.x + np.asarray(spec.dk_dp(p1, s + dt / 2.0)) * dt
-    p2 = p1 - np.asarray(spec.du_dx(x1, s + dt)) * (dt / 2.0)
-    return replace(ensemble, x=x1, p=p2, s=s + dt)
+    half = dt / 2.0
+    force = np.asarray(spec.du_dx(x, s))
+    for m in range(n_steps):
+        p = p - force * half
+        x = x + np.asarray(spec.dk_dp(p, s + half)) * dt
+        s = s + dt
+        force = np.asarray(spec.du_dx(x, s))
+        p = p - force * half
+        if (m + 1) % stride == 0 or m == n_steps - 1:
+            yield x, p, s
+
+
+def verlet_step(ensemble: ClassicalEnsemble, dt: float,
+                spec: ClassicalSpec) -> ClassicalEnsemble:
+    """One kick-drift-kick step (the FSAL loop run once); weights are never mutated."""
+    return propagate_ensemble(ensemble, dt, 1, spec)[1]
 
 
 def multi_dim_verlet_step(x: np.ndarray, p: np.ndarray, dt: float,
@@ -97,24 +135,27 @@ def multi_dim_verlet_step(x: np.ndarray, p: np.ndarray, dt: float,
     p = np.asarray(p, dtype=float)
     if x.shape != p.shape:
         raise ValueError(f"coordinate shape {x.shape} != momentum shape {p.shape}")
-    p1 = p - np.asarray(grad_u(x)) * (dt / 2.0)
-    x1 = x + np.asarray(grad_k(p1)) * dt
-    p2 = p1 - np.asarray(grad_u(x1)) * (dt / 2.0)
-    return x1, p2
+    spec = ClassicalSpec(dk_dp=lambda q, s: grad_k(q), du_dx=lambda q, s: grad_u(q))
+    [(x1, p1, _)] = _kick_drift_kick(x, p, 0.0, dt, 1, spec, 1)
+    return x1, p1
 
 
 def propagate_ensemble(ensemble: ClassicalEnsemble, dt: float, n_steps: int,
                        spec: ClassicalSpec, stride: int = 1
                        ) -> list[ClassicalEnsemble]:
-    """Verlet trajectory of an ensemble, sampled every ``stride`` steps (incl. start)."""
+    """Verlet trajectory of an ensemble, sampled every ``stride`` steps (incl. start).
+
+    The last step is always sampled, so a partial final stride still ends
+    the list.  One FSAL loop serves all steps (see the module docstring);
+    only the sampled states become ``ClassicalEnsemble`` objects.
+    """
+    if dt == 0:
+        raise ValueError("dt must be nonzero")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    snapshots = [ensemble]
-    for m in range(n_steps):
-        ensemble = verlet_step(ensemble, dt, spec)
-        if (m + 1) % stride == 0 or m == n_steps - 1:
-            snapshots.append(ensemble)
-    return snapshots
+    steps = _kick_drift_kick(ensemble.x, ensemble.p, ensemble.s, dt, n_steps,
+                             spec, stride)
+    return [ensemble, *(ensemble._moved(x, p, s) for x, p, s in steps)]
 
 
 @dataclass(frozen=True)

@@ -364,8 +364,10 @@ def potential_from_config(cfg):
                 lambda x: omega ** 2 * np.asarray(x))
     if name == "quartic":
         a = cfg["strength"]
-        return (lambda x: a * np.asarray(x) ** 4,
-                lambda x: 4.0 * a * np.asarray(x) ** 3)
+        # products, not ``x ** 4`` and ``x ** 3``: numpy fast-paths only
+        # ``** 2``, and other integer powers of negative x call libm's pow
+        return (lambda x: a * np.square(np.square(x)),
+                lambda x: 4.0 * a * (np.square(x) * x))
     if name == "softcore":
         depth, width = cfg["depth"], cfg["width"]
         return (lambda x: -depth / np.sqrt(np.asarray(x) ** 2 + width ** 2),

@@ -108,8 +108,8 @@ def density_uncertainty(rho: DensityMatrix) -> tuple[float, float]:
 def gibbs_density(h: np.ndarray, beta: float,
                   grid: UniformGrid | None = None) -> DensityMatrix:
     """Thermal state exp(-beta H) normalized to unit trace."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
     h = np.asarray(h, dtype=complex)
     w, u = np.linalg.eigh(h)
     weights = np.exp(-beta * (w - w[0]))  # shift avoids overflow

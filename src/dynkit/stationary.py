@@ -135,8 +135,9 @@ def band_structure(cell_spec: HamiltonianSpec, lattice_constant: float,
     needed for a genuinely periodic boundary).  Returns an array of shape
     (len(quasimomenta), n_bands) with the lowest bands in ascending order.
     """
-    if lattice_constant <= 0:
-        raise ValueError("lattice_constant must be positive")
+    if not 0 < lattice_constant < np.inf:
+        raise ValueError("lattice_constant must be positive and finite, "
+                         f"got {lattice_constant!r}")
     if n_bands < 1 or n_cell_grid < 2:
         raise ValueError("need n_bands >= 1 and n_cell_grid >= 2")
     if n_bands > n_cell_grid:

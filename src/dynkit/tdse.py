@@ -399,12 +399,6 @@ def _imaginary_time(psi_guess, dtau, spec, tol, max_iter, known):
     )
 
 
-def commutator_expectation(psi: WaveFunction, observable: np.ndarray,
-                           spec: HamiltonianSpec, t: float = 0.0) -> complex:
-    """<psi|[H, O]|psi> for a position-diagonal real observable O(x)."""
-    return SplitStepEngine(psi.grid, spec).commutator(psi.values, observable, t)
-
-
 def _fit_decay_slope(taus, ys, fit_fraction):
     taus = np.asarray(taus)
     ys = np.asarray(ys)

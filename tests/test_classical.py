@@ -235,3 +235,131 @@ class TestEhrenfest:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             ehrenfest_series([], OSCILLATOR)
+
+
+# ---------------------------------------------------------------------------
+# the FSAL loop against the plain kick-drift-kick loop
+# ---------------------------------------------------------------------------
+
+
+def reference_trajectory(ensemble, dt, n_steps, spec, stride):
+    """(x, p, s) snapshots of the plain kick-drift-kick loop, two forces a step."""
+    x, p, s = ensemble.x, ensemble.p, ensemble.s
+    out = [(x, p, s)]
+    for m in range(n_steps):
+        p1 = p - np.asarray(spec.du_dx(x, s)) * (dt / 2.0)
+        x1 = x + np.asarray(spec.dk_dp(p1, s + dt / 2.0)) * dt
+        p = p1 - np.asarray(spec.du_dx(x1, s + dt)) * (dt / 2.0)
+        x, s = x1, s + dt
+        if (m + 1) % stride == 0 or m == n_steps - 1:
+            out.append((x, p, s))
+    return out
+
+
+DRIVEN_ANHARMONIC = extend_time_dependent(
+    lambda p, t: p + 0.05 * np.sin(1.3 * t) * p ** 2,
+    lambda x, t: x + 0.4 * x ** 3 - 0.3 * np.cos(1.6 * t))
+
+
+def random_cloud(n=64, seed=5, s=0.0):
+    rng = np.random.default_rng(seed)
+    return ClassicalEnsemble(x=rng.normal(0.5, 0.8, n), p=rng.normal(0.0, 0.6, n),
+                             weights=rng.dirichlet(np.ones(n)), s=s)
+
+
+class TestFSALLoop:
+    @pytest.mark.parametrize("spec", [OSCILLATOR, DRIVEN_ANHARMONIC],
+                             ids=["autonomous", "time_dependent"])
+    @pytest.mark.parametrize("dt, n_steps, stride", [
+        (0.01, 40, 1),
+        (0.02, 23, 5),     # partial final stride: 5, 10, 15, 20, 23
+        (-0.015, 17, 4),   # backwards in time
+        (0.03, 1, 3),
+        (0.01, 0, 1),
+    ])
+    def test_bitwise_equal_to_plain_loop(self, spec, dt, n_steps, stride):
+        ens = random_cloud(s=0.25)
+        snaps = propagate_ensemble(ens, dt, n_steps, spec, stride=stride)
+        ref = reference_trajectory(ens, dt, n_steps, spec, stride)
+        assert len(snaps) == len(ref)
+        assert snaps[0] is ens
+        for snap, (x, p, s) in zip(snaps, ref):
+            assert snap.x.tobytes() == x.tobytes()
+            assert snap.p.tobytes() == p.tobytes()
+            assert snap.s == s
+            assert snap.weights is ens.weights
+
+    def test_verlet_step_is_one_loop_step(self):
+        ens = random_cloud(s=1.5)
+        out = verlet_step(ens, -0.04, DRIVEN_ANHARMONIC)
+        (_, (x, p, s)) = reference_trajectory(ens, -0.04, 1, DRIVEN_ANHARMONIC, 1)
+        assert out.x.tobytes() == x.tobytes() and out.p.tobytes() == p.tobytes()
+        assert out.s == s
+
+    def test_multi_dim_step_is_one_loop_step(self):
+        rng = np.random.default_rng(9)
+        x, p = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        grad_u = lambda q: q + 0.2 * q ** 3
+        grad_k = lambda q: q / 1.7
+        spec = ClassicalSpec(dk_dp=lambda q, s: grad_k(q),
+                             du_dx=lambda q, s: grad_u(q))
+        ens = ClassicalEnsemble(x=x.ravel(), p=p.ravel(),
+                                weights=uniform_weights(x.size))
+        (_, (x_ref, p_ref, _)) = reference_trajectory(ens, 0.05, 1, spec, 1)
+        x1, p1 = multi_dim_verlet_step(x, p, 0.05, grad_u, grad_k)
+        assert x1.shape == p1.shape == (5, 3)
+        assert x1.tobytes() == x_ref.tobytes() and p1.tobytes() == p_ref.tobytes()
+
+    def test_zero_dt_rejected(self):
+        with pytest.raises(ValueError, match="dt"):
+            propagate_ensemble(random_cloud(), 0.0, 10, OSCILLATOR)
+
+    def test_bad_stride_rejected(self):
+        with pytest.raises(ValueError, match="stride"):
+            propagate_ensemble(random_cloud(), 0.01, 10, OSCILLATOR, stride=0)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 37])
+    def test_force_evaluated_once_per_step_plus_one(self, n_steps):
+        calls = {"du_dx": 0, "dk_dp": 0}
+
+        def du_dx(x, s):
+            calls["du_dx"] += 1
+            return x
+
+        def dk_dp(p, s):
+            calls["dk_dp"] += 1
+            return p
+
+        propagate_ensemble(random_cloud(), 0.01, n_steps,
+                           ClassicalSpec(dk_dp=dk_dp, du_dx=du_dx), stride=4)
+        assert calls == {"du_dx": n_steps + 1, "dk_dp": n_steps}
+
+
+class TestEnsembleConstruction:
+    @pytest.mark.parametrize("x, p, weights, message", [
+        ([0.0, 1.0], [0.0, 0.0], [1.5, -0.5], "nonnegative"),
+        ([0.0, 1.0], [0.0, 0.0], [0.5, 0.4], "sum to 1"),
+        ([0.0, 1.0], [0.0], [0.5, 0.5], "equal lengths"),
+        ([0.0, 1.0], [0.0, 0.0], [1.0], "equal lengths"),
+    ])
+    def test_bad_weights_and_lengths_refused(self, x, p, weights, message):
+        with pytest.raises(ValueError, match=message):
+            ClassicalEnsemble(x=x, p=p, weights=weights)
+
+    def test_step_refuses_force_of_wrong_length(self):
+        spec = ClassicalSpec(dk_dp=lambda p, s: np.append(p, 0.0),
+                             du_dx=lambda x, s: x)
+        with pytest.raises(ValueError, match="equal lengths"):
+            verlet_step(single(0.1, 0.2), 0.01, spec)
+
+
+class TestProductFormQuartic:
+    def test_matches_powers_on_negative_and_wide_inputs(self):
+        from dynkit.cli import potential_from_config
+
+        a = 0.37
+        u, du = potential_from_config({"name": "quartic", "strength": a})
+        mags = np.logspace(-70, 70, 2001)
+        x = np.concatenate([-mags, mags, -np.linspace(0.01, 5.0, 500)])
+        assert np.max(np.abs(u(x) / (a * x ** 4) - 1.0)) <= 1e-15
+        assert np.max(np.abs(du(x) / (4.0 * a * x ** 3) - 1.0)) <= 1e-15

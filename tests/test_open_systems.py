@@ -447,6 +447,13 @@ class TestDensityHelpers:
         sx, sp = density_uncertainty(rho)
         assert sx * sp >= 0.5 - 1e-6
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -0.5])
+    def test_gibbs_density_rejects_bad_beta(self, beta):
+        g = make_grid(8.0, 16)
+        h = build_spectral_hamiltonian(g, OSCILLATOR)
+        with pytest.raises(ValueError, match="beta"):
+            gibbs_density(h, beta=beta, grid=g)
+
     def test_validate_flags_bad_trace(self):
         g = make_grid(8.0, 64)
         rho = DensityMatrix(np.eye(g.n, dtype=complex), g)

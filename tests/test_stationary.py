@@ -131,6 +131,13 @@ class TestBandStructure:
         with pytest.raises(ValueError, match="n_bands"):
             band_structure(spec, 2.0, 4, [0.0], 5)
 
+    @pytest.mark.parametrize("a", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_non_finite_or_nonpositive_lattice_constant(self, a):
+        spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
+                               potential=lambda t, x: 0.0 * x)
+        with pytest.raises(ValueError, match="lattice_constant"):
+            band_structure(spec, a, 8, [0.0], 2)
+
     def test_free_particle_folded_parabola(self):
         a = 2.0
         spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
