@@ -149,8 +149,10 @@ def propagate_ensemble(ensemble: ClassicalEnsemble, dt: float, n_steps: int,
     the list.  One FSAL loop serves all steps (see the module docstring);
     only the sampled states become ``ClassicalEnsemble`` objects.
     """
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
+    if dt == 0 or not np.isfinite(dt):
+        raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps!r}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     steps = _kick_drift_kick(ensemble.x, ensemble.p, ensemble.s, dt, n_steps,

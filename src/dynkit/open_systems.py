@@ -11,7 +11,7 @@ trajectory average reproduces the master equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -353,12 +353,9 @@ class JumpOperatorSpec:
     """Jump channels: position-diagonal callables A_k(x) and/or d x d matrices."""
 
     operators: tuple
-    hermitian: tuple = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "operators", tuple(self.operators))
-        if self.hermitian and len(self.hermitian) != len(self.operators):
-            raise ValueError("hermitian flags must match the operator count")
 
 
 @dataclass

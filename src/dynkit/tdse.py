@@ -113,6 +113,9 @@ def apply_hamiltonian(psi: WaveFunction, spec: HamiltonianSpec,
 
 def step_count(span: float, dt: float) -> int:
     """span/dt as an integer; ValueError unless it is one to 1e-9 relative."""
+    if not (np.isfinite(span) and np.isfinite(dt)) or dt == 0:
+        raise ValueError(f"need a finite span and a finite nonzero step, got "
+                         f"{span!r} and {dt!r}")
     n_steps = int(round(span / dt))
     if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"{span!r} is not an integer multiple of the step {dt!r}")
@@ -202,8 +205,8 @@ class SplitStepEngine:
         ``order`` selects Strang (2) or triple-jump (4) steps.  dt may be
         complex (Wick-rotated -i dtau).
         """
-        if dt == 0:
-            raise ValueError("dt must be nonzero")
+        if dt == 0 or not np.isfinite(dt):
+            raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
         if order not in _SUBSTEPS:
             raise ValueError("order must be 2 or 4")
         if stride < 1:
@@ -379,8 +382,8 @@ def imaginary_time_excited(n_target: int, known_states: Sequence[WaveFunction],
 
 
 def _imaginary_time(psi_guess, dtau, spec, tol, max_iter, known):
-    if dtau <= 0:
-        raise ValueError("dtau must be positive")
+    if not 0 < dtau < np.inf:
+        raise ValueError(f"dtau must be positive and finite, got {dtau!r}")
     grid = psi_guess.grid
     engine = SplitStepEngine(grid, spec)
     values = _orthogonalize(psi_guess.values.copy(), known, grid.dx)

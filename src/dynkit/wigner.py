@@ -106,19 +106,24 @@ def _wigner_axes(grid: UniformGrid):
     return x_w, p_w, dtheta
 
 
-def _antidiagonal_indices(n: int, c: int):
-    """(bra, ket, valid) index arrays for center index c on the half-spaced axis."""
-    m = np.arange(n)
-    if c % 2 == 0:
-        j = c // 2
-        a = j - m + n // 2
-        b = j + m - n // 2
-    else:
-        j = (c - 1) // 2
-        a = j - m + n // 2
-        b = j + m + 1 - n // 2
-    valid = (a >= 0) & (a < n) & (b >= 0) & (b < n)
-    return a, b, valid
+#: Amplitudes gathered per block of centers: 128 centers at n = 1024.  It
+#: bounds the transforms' working memory beside the (2n, n) result.
+_BLOCK_AMPLITUDES = 1 << 17
+
+
+def _center_blocks(n: int):
+    """Yield (first center, bra, ket, valid) per block of centers on the half-spaced axis.
+
+    Center c pairs bra c//2 - u with ket (c+1)//2 + u, u = m - n/2, so it
+    is the anti-diagonal bra + ket = c of rho.  Blocks hold an even number
+    of centers and start at an even one, so odd centers are rows 1::2.
+    """
+    u = np.arange(n) - n // 2
+    size = 2 * max(1, _BLOCK_AMPLITUDES // (2 * n))
+    for start in range(0, 2 * n, size):
+        c = np.arange(start, min(start + size, 2 * n))[:, None]
+        bra, ket = c // 2 - u, (c + 1) // 2 + u
+        yield start, bra, ket, (bra >= 0) & (bra < n) & (ket >= 0) & (ket < n)
 
 
 def wigner_from_density(rho: DensityMatrix) -> WignerFunction:
@@ -136,21 +141,20 @@ def wigner_from_density(rho: DensityMatrix) -> WignerFunction:
     n = grid.n
     x_w, p_w, dtheta = _wigner_axes(grid)
     half_shift = np.exp(1j * np.pi * (np.arange(n) - n // 2) / n)
-    out = np.empty((2 * n, n), dtype=complex)
-    for c in range(2 * n):
-        a, b, valid = _antidiagonal_indices(n, c)
-        f = np.zeros(n, dtype=complex)
-        f[valid] = rho.values[a[valid], b[valid]]
-        row = n * ifft_bridge(f) * (dtheta / (2.0 * np.pi))
-        if c % 2 == 1:
-            row = row * half_shift
-        out[c] = row
-    residue = float(np.max(np.abs(out.imag)))
+    out = np.empty((2 * n, n))
+    residue = 0.0
+    for start, bra, ket, valid in _center_blocks(n):
+        f = np.zeros(bra.shape, dtype=complex)
+        f[valid] = rho.values[bra[valid], ket[valid]]
+        rows = n * ifft_bridge(f, axis=1) * (dtheta / (2.0 * np.pi))
+        rows[1::2] *= half_shift
+        residue = max(residue, float(np.max(np.abs(rows.imag))))
+        out[start:start + len(rows)] = rows.real
     if residue > 1e-8:
         raise HermiticityError(
             f"Wigner transform imaginary residue {residue:.3e} exceeds 1e-8"
         )
-    return WignerFunction(out.real, x_w, p_w, grid.hbar, grid=grid)
+    return WignerFunction(out, x_w, p_w, grid.hbar, grid=grid)
 
 
 def density_from_wigner(w: WignerFunction,
@@ -165,13 +169,11 @@ def density_from_wigner(w: WignerFunction,
     dp = w.dp
     half_shift = np.exp(-1j * np.pi * (np.arange(n) - n // 2) / n)
     rho = np.zeros((n, n), dtype=complex)
-    for c in range(2 * n):
-        row = w.values[c].astype(complex)
-        if c % 2 == 1:
-            row = row * half_shift
-        f = fft_bridge(row) * dp
-        a, b, valid = _antidiagonal_indices(n, c)
-        rho[a[valid], b[valid]] = f[valid]
+    for start, bra, ket, valid in _center_blocks(n):
+        rows = w.values[start:start + len(bra)].astype(complex)
+        rows[1::2] *= half_shift
+        f = fft_bridge(rows, axis=1) * dp
+        rho[bra[valid], ket[valid]] = f[valid]
     return DensityMatrix(rho, grid)
 
 
@@ -193,11 +195,15 @@ def _sandwich_blocks(tl, blocks, tr):
             (m21 * r11 + m22 * r21, m21 * r12 + m22 * r22))
 
 
-def _rotation_entries(spec: MoleculeSpec, q: np.ndarray, t: float, dt: float):
-    """Entries of T(q) = exp[-(i dt/hbar)(sigma_x V_eg + sigma_z (V_g - V_e)/2)]."""
+def _rotation_entries(spec: MoleculeSpec, q: np.ndarray, v_g: np.ndarray,
+                      v_e: np.ndarray, t: float, dt: float):
+    """Entries of T(q) = exp[-(i dt/hbar)(sigma_x V_eg + sigma_z (V_g - V_e)/2)].
+
+    ``v_g`` and ``v_e`` are the surfaces already evaluated on q.
+    """
     hbar = spec.hbar
     v_eg = -np.asarray(spec.dipole(q)) * spec.pulse(t)
-    half_gap = 0.5 * (np.asarray(spec.v_ground(q)) - np.asarray(spec.v_excited(q)))
+    half_gap = 0.5 * (v_g - v_e)
     d = np.sqrt(v_eg ** 2 + half_gap ** 2)
     c = np.cos(d * dt / hbar)
     s = (dt / hbar) * np.sinc(d * dt / (hbar * np.pi))  # sin(D dt/hbar)/D
@@ -245,14 +251,12 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
     x_plus = x[:, None] + 0.5 * hbar * theta[None, :]
     p_minus = p[None, :] - 0.5 * hbar * lam[:, None]
     p_plus = p[None, :] + 0.5 * hbar * lam[:, None]
-    kin_shear = np.exp((1j * dt / hbar)
-                       * (np.asarray(spec.kinetic(p_minus))
-                          - np.asarray(spec.kinetic(p_plus))))
+    shear = (1j * dt / hbar) * (np.asarray(spec.kinetic(p_minus))
+                                - np.asarray(spec.kinetic(p_plus)))
+    vg_minus, vg_plus = (np.asarray(spec.v_ground(q)) for q in (x_minus, x_plus))
+    ve_minus, ve_plus = (np.asarray(spec.v_excited(q)) for q in (x_minus, x_plus))
     mean_phase = np.exp((0.5j * dt / hbar)
-                        * (np.asarray(spec.v_ground(x_plus))
-                           - np.asarray(spec.v_ground(x_minus))
-                           + np.asarray(spec.v_excited(x_plus))
-                           - np.asarray(spec.v_excited(x_minus))))
+                        * (vg_plus - vg_minus + ve_plus - ve_minus))
 
     blocks = ((w2.w_g.astype(complex), w2.w_ge.astype(complex)),
               (np.conj(w2.w_ge), w2.w_e.astype(complex)))
@@ -273,8 +277,8 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
     def potential(blocks):
         transformed = tuple(tuple(drop_nyquist(fft_bridge(b, axis=1), 1)
                                   for b in row) for row in blocks)
-        tl = _rotation_entries(spec, x_minus, tm, dt)
-        tr = _dagger(_rotation_entries(spec, x_plus, tm, dt))
+        tl = _rotation_entries(spec, x_minus, vg_minus, ve_minus, tm, dt)
+        tr = _dagger(_rotation_entries(spec, x_plus, vg_plus, ve_plus, tm, dt))
         sandwiched = _sandwich_blocks(tl, transformed, tr)
         sandwiched = tuple(tuple(mean_phase * b for b in row)
                            for row in sandwiched)
@@ -282,15 +286,13 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
                      for row in sandwiched)
 
     if symmetrize:
-        half_shear = np.exp((0.5j * dt / hbar)
-                            * (np.asarray(spec.kinetic(p_minus))
-                               - np.asarray(spec.kinetic(p_plus))))
+        half_shear = np.exp(0.5 * shear)
         blocks = kinetic(blocks, half_shear)
         blocks = potential(blocks)
         blocks = kinetic(blocks, half_shear)
     else:
         blocks = potential(blocks)
-        blocks = kinetic(blocks, kin_shear)
+        blocks = kinetic(blocks, np.exp(shear))
 
     (gg, ge), (eg, ee) = blocks
     residue = max(float(np.max(np.abs(gg.imag))), float(np.max(np.abs(ee.imag))),

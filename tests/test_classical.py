@@ -363,3 +363,11 @@ class TestProductFormQuartic:
         x = np.concatenate([-mags, mags, -np.linspace(0.01, 5.0, 500)])
         assert np.max(np.abs(u(x) / (a * x ** 4) - 1.0)) <= 1e-15
         assert np.max(np.abs(du(x) / (4.0 * a * x ** 3) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("dt, n_steps", [
+    (np.nan, 3), (np.inf, 3), (-np.inf, 3), (0.01, -5),
+])
+def test_propagate_ensemble_rejects_bad_step(dt, n_steps):
+    with pytest.raises(ValueError, match="dt|n_steps"):
+        propagate_ensemble(single(0.1, 0.2), dt, n_steps, OSCILLATOR)

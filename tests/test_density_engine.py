@@ -187,3 +187,13 @@ def test_flagged_spec_evaluates_terms_once_per_step():
     lindblad_x_step(rho, 0.0, DT, spec, COUPLINGS["linear"])
     random_collision_step(rho, 0.0, DT, spec, GAMMA, rho)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf])
+@pytest.mark.parametrize("step_name", ["vonneumann", "lindblad-linear",
+                                       "collision"])
+def test_grid_steps_reject_non_finite_step(step_name, dt):
+    rho = _state(64, "hermitian")
+    new, _ = _steppers(step_name, SPECS[sorted(SPECS)[0]], rho)
+    with pytest.raises(ValueError, match="finite"):
+        new(rho, T0, dt)

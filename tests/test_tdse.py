@@ -26,6 +26,7 @@ from dynkit.tdse import (
     spectral_gap_estimate_discrete,
     split_op_step,
     split_op_step_o4,
+    step_count,
 )
 
 OSCILLATOR = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
@@ -395,3 +396,33 @@ class TestUncertainty:
 def test_gaussian_packet_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError, match="sigma"):
         gaussian_packet(make_grid(8.0, 64), sigma=sigma)
+
+
+@pytest.mark.parametrize("span, dt", [
+    (1.0, np.inf), (np.inf, 1.0), (1.0, np.nan), (np.nan, 1.0), (1.0, 0.0),
+])
+def test_step_count_rejects_non_finite_span_or_step(span, dt):
+    with pytest.raises(ValueError, match="finite"):
+        step_count(span, dt)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+def test_propagate_rejects_non_finite_step(dt):
+    psi = gaussian_packet(make_grid(8.0, 64))
+    with pytest.raises(ValueError, match="finite"):
+        propagate(psi, 0.0, 1.0, dt, OSCILLATOR)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, complex(0.0, np.nan),
+                                -1j * np.inf])
+def test_split_op_step_rejects_non_finite_step(dt):
+    psi = gaussian_packet(make_grid(8.0, 64))
+    with pytest.raises(ValueError, match="finite"):
+        split_op_step(psi, 0.0, dt, OSCILLATOR)
+
+
+@pytest.mark.parametrize("dtau", [np.nan, np.inf, 0.0, -0.01])
+def test_imaginary_time_rejects_bad_dtau(dtau):
+    psi = gaussian_packet(make_grid(8.0, 64))
+    with pytest.raises(ValueError, match="dtau"):
+        imaginary_time_ground(psi, dtau, OSCILLATOR, max_iter=5)
