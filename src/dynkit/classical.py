@@ -28,6 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .tdse import require_step
+
 
 @dataclass(frozen=True)
 class ClassicalSpec:
@@ -131,6 +133,7 @@ def multi_dim_verlet_step(x: np.ndarray, p: np.ndarray, dt: float,
                           grad_u: Callable, grad_k: Callable
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise Verlet for vector coordinates and momenta."""
+    require_step(dt)
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     if x.shape != p.shape:
@@ -149,8 +152,7 @@ def propagate_ensemble(ensemble: ClassicalEnsemble, dt: float, n_steps: int,
     the list.  One FSAL loop serves all steps (see the module docstring);
     only the sampled states become ``ClassicalEnsemble`` objects.
     """
-    if dt == 0 or not np.isfinite(dt):
-        raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
+    require_step(dt)
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps!r}")
     if stride < 1:

@@ -475,7 +475,8 @@ class _OutputSink:
 
 
 # ---------------------------------------------------------------------------
-# task runners: each reads a config resolved by _walk, every key present
+# task runners: each reads a config resolved by _walk, every key present, and
+# may return a dict of numerical diagnostics for the manifest
 # ---------------------------------------------------------------------------
 
 
@@ -609,7 +610,6 @@ def _run_lindblad(cfg, sink):
     rho = osys.pure_state_density(tdse.gaussian_packet(grid, **block["initial"]))
     dt = block["dt"]
     n_steps = tdse.step_count(block["t_max"], dt)
-    stride = block["stride"]
     rows = []
 
     def record(step, rho):
@@ -623,15 +623,20 @@ def _run_lindblad(cfg, sink):
         rows.append((step * dt, x_mean, p_mean, energy, rho.trace().real))
 
     record(0, rho)
-    for m in range(n_steps):
-        rho = osys.lindblad_x_step(rho, m * dt, dt, spec, coupling)
-        if (m + 1) % stride == 0 or m == n_steps - 1:
-            record(m + 1, rho)
+    g = osys.coupling_factor(grid, coupling, dt)
+    for m, values in osys.run_density(tdse.SplitStepEngine(grid, spec),
+                                      rho.values, 0.0, dt, n_steps, g,
+                                      block["stride"]):
+        rho = osys.DensityMatrix(values, grid)
+        record(m, rho)
     sink.csv("trace.csv", ("t", "x_mean", "p_mean", "energy", "norm"), rows)
     stacked = np.stack([rho.values.real, rho.values.imag])
     sink.field("field_rho", stacked,
                axes={"x": grid.x},
                notes="final density matrix; leading axis = (re, im)")
+    return {"steps": n_steps,
+            "max_trace_drift": max(abs(row[-1] - 1.0) for row in rows),
+            "hermiticity_defect": rho.hermiticity_defect()}
 
 
 def _run_mcwf(cfg, sink):
@@ -726,7 +731,7 @@ def run(config_path: str, out_dir: str, threads: int = 1) -> int:
         # overflow, 0/0 and x/0 in numpy raise FloatingPointError instead of
         # warning and carrying inf or nan into the outputs
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _RUNNERS[cfg["task"]](resolved, sink)
+            diagnostics = _RUNNERS[cfg["task"]](resolved, sink)
     except (ConvergenceError, ArithmeticError, ValueError) as exc:
         # ValueError covers HermiticityError and numpy's LinAlgError;
         # ArithmeticError covers overflow, zero division and floating point
@@ -742,6 +747,8 @@ def run(config_path: str, out_dir: str, threads: int = 1) -> int:
         "wall_time_seconds": time.monotonic() - started,
         "outputs": sink.files,
     }
+    if diagnostics:
+        manifest["diagnostics"] = diagnostics
     try:
         tmp_path = os.path.join(out_dir, "manifest.tmp")
         with open(tmp_path, "w", newline="\n") as fh:

@@ -1,18 +1,20 @@
 """Density-matrix propagation and stochastic wave-function unravelling.
 
 Grid density matrices evolve as U rho U^H with U the split step of
-``tdse.SplitStepEngine``, applied to the ket index and conjugated on the bra
-index; a position-diagonal dissipator adds an (x, x') decay factor on both
-sides of that sandwich.  Level-resolved dynamics is covered by Pauli master
-equations with detailed-balance rate builders, the random-collision
-thermalization model, and a Monte-Carlo wave-function unravelling whose
-trajectory average reproduces the master equation.
+``tdse.SplitStepEngine``, applied to the row index and conjugated on the
+column index; a position-diagonal dissipator adds an (x, x') decay factor on
+both sides of that sandwich.  ``run_density`` is the one loop that steps
+them, as two 2-D transforms between cached (x, x') and (p, p') factors.
+Level-resolved dynamics is covered by Pauli master equations with
+detailed-balance rate builders, the random-collision thermalization model,
+and a Monte-Carlo wave-function unravelling whose trajectory average
+reproduces the master equation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,7 +22,8 @@ from .errors import DegenerateJumpError, HermiticityError
 from .grids import UniformGrid, fft_bridge, ifft_bridge
 from .matfunc import expm_pade
 from .stationary import HamiltonianSpec
-from .tdse import SplitStepEngine, WaveFunction, _spreads, step_count
+from .tdse import (SplitStepEngine, WaveFunction, _spreads, require_step,
+                   step_count)
 
 
 @dataclass
@@ -130,15 +133,71 @@ def _grid_engine(rho: DensityMatrix, spec: HamiltonianSpec,
     return SplitStepEngine(rho.grid, spec)
 
 
-def _sandwich(engine: SplitStepEngine, values: np.ndarray, t: float,
-              dt: float) -> np.ndarray:
-    """U rho U^H for the engine's step U from t to t + dt.
+def _outer(v: np.ndarray) -> np.ndarray:
+    """The (x, x') factor of a phase v acting on the row index and conj(v) on the column."""
+    return v[:, None] * np.conj(v)[None, :]
 
-    U acts on the ket index (the columns, stepped as the rows of rho^T) and
-    conj(U) on the bra index: (rho U^H)[l, :] = conj(U conj(rho[l, :])).
+
+def coupling_factor(grid: UniformGrid, coupling: Callable,
+                    dt: float) -> np.ndarray:
+    """G = exp[(dt/2)(A(x) A(x')* - |A(x')|^2/2 - |A(x)|^2/2)] for a coupling A(x).
+
+    The diagonal of G is one, so a step G o (.) o G keeps the trace; a
+    constant coupling gives G = 1.
     """
-    kets = engine.step(values.T, t, dt).T
-    return np.conj(engine.step(np.conj(kets), t, dt))
+    require_step(dt)
+    a = np.asarray(coupling(grid.x), dtype=complex)
+    abs2 = np.abs(a) ** 2
+    return np.exp(0.5 * dt * (a[:, None] * np.conj(a)[None, :]
+                              - 0.5 * abs2[None, :] - 0.5 * abs2[:, None]))
+
+
+def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
+                dt: float, n_steps: int, g=1.0, stride: int = 1
+                ) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (m, rho at t0 + m dt) every ``stride`` steps and after the last.
+
+    A step is rho <- G o U (G o rho) U^H with U the engine's Strang step on
+    the row index, conj(U) on the column index and ``g`` the (x, x') factor
+    G (1 for unitary steps).  Every x-diagonal factor acts elementwise on
+    (x, x'), so with Lead, Out and Kpp the ``_outer`` products of the
+    engine's sign-folded phases a step is
+
+        rho <- (G o Out) o ifft0-fft1[Kpp o fft0-ifft1[(G o Lead) o rho]].
+
+    Between steps the trailing and leading factors merge into
+    G^2 o outer(tail * head), as ``SplitStepEngine.run`` merges half-kicks;
+    for a ``time_independent`` spec it and Kpp are built once per run.
+    """
+    require_step(dt)
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    fft, ifft = np.fft.fft, np.fft.ifft
+    cur = engine._step_phases(t0, dt, 2)
+    w = g * _outer(cur.lead)
+    w *= values
+    del values  # updates below are in place on arrays the loop owns
+    kpp, across = _outer(cur.kins[0]), None
+    for m in range(1, n_steps + 1):
+        w = fft(ifft(kpp * fft(ifft(w, axis=1), axis=0), axis=0), axis=1)
+        if m % stride == 0 or m == n_steps:
+            out = g * _outer(cur.out)
+            out *= w
+            yield m, out
+        if m < n_steps:
+            nxt = engine._step_phases(t0 + m * dt, dt, 2)
+            if across is None or nxt is not cur:
+                across = g * g
+                across *= _outer(cur.tail * nxt.head)
+            if nxt is not cur:
+                kpp = _outer(nxt.kins[0])
+            w *= across
+            cur = nxt
+
+
+def _step_values(engine: SplitStepEngine, values: np.ndarray, t: float,
+                 dt: float, g=1.0) -> np.ndarray:
+    return next(run_density(engine, values, t, dt, 1, g))[1]
 
 
 def vonneumann_step(rho: DensityMatrix, t: float, dt: float,
@@ -151,26 +210,20 @@ def vonneumann_step(rho: DensityMatrix, t: float, dt: float,
     exactly (a unitary similarity), local error O(dt^3).
     """
     engine = _grid_engine(rho, spec, "vonneumann_step")
-    return DensityMatrix(_sandwich(engine, rho.values, t, dt), rho.grid)
+    return DensityMatrix(_step_values(engine, rho.values, t, dt), rho.grid)
 
 
 def lindblad_x_step(rho: DensityMatrix, t: float, dt: float,
                     spec: HamiltonianSpec, coupling: Callable) -> DensityMatrix:
     """Dissipative step G o U (G o rho) U^H for a position-diagonal coupling A(x).
 
-    U is the unitary step of ``vonneumann_step`` and G the (x, x') factor
-
-        G = exp[(dt/2)(A(x) A(x')* - |A(x')|^2/2 - |A(x)|^2/2)],
-
-    whose diagonal is one, so the trace is conserved and hermiticity kept.
-    A constant coupling gives G = 1 and reproduces the unitary step.
+    U is the unitary step of ``vonneumann_step`` and G the (x, x') factor of
+    ``coupling_factor``, whose diagonal is one, so the trace is conserved
+    and hermiticity kept.  A constant coupling reproduces the unitary step.
     """
     engine = _grid_engine(rho, spec, "lindblad_x_step")
-    a = np.asarray(coupling(rho.grid.x), dtype=complex)
-    abs2 = np.abs(a) ** 2
-    g = np.exp(0.5 * dt * (a[:, None] * np.conj(a)[None, :]
-                           - 0.5 * abs2[None, :] - 0.5 * abs2[:, None]))
-    return DensityMatrix(g * _sandwich(engine, g * rho.values, t, dt), rho.grid)
+    g = coupling_factor(rho.grid, coupling, dt)
+    return DensityMatrix(_step_values(engine, rho.values, t, dt, g), rho.grid)
 
 
 def random_collision_step(rho: DensityMatrix, t: float, dt: float,
@@ -189,10 +242,10 @@ def random_collision_step(rho: DensityMatrix, t: float, dt: float,
         raise ValueError(f"rho_beta has shape {rho_beta.values.shape}, "
                          f"rho has {rho.values.shape}")
     # a step of dt/2 from t + dt/4 evaluates H at its midpoint t + dt/2
-    values = _sandwich(engine, rho.values, t + dt / 4.0, dt / 2.0)
+    values = _step_values(engine, rho.values, t + dt / 4.0, dt / 2.0)
     decay = np.exp(-gamma * dt)
     values = rho_beta.values + decay * (values - rho_beta.values)
-    values = _sandwich(engine, values, t + dt / 4.0, dt / 2.0)
+    values = _step_values(engine, values, t + dt / 4.0, dt / 2.0)
     return DensityMatrix(values, rho.grid)
 
 

@@ -111,6 +111,12 @@ def apply_hamiltonian(psi: WaveFunction, spec: HamiltonianSpec,
     return SplitStepEngine(psi.grid, spec).apply_hamiltonian(psi.values, t)
 
 
+def require_step(dt: complex) -> None:
+    """ValueError unless the step dt is finite and nonzero."""
+    if dt == 0 or not np.isfinite(dt):
+        raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
+
+
 def step_count(span: float, dt: float) -> int:
     """span/dt as an integer; ValueError unless it is one to 1e-9 relative."""
     if not (np.isfinite(span) and np.isfinite(dt)) or dt == 0:
@@ -205,8 +211,7 @@ class SplitStepEngine:
         ``order`` selects Strang (2) or triple-jump (4) steps.  dt may be
         complex (Wick-rotated -i dtau).
         """
-        if dt == 0 or not np.isfinite(dt):
-            raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
+        require_step(dt)
         if order not in _SUBSTEPS:
             raise ValueError("order must be 2 or 4")
         if stride < 1:
@@ -514,6 +519,7 @@ def pauli_split_op_step(spinor: SpinorWaveFunction, t: float, dt: float,
     in momentum space through the FFT bridge (full step), and in position
     space again; unitary with local error O(dt^3).
     """
+    require_step(dt)
     grid = spinor.grid
     grid.require_fft_bridge()
     hbar = spec.hbar

@@ -148,9 +148,9 @@ def wigner_from_density(rho: DensityMatrix) -> WignerFunction:
         f[valid] = rho.values[bra[valid], ket[valid]]
         rows = n * ifft_bridge(f, axis=1) * (dtheta / (2.0 * np.pi))
         rows[1::2] *= half_shift
-        residue = max(residue, float(np.max(np.abs(rows.imag))))
+        residue = np.maximum(residue, np.max(np.abs(rows.imag)))  # keeps NaN
         out[start:start + len(rows)] = rows.real
-    if residue > 1e-8:
+    if not residue <= 1e-8:  # also refuses a NaN residue
         raise HermiticityError(
             f"Wigner transform imaginary residue {residue:.3e} exceeds 1e-8"
         )
@@ -234,6 +234,8 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
     reflection symmetry that keeps the blocks hermitian, so it is projected
     out after each forward transform.
     """
+    if not np.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
     hbar = spec.hbar
     n_x, n_p = w2.w_g.shape
     if n_x % 4 or n_p % 4:
@@ -295,9 +297,9 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
         blocks = kinetic(blocks, np.exp(shear))
 
     (gg, ge), (eg, ee) = blocks
-    residue = max(float(np.max(np.abs(gg.imag))), float(np.max(np.abs(ee.imag))),
-                  float(np.max(np.abs(eg - np.conj(ge)))))
-    if residue > 1e-8:
+    residue = np.max([np.max(np.abs(gg.imag)), np.max(np.abs(ee.imag)),
+                      np.max(np.abs(eg - np.conj(ge)))])
+    if not residue <= 1e-8:  # also refuses a NaN residue
         raise HermiticityError(
             f"two-state Wigner structure residue {residue:.3e} exceeds 1e-8"
         )

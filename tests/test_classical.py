@@ -371,3 +371,10 @@ class TestProductFormQuartic:
 def test_propagate_ensemble_rejects_bad_step(dt, n_steps):
     with pytest.raises(ValueError, match="dt|n_steps"):
         propagate_ensemble(single(0.1, 0.2), dt, n_steps, OSCILLATOR)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0])
+def test_multi_dim_verlet_step_rejects_non_finite_step(dt):
+    with pytest.raises(ValueError, match="finite"):
+        multi_dim_verlet_step(np.ones(2), np.ones(2), dt, lambda q: q,
+                              lambda q: q)

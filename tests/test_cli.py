@@ -122,6 +122,17 @@ class TestRun:
             digest = hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
 
+    def test_lindblad_manifest_reports_diagnostics(self, tmp_path):
+        out = tmp_path / "out"
+        path = os.path.join(CONFIG_DIR, "lindblad_dephasing.json")
+        assert run(path, str(out)) == 0
+        diagnostics = json.loads((out / "manifest").read_text())["diagnostics"]
+        assert set(diagnostics) == {"steps", "max_trace_drift",
+                                    "hermiticity_defect"}
+        assert diagnostics["steps"] == 50
+        assert 0.0 <= diagnostics["max_trace_drift"] <= 1e-12
+        assert 0.0 <= diagnostics["hermiticity_defect"] <= 1e-12
+
     def test_field_output_roundtrip(self, tmp_path):
         cfg = {
             "task": "wigner",

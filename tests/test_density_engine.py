@@ -3,10 +3,11 @@
 The reference below is the seed's ``_two_sided_kernel`` with its helpers and
 the three grid steps built on it, kept verbatim (names prefixed only): a
 phase (or decay) factor on the (x, x') grid, a double FFT bridge to (p, p'),
-the kinetic phase and the way back.  The library now steps the ket index
-with the engine's U and the bra index with conj(U), and puts the dissipative
-factor G on both sides of that sandwich; both are the same operator, so they
-must agree to rounding.
+the kinetic phase and the way back.  The library's one stepping loop,
+``run_density``, applies the engine's U to the row index and conj(U) to the
+column index and puts the dissipative factor G on both sides, merging the
+x-diagonal factors of adjacent steps; both are the same operator, so they
+must agree to rounding, one step or many.
 """
 
 from typing import Callable
@@ -17,13 +18,15 @@ import pytest
 from dynkit.grids import _alt_signs, make_grid
 from dynkit.open_systems import (
     DensityMatrix,
+    coupling_factor,
     lindblad_x_step,
     pure_state_density,
     random_collision_step,
+    run_density,
     vonneumann_step,
 )
 from dynkit.stationary import HamiltonianSpec
-from dynkit.tdse import gaussian_packet
+from dynkit.tdse import SplitStepEngine, gaussian_packet
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +190,69 @@ def test_flagged_spec_evaluates_terms_once_per_step():
     lindblad_x_step(rho, 0.0, DT, spec, COUPLINGS["linear"])
     random_collision_step(rho, 0.0, DT, spec, GAMMA, rho)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("stride", [1, 3, 7])
+@pytest.mark.parametrize("rho_kind", ["hermitian", "nonhermitian"])
+@pytest.mark.parametrize("spec_name", sorted(SPECS))
+@pytest.mark.parametrize("coupling_name", [None, *COUPLINGS])
+def test_loop_matches_two_sided_kernel_over_many_steps(coupling_name, spec_name,
+                                                       rho_kind, stride):
+    n_steps = 50  # stride 7 leaves a partial last stride of one step
+    spec = SPECS[spec_name]
+    rho = _state(64, rho_kind)
+    if coupling_name is None:
+        g = 1.0
+        ref = lambda r, t: reference_vonneumann_step(r, t, DT, spec)
+    else:
+        coupling = COUPLINGS[coupling_name]
+        g = coupling_factor(rho.grid, coupling, DT)
+        ref = lambda r, t: reference_lindblad_x_step(r, t, DT, spec, coupling)
+    expected, b = {}, rho
+    for m in range(1, n_steps + 1):
+        b = ref(b, T0 + (m - 1) * DT)
+        expected[m] = b.values
+    got = list(run_density(SplitStepEngine(rho.grid, spec), rho.values, T0, DT,
+                           n_steps, g, stride))
+    steps = [m for m, _ in got]
+    assert steps == sorted({*range(stride, n_steps + 1, stride), n_steps})
+    for m, values in got:
+        assert np.max(np.abs(values - expected[m])) <= 1e-12
+    assert np.max(np.abs(got[-1][1] - rho.values)) > 1e-6
+
+
+@pytest.mark.parametrize("time_independent", [True, False])
+def test_loop_evaluates_terms_and_coupling_once_per_run_for_a_flagged_spec(
+        time_independent):
+    calls = {"potential": 0, "kinetic": 0, "coupling": 0}
+
+    def counted(name, f):
+        def term(*args):
+            calls[name] += 1
+            return f(*args)
+        return term
+
+    spec = HamiltonianSpec(kinetic=counted("kinetic", lambda t, p: p ** 2 / 2),
+                           potential=counted("potential", lambda t, x: x ** 2 / 2),
+                           time_independent=time_independent)
+    rho = _state(64, "hermitian")
+    n_steps = 50
+    g = coupling_factor(rho.grid, counted("coupling", COUPLINGS["linear"]), DT)
+    for _ in run_density(SplitStepEngine(rho.grid, spec), rho.values, T0, DT,
+                         n_steps, g, stride=3):
+        pass
+    per_run = 1 if time_independent else n_steps
+    assert calls == {"potential": per_run, "kinetic": per_run, "coupling": 1}
+
+
+def test_loop_leaves_the_input_array_alone():
+    rho = _state(64, "nonhermitian")
+    before = rho.values.copy()
+    g = coupling_factor(rho.grid, COUPLINGS["complex"], DT)
+    for _ in run_density(SplitStepEngine(rho.grid, STATIC), rho.values, T0, DT,
+                         5, g, stride=2):
+        pass
+    assert np.array_equal(rho.values, before)
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf])

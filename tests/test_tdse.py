@@ -426,3 +426,13 @@ def test_imaginary_time_rejects_bad_dtau(dtau):
     psi = gaussian_packet(make_grid(8.0, 64))
     with pytest.raises(ValueError, match="dtau"):
         imaginary_time_ground(psi, dtau, OSCILLATOR, max_iter=5)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0])
+def test_pauli_split_op_step_rejects_non_finite_step(dt):
+    g = make_grid(8.0, 64)
+    spec = PauliHamiltonianSpec(kinetic=(lambda t, p: p ** 2 / 2, None, None, None),
+                                potential=(None, lambda t, x: 0.1 * x, None, None))
+    spinor = SpinorWaveFunction(np.exp(-g.x ** 2), 0.5 * np.exp(-g.x ** 2), g)
+    with pytest.raises(ValueError, match="finite"):
+        pauli_split_op_step(spinor, 0.0, dt, spec)

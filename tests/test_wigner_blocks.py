@@ -259,6 +259,15 @@ def test_residue_in_last_block_only_is_refused():
     assert "Wigner transform imaginary residue" in str(new.value)
 
 
+@pytest.mark.parametrize("n, entry", [(64, (5, 9)), (768, (0, 0))],
+                         ids=("one-block", "first-of-several-blocks"))
+def test_nan_entry_is_refused(n, entry):
+    values = make_density("pure", n).values.copy()
+    values[entry] = np.nan
+    with pytest.raises(HermiticityError, match="residue nan"):
+        wigner_from_density(DensityMatrix(values, make_grid(8.0, n)))
+
+
 def test_forward_values_are_an_owned_contiguous_float_array():
     w = wigner_from_density(make_density("pure", 64))
     assert w.values.dtype == np.float64
@@ -322,3 +331,18 @@ def test_moyal_step_evaluates_each_surface_once_per_side(symmetrize):
     for m in range(n_steps):
         w2 = moyal_two_state_step(w2, m * 0.01, 0.01, spec, symmetrize)
     assert calls == {"v_ground": 2 * n_steps, "v_excited": 2 * n_steps}
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+def test_moyal_step_rejects_non_finite_step(dt):
+    with pytest.raises(ValueError, match="finite"):
+        moyal_two_state_step(coupled_state(16), 0.0, dt, STATIC)
+
+
+def test_moyal_step_refuses_a_nan_block():
+    w2 = coupled_state(16)
+    w_ge = w2.w_ge.copy()
+    w_ge[3, 4] = np.nan
+    broken = TwoStateWigner(w2.w_g, w2.w_e, w_ge, w2.x, w2.p, w2.hbar)
+    with pytest.raises(HermiticityError, match="residue nan"):
+        moyal_two_state_step(broken, 0.0, 0.01, STATIC)
