@@ -610,22 +610,22 @@ def _run_lindblad(cfg, sink):
     rho = osys.pure_state_density(tdse.gaussian_packet(grid, **block["initial"]))
     dt = block["dt"]
     n_steps = tdse.step_count(block["t_max"], dt)
+    engine = tdse.SplitStepEngine(grid, spec)
+    u, k = engine.terms()
+    dp = grid.p_fft[1] - grid.p_fft[0]
     rows = []
 
     def record(step, rho):
         px = osys.position_distribution(rho)
         pp = osys.momentum_distribution(rho)
-        dpm = grid.p_fft[1] - grid.p_fft[0]
         x_mean = float(np.sum(grid.x * px) * grid.dx)
-        p_mean = float(np.sum(grid.p_fft * pp) * dpm)
-        energy = float(np.sum(spec.kinetic(0.0, grid.p_fft) * pp) * dpm
-                       + np.sum(spec.potential(0.0, grid.x) * px) * grid.dx)
+        p_mean = float(np.sum(grid.p_fft * pp) * dp)
+        energy = float(np.sum(k * pp) * dp + np.sum(u * px) * grid.dx)
         rows.append((step * dt, x_mean, p_mean, energy, rho.trace().real))
 
     record(0, rho)
     g = osys.coupling_factor(grid, coupling, dt)
-    for m, values in osys.run_density(tdse.SplitStepEngine(grid, spec),
-                                      rho.values, 0.0, dt, n_steps, g,
+    for m, values in osys.run_density(engine, rho.values, 0.0, dt, n_steps, g,
                                       block["stride"]):
         rho = osys.DensityMatrix(values, grid)
         record(m, rho)
@@ -707,12 +707,12 @@ def _load(config_path, stream, prefix):
     except json.JSONDecodeError as exc:
         print(f"{prefix}config is not valid JSON: {exc}", file=stream)
         return 2, None, None
-    problems = validate_config(cfg)
+    problems, resolved = _walk(cfg)
     for problem in problems:
         print(prefix + problem, file=stream)
     if problems:
         return 2, None, None
-    return 0, cfg, _walk(cfg)[1]
+    return 0, cfg, resolved
 
 
 def run(config_path: str, out_dir: str, threads: int = 1) -> int:

@@ -110,27 +110,27 @@ def _signs_along(shape, axis):
     return s[tuple(expand)]
 
 
+def _bridge(transform, values, axis):
+    """(-1)^k transform[(-1)^l f_l] along ``axis``, whose length n % 4 == 0."""
+    values = np.asarray(values, dtype=complex)
+    n = values.shape[axis]
+    if n % 4 != 0:
+        raise ValueError(f"axis length {n} must be divisible by 4 for the FFT bridge")
+    s = _signs_along(values.shape, axis)
+    return s * transform(s * values, axis=axis)
+
+
 def fft_bridge(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Kernel sum_l f_l exp(-2 pi i (k - n/2)(l - n/2)/n) via one FFT.
 
     Equals (-1)^k FFT[(-1)^l f_l] for n divisible by 4; no measure factor.
     """
-    values = np.asarray(values, dtype=complex)
-    n = values.shape[axis]
-    if n % 4 != 0:
-        raise ValueError(f"axis length {n} must be divisible by 4 for the FFT bridge")
-    s = _signs_along(values.shape, axis)
-    return s * np.fft.fft(s * values, axis=axis)
+    return _bridge(np.fft.fft, values, axis)
 
 
 def ifft_bridge(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Exact inverse of :func:`fft_bridge` (includes the 1/n of the iFFT)."""
-    values = np.asarray(values, dtype=complex)
-    n = values.shape[axis]
-    if n % 4 != 0:
-        raise ValueError(f"axis length {n} must be divisible by 4 for the FFT bridge")
-    s = _signs_along(values.shape, axis)
-    return s * np.fft.ifft(s * values, axis=axis)
+    return _bridge(np.fft.ifft, values, axis)
 
 
 def cft_forward(signal: SpectralSignal, normalized: bool = False) -> SpectralSignal:
@@ -143,7 +143,6 @@ def cft_forward(signal: SpectralSignal, normalized: bool = False) -> SpectralSig
     if signal.space != POSITION:
         raise ValueError("cft_forward expects a position-space signal")
     grid = signal.grid
-    grid.require_fft_bridge()
     g = fft_bridge(signal.values) * grid.dx
     if normalized:
         g = g / np.sqrt(2.0 * np.pi * grid.hbar)
@@ -155,7 +154,6 @@ def cft_inverse(signal: SpectralSignal, normalized: bool = False) -> SpectralSig
     if signal.space != MOMENTUM:
         raise ValueError("cft_inverse expects a momentum-space signal")
     grid = signal.grid
-    grid.require_fft_bridge()
     f = ifft_bridge(signal.values) / grid.dx
     if normalized:
         f = f * np.sqrt(2.0 * np.pi * grid.hbar)
@@ -201,10 +199,9 @@ def cft_forward_custom(signal: SpectralSignal, dp: float,
     grid = signal.grid
     n = grid.n
     delta = grid.dx * dp / (2.0 * np.pi * grid.hbar)
-    l = np.arange(n)
-    inner = signal.values * np.exp(1j * np.pi * l * n * delta)
-    y = frft(inner, delta)
     k = np.arange(n)
+    inner = signal.values * np.exp(1j * np.pi * k * n * delta)
+    y = frft(inner, delta)
     g = grid.dx * np.exp(1j * np.pi * (k - n // 2) * n * delta) * y
     if normalized:
         g = g / np.sqrt(2.0 * np.pi * grid.hbar)

@@ -19,8 +19,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DegenerateJumpError, HermiticityError
-from .grids import UniformGrid, fft_bridge, ifft_bridge
-from .matfunc import expm_pade
+from .grids import UniformGrid, _alt_signs
+from .matfunc import expm_pade, func_of_hermitian
 from .stationary import HamiltonianSpec
 from .tdse import (SplitStepEngine, WaveFunction, _spreads, require_step,
                    step_count)
@@ -60,29 +60,26 @@ class DensityMatrix:
         w = np.linalg.eigvalsh(sym)
         return float(w[0] * (self.grid.dx if self.grid is not None else 1.0))
 
-    def validate(self, tol: float = 1e-10,
-                 check_positivity: bool | None = None) -> None:
-        """Raise if hermiticity, unit trace or (optionally) positivity fail.
+    def validate(self, tol: float = 1e-10) -> None:
+        """Raise if hermiticity, unit trace or positivity fail; NaN fails all three.
 
-        Positivity costs a full eigendecomposition, so by default it is only
-        checked for dimensions up to 128.
+        Positivity costs a full eigendecomposition, so it is only checked
+        for dimensions up to 128.
         """
-        if self.hermiticity_defect() > tol:
+        if not self.hermiticity_defect() <= tol:
             raise HermiticityError(
                 f"density matrix hermiticity defect {self.hermiticity_defect():.3e}"
             )
-        if abs(self.trace() - 1.0) > tol:
+        if not abs(self.trace() - 1.0) <= tol:
             raise ValueError(f"density matrix trace {self.trace():.12f} != 1")
-        if check_positivity is None:
-            check_positivity = self.dim <= 128
-        if check_positivity and self.min_eigenvalue() < -1e-8:
+        if self.dim <= 128 and not self.min_eigenvalue() >= -1e-8:
             raise ValueError(
                 f"density matrix has negative eigenvalue {self.min_eigenvalue():.3e}"
             )
 
 
 def pure_state_density(psi: WaveFunction) -> DensityMatrix:
-    return DensityMatrix(np.outer(psi.values, np.conj(psi.values)), psi.grid)
+    return DensityMatrix(_outer(psi.values), psi.grid)
 
 
 def position_distribution(rho: DensityMatrix) -> np.ndarray:
@@ -91,15 +88,19 @@ def position_distribution(rho: DensityMatrix) -> np.ndarray:
 
 
 def momentum_distribution(rho: DensityMatrix) -> np.ndarray:
-    """P(p_k) = <p_k| rho |p_k> through the double FFT bridge (weight dp)."""
+    """P(p_k) = <p_k| rho |p_k> (weight dp) from one 1-D FFT.
+
+    The diagonal of the bridged 2-D transform is (dx^2 / 2 pi hbar)
+    Re FFT[(-1)^d s_d] with s_d = sum_l rho[l, (l - d) mod n].
+    """
     if rho.grid is None:
         raise ValueError("momentum_distribution needs a grid density matrix")
     grid = rho.grid
     grid.require_fft_bridge()
-    a = fft_bridge(rho.values, axis=0)
-    a = grid.n * ifft_bridge(a, axis=1)
-    a = a * grid.dx ** 2 / (2.0 * np.pi * grid.hbar)
-    return np.real(np.diag(a)).copy()
+    idx = np.arange(grid.n)[:, None]
+    s = rho.values[idx, (idx - idx.T) % grid.n].sum(axis=0)
+    p = np.fft.fft(_alt_signs(grid.n) * s).real
+    return p * (grid.dx ** 2 / (2.0 * np.pi * grid.hbar))
 
 
 def density_uncertainty(rho: DensityMatrix) -> tuple[float, float]:
@@ -113,11 +114,9 @@ def gibbs_density(h: np.ndarray, beta: float,
     """Thermal state exp(-beta H) normalized to unit trace."""
     if not 0 <= beta < np.inf:
         raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
-    h = np.asarray(h, dtype=complex)
-    w, u = np.linalg.eigh(h)
-    weights = np.exp(-beta * (w - w[0]))  # shift avoids overflow
-    rho = (u * weights) @ u.conj().T
-    out = DensityMatrix(rho, grid)
+    # eigenvalues ascend, so the shift by w[0] avoids overflow
+    out = DensityMatrix(func_of_hermitian(h, lambda w: np.exp(-beta * (w - w[0]))),
+                        grid)
     return DensityMatrix(out.values / out.trace(), grid)
 
 
@@ -148,8 +147,7 @@ def coupling_factor(grid: UniformGrid, coupling: Callable,
     require_step(dt)
     a = np.asarray(coupling(grid.x), dtype=complex)
     abs2 = np.abs(a) ** 2
-    return np.exp(0.5 * dt * (a[:, None] * np.conj(a)[None, :]
-                              - 0.5 * abs2[None, :] - 0.5 * abs2[:, None]))
+    return np.exp(0.5 * dt * (_outer(a) - 0.5 * abs2[None, :] - 0.5 * abs2[:, None]))
 
 
 def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
@@ -256,7 +254,7 @@ def random_collision_step(rho: DensityMatrix, t: float, dt: float,
 
 @dataclass(frozen=True)
 class RateMatrix:
-    """Nonnegative transition rates with zero diagonal.
+    """Nonnegative finite transition rates with zero diagonal.
 
     ``gamma[n, j]`` multiplies p_j in dp_n/dt, i.e. it is the rate feeding
     level n from level j; the loss term is the column sum.
@@ -269,8 +267,8 @@ class RateMatrix:
         object.__setattr__(self, "gamma", g)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("rate matrix must be square")
-        if np.any(g < 0):
-            raise ValueError("rates must be nonnegative")
+        if not np.all((g >= 0) & (g < np.inf)):
+            raise ValueError("rates must be nonnegative and finite")
         if np.any(np.diag(g) != 0):
             raise ValueError("rate matrix diagonal must be zero")
 
@@ -279,20 +277,28 @@ class RateMatrix:
         return self.gamma - np.diag(self.gamma.sum(axis=0))
 
 
+def _feeding_rates(weights_of, energies, beta, gamma0) -> RateMatrix:
+    """gamma[n, j] = gamma0 w[n] for n != j, with w = weights_of(energies)."""
+    for name, value in (("beta", beta), ("gamma0", gamma0)):
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+    w = weights_of(np.asarray(energies, dtype=float))
+    g = gamma0 * np.tile(w[:, None], (1, w.size))
+    np.fill_diagonal(g, 0.0)
+    return RateMatrix(g)
+
+
 def gibbs_rates(energies: np.ndarray, beta: float, gamma0: float) -> RateMatrix:
     """Rates gamma[n, j] = gamma0 exp(-beta E_n)/Z, stationary on the Gibbs state.
 
     The detailed-balance ratio gamma[n, j]/gamma[j, n] = exp(-beta (E_n - E_j))
     holds exactly; at beta = 0 every rate equals gamma0 / d.
     """
-    if beta < 0 or gamma0 < 0:
-        raise ValueError("beta and gamma0 must be nonnegative")
-    e = np.asarray(energies, dtype=float)
-    boltzmann = np.exp(-beta * (e - e.min()))
-    boltzmann = boltzmann / boltzmann.sum()
-    g = gamma0 * np.tile(boltzmann[:, None], (1, e.size))
-    np.fill_diagonal(g, 0.0)
-    return RateMatrix(g)
+    def boltzmann(e):
+        w = np.exp(-beta * (e - e.min()))
+        return w / w.sum()
+
+    return _feeding_rates(boltzmann, energies, beta, gamma0)
 
 
 def fermi_dirac_rates(energies: np.ndarray, beta: float, mu: float,
@@ -302,13 +308,10 @@ def fermi_dirac_rates(energies: np.ndarray, beta: float, mu: float,
     gamma[n, j]/gamma[j, n] = (exp(beta(E_j - mu)) + 1)/(exp(beta(E_n - mu)) + 1),
     so the Fermi-Dirac occupation vector is stationary.
     """
-    if beta < 0 or gamma0 < 0:
-        raise ValueError("beta and gamma0 must be nonnegative")
-    e = np.asarray(energies, dtype=float)
-    fermi = 1.0 / (np.exp(beta * (e - mu)) + 1.0)
-    g = gamma0 * np.tile(fermi[:, None], (1, e.size))
-    np.fill_diagonal(g, 0.0)
-    return RateMatrix(g)
+    if not np.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
+    return _feeding_rates(lambda e: 1.0 / (np.exp(beta * (e - mu)) + 1.0),
+                          energies, beta, gamma0)
 
 
 def pauli_master_solve(rates: RateMatrix, p0: np.ndarray,
@@ -319,9 +322,9 @@ def pauli_master_solve(rates: RateMatrix, p0: np.ndarray,
     every output time because the generator's columns sum to zero.
     """
     p0 = np.asarray(p0, dtype=float)
-    if np.any(p0 < 0):
+    if not np.all(p0 >= 0):
         raise ValueError("initial populations must be nonnegative")
-    if abs(p0.sum() - 1.0) > 1e-9:
+    if not abs(p0.sum() - 1.0) <= 1e-9:
         raise ValueError("initial populations must sum to 1")
     m = rates.generator()
     out = np.empty((len(t_grid), p0.size))
@@ -467,11 +470,10 @@ def _mcwf_loop(psi0, spec, jump_ops, dt, t_max, stride):
     ops = _unpack_jump_ops(jump_ops)
     if isinstance(psi0, WaveFunction):
         evolve, lambdas, jump, normalize = _grid_mcwf_machinery(psi0.grid, spec, ops)
-        state = psi0.values / psi0.norm()
+        state = normalize(psi0.values)
     else:
         evolve, lambdas, jump, normalize = _discrete_mcwf_machinery(spec, ops, dt)
-        state = np.asarray(psi0, dtype=complex)
-        state = state / np.linalg.norm(state)
+        state = normalize(np.asarray(psi0, dtype=complex))
     n_ch = len(ops)
 
     def run(seeds, record):
@@ -505,6 +507,24 @@ def _mcwf_loop(psi0, spec, jump_ops, dt, t_max, stride):
     return run
 
 
+def _row_machinery(product, measure):
+    """(jump, normalize) for rows with norm^2 = measure sum |.|^2 on the last axis."""
+    scale = np.sqrt(measure)
+    norm = lambda rows: np.linalg.norm(rows, axis=-1, keepdims=True) * scale
+
+    def normalize(rows):
+        return rows / norm(rows)
+
+    def jump(rows, k):
+        phi = product(rows, k)
+        nrm = norm(phi)
+        if np.any(nrm == 0.0):
+            raise DegenerateJumpError(f"jump channel {k} annihilated the state")
+        return phi / nrm
+
+    return jump, normalize
+
+
 def _discrete_mcwf_machinery(h, ops, dt):
     """(evolve, lambdas, jump, normalize) for d-level states on the last axis."""
     h = np.asarray(h, dtype=complex)
@@ -522,17 +542,8 @@ def _discrete_mcwf_machinery(h, ops, dt):
         phi = phi.reshape(phi.shape[:-1] + (len(mats), -1))
         return np.sum(np.abs(phi) ** 2, axis=-1)
 
-    def jump(states, k):
-        phi = states @ mats[k].T
-        nrm = np.linalg.norm(phi, axis=-1, keepdims=True)
-        if np.any(nrm == 0.0):
-            raise DegenerateJumpError(f"jump channel {k} annihilated the state")
-        return phi / nrm
-
-    def normalize(states):
-        return states / np.linalg.norm(states, axis=-1, keepdims=True)
-
-    return evolve, lambdas, jump, normalize
+    return (evolve, lambdas,
+            *_row_machinery(lambda states, k: states @ mats[k].T, 1.0))
 
 
 def _grid_mcwf_machinery(grid, spec, ops):
@@ -550,18 +561,8 @@ def _grid_mcwf_machinery(grid, spec, ops):
     def lambdas(values):
         return (np.abs(values) ** 2 * grid.dx) @ abs2
 
-    def jump(values, k):
-        phi = profiles[k] * values
-        nrm = np.sqrt(np.sum(np.abs(phi) ** 2, axis=-1, keepdims=True) * grid.dx)
-        if np.any(nrm == 0.0):
-            raise DegenerateJumpError(f"jump channel {k} annihilated the state")
-        return phi / nrm
-
-    def normalize(values):
-        return values / np.sqrt(np.sum(np.abs(values) ** 2, axis=-1,
-                                       keepdims=True) * grid.dx)
-
-    return engine.step, lambdas, jump, normalize
+    return (engine.step, lambdas,
+            *_row_machinery(lambda values, k: profiles[k] * values, grid.dx))
 
 
 #: A block of trajectories stepped together holds at most this many rows and

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynkit.errors import DegenerateJumpError
+from dynkit.errors import DegenerateJumpError, HermiticityError
 from dynkit.grids import make_grid
 from dynkit.stationary import (
     HamiltonianSpec,
@@ -459,3 +459,49 @@ class TestDensityHelpers:
         rho = DensityMatrix(np.eye(g.n, dtype=complex), g)
         with pytest.raises(ValueError):
             rho.validate()
+
+    @pytest.mark.parametrize("entry", [(1, 2), (0, 0)])
+    def test_validate_flags_nan(self, entry):
+        values = np.eye(4, dtype=complex) / 4
+        values[entry] = np.nan
+        with pytest.raises(ValueError):
+            DensityMatrix(values).validate()
+
+    def test_gibbs_density_rejects_non_hermitian(self):
+        g = make_grid(8.0, 16)
+        h = build_spectral_hamiltonian(g, OSCILLATOR)
+        h[0, 1] += 0.1
+        with pytest.raises(HermiticityError):
+            gibbs_density(h, beta=1.0, grid=g)
+
+
+class TestNonFiniteRates:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rate_matrix_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RateMatrix(np.array([[0.0, bad], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("beta", {"beta": np.nan, "gamma0": 1.0}),
+        ("beta", {"beta": np.inf, "gamma0": 1.0}),
+        ("gamma0", {"beta": 1.0, "gamma0": np.nan}),
+        ("gamma0", {"beta": 1.0, "gamma0": np.inf}),
+    ])
+    def test_gibbs_rates_reject(self, name, kwargs):
+        with pytest.raises(ValueError, match=name):
+            gibbs_rates(np.array([0.0, 0.5, 1.2]), **kwargs)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("beta", {"beta": np.nan, "mu": 0.5, "gamma0": 1.0}),
+        ("mu", {"beta": 1.0, "mu": np.nan, "gamma0": 1.0}),
+        ("gamma0", {"beta": 1.0, "mu": 0.5, "gamma0": np.nan}),
+    ])
+    def test_fermi_dirac_rates_reject(self, name, kwargs):
+        with pytest.raises(ValueError, match=name):
+            fermi_dirac_rates(np.array([0.0, 0.5, 1.2]), **kwargs)
+
+    @pytest.mark.parametrize("p0", [[np.nan, 0.5, 0.5], [0.5, 0.5, np.inf]])
+    def test_pauli_master_solve_rejects_nonfinite_populations(self, p0):
+        rates = gibbs_rates(np.array([0.0, 0.5, 1.2]), 1.0, 1.0)
+        with pytest.raises(ValueError, match="initial populations"):
+            pauli_master_solve(rates, np.array(p0), np.array([1.0]))
