@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tdse import require_step
+from .steps import require_step
 
 
 @dataclass(frozen=True)

@@ -4,31 +4,23 @@
 raw little-endian float64 fields with JSON sidecars, and a ``manifest`` file
 listing every output with its checksum.  ``dynkit validate <config>`` prints
 all schema violations without running anything.  Exit codes: 0 success,
-2 schema violation, 3 numerical failure, 4 I/O failure.
+2 schema violation, 3 numerical failure (running out of memory included),
+4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from . import __version__
 from .errors import ConvergenceError
-from .grids import make_grid
-from . import classical as cl
-from . import open_systems as osys
-from . import stationary as st
-from . import tdse
-from . import wigner as wg
-from .matfunc import expm_pade, expm_taylor
+from .steps import step_count
 
 # ---------------------------------------------------------------------------
 # config schema: one table both validates a config and fills its defaults
@@ -48,8 +40,7 @@ _REQUIRED = object()  # default of a key the config must give
 _ABSENT = object()    # the value of a key the config leaves out
 
 
-@dataclass(frozen=True)
-class _Field:
+class _Field(NamedTuple):
     """One config key: its kind, default and bounds.
 
     ``kind`` is ``number`` (a finite float), ``integer``, ``choice`` (one of
@@ -88,15 +79,32 @@ def _block(fields, default=_REQUIRED, **options):
     return _Field("block", default, fields=fields, **options)
 
 
+#: Elements in the largest array a valid config can make a task allocate: the
+#: n x n matrices of eigen and lindblad, the (2n, n) Wigner field, the
+#: n_cell x n_cell cell Hamiltonians and (n_k, n_bands) bands of bands, the
+#: dim x dim matrices of expm-bench, and the length-n grid, n_particles and
+#: n_traj vectors.  2**22 complex128 values take 64 MiB.
+MAX_ARRAY_ELEMENTS = 2 ** 22
+
+
+def _side(copies=1):
+    """Largest n whose (copies * n, n) array fits MAX_ARRAY_ELEMENTS."""
+    return math.isqrt(MAX_ARRAY_ELEMENTS // copies)
+
+
 def _grid_rule(grid, path, problems):
     if grid["n"] is not None and grid["n"] % 4:
         problems.append(f"{path}.n: must be divisible by 4")
 
 
 def _bands_rule(bands, path, problems):
-    n_bands, n_cell = bands["n_bands"], bands["n_cell"]
+    n_bands, n_cell, n_k = bands["n_bands"], bands["n_cell"], bands["n_k"]
     if n_bands is not None and n_cell is not None and n_bands > n_cell:
         problems.append(f"{path}.n_bands: must be <= n_cell")
+    if n_bands is not None and n_k is not None \
+            and n_k * n_bands > MAX_ARRAY_ELEMENTS:
+        problems.append(f"{path}.n_k: n_k * n_bands must be <= "
+                        f"{MAX_ARRAY_ELEMENTS}")
 
 
 def _whole_steps(span_key, dt_key, minimum=1):
@@ -106,7 +114,7 @@ def _whole_steps(span_key, dt_key, minimum=1):
         if span is None or dt is None:
             return
         try:
-            ok = tdse.step_count(span, dt) >= minimum
+            ok = step_count(span, dt) >= minimum
         except (ValueError, OverflowError):
             ok = False
         if not ok:
@@ -126,15 +134,23 @@ _POTENTIAL_FIELDS = {
     "depth": _number(1.0),
     "width": _number(1.0, above=0.0),
     "amplitude": _number(1.0),
-    "period": _number(2 * np.pi, above=0.0),
+    "period": _number(2 * math.pi, above=0.0),
 }
 _POTENTIAL = _block(_POTENTIAL_FIELDS)
 _KINETIC = _block({"name": _choice(*KINETICS),
                    "mass": _number(1.0, above=0.0),
                    "coeffs": _Field("numbers", when=("name", "poly"))},
                   default={"name": "free"})
-_GRID = _block({"L": _number(above=0.0), "n": _integer(minimum=4),
-                "hbar": _number(1.0, above=0.0)}, rule=_grid_rule)
+
+
+def _grid(n_max):
+    return _block({"L": _number(above=0.0),
+                   "n": _integer(minimum=4, maximum=n_max),
+                   "hbar": _number(1.0, above=0.0)}, rule=_grid_rule)
+
+
+_GRID = _grid(MAX_ARRAY_ELEMENTS)  # tasks that keep length-n vectors only
+_SQUARE_GRID = _grid(_side())      # tasks that build n x n matrices
 _HAMILTONIAN = _block({"potential": _POTENTIAL, "kinetic": _KINETIC})
 _GAUSSIAN = {"x0": _number(0.0), "p0": _number(0.0),
              "sigma": _number(1.0, above=0.0)}
@@ -148,7 +164,7 @@ _TOL = _number(1e-12, above=0.0)
 # its required keys is reported by name.
 _SCHEMA = {
     "eigen": {
-        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "grid": _SQUARE_GRID, "hamiltonian": _HAMILTONIAN,
         "eigen": _block({
             "n_states": _integer(minimum=1),
             "method": _choice("central", "forward", "backward", "spectral",
@@ -159,7 +175,7 @@ _SCHEMA = {
         "hamiltonian": _HAMILTONIAN,
         "bands": _block({
             "lattice_constant": _POSITIVE,
-            "n_cell": _integer(minimum=2),
+            "n_cell": _integer(minimum=2, maximum=_side()),
             "n_bands": _integer(minimum=1),
             "n_k": _integer(minimum=1),
         }, default={}, rule=_bands_rule),
@@ -195,7 +211,7 @@ _SCHEMA = {
         "classical": _block({
             "dt": _POSITIVE,
             "n_steps": _integer(minimum=1),
-            "n_particles": _integer(minimum=1),
+            "n_particles": _integer(minimum=1, maximum=MAX_ARRAY_ELEMENTS),
             "seed": _SEED,
             "stride": _STRIDE,
             "cloud": _block({"x0": _number(1.0), "p0": _number(0.0),
@@ -208,7 +224,7 @@ _SCHEMA = {
         }, default={}),
     },
     "lindblad": {
-        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "grid": _SQUARE_GRID, "hamiltonian": _HAMILTONIAN,
         "lindblad": _block({
             "dt": _POSITIVE, "t_max": _POSITIVE,
             "stride": _STRIDE,
@@ -221,7 +237,7 @@ _SCHEMA = {
     "mcwf": {
         "mcwf": _block({
             "dt": _POSITIVE, "t_max": _POSITIVE,
-            "n_traj": _integer(minimum=1),
+            "n_traj": _integer(minimum=1, maximum=MAX_ARRAY_ELEMENTS),
             "seed": _SEED,
             "stride": _STRIDE,
             "decay_rate": _number(1.0, minimum=0.0),
@@ -229,12 +245,12 @@ _SCHEMA = {
         }, default={}, rule=_whole_steps("t_max", "dt")),
     },
     "wigner": {
-        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "grid": _grid(_side(2)), "hamiltonian": _HAMILTONIAN,
         "wigner": _block({"initial": _INITIAL}, default={}),
     },
     "expm-bench": {
         "expm_bench": _block({
-            "dim": _integer(minimum=2),
+            "dim": _integer(minimum=2, maximum=_side()),
             "norms": _Field("numbers", above=0.0),
             "seed": _SEED,
             "tol": _TOL,
@@ -356,6 +372,8 @@ def _filled(field, cfg, path):
 
 def potential_from_config(cfg):
     """(U(x), dU/dx(x)) callables for a named potential block."""
+    import numpy as np
+
     cfg = _filled(_POTENTIAL, cfg, "potential")
     name = cfg["name"]
     if name == "harmonic":
@@ -390,6 +408,8 @@ def potential_from_config(cfg):
 
 def kinetic_from_config(cfg):
     """(K(p), dK/dp(p)) callables; defaults to p^2/2."""
+    import numpy as np
+
     cfg = _filled(_KINETIC, cfg, "kinetic")
     if cfg["name"] == "free":
         mass = cfg["mass"]
@@ -403,12 +423,14 @@ def kinetic_from_config(cfg):
 
 
 def _hamiltonian_spec(cfg, hbar):
+    from .stationary import HamiltonianSpec
+
     u, _ = potential_from_config(cfg["potential"])
     k, _ = kinetic_from_config(cfg["kinetic"])
-    return st.HamiltonianSpec(kinetic=lambda t, p: k(p),
-                              potential=lambda t, x: u(x),
-                              hbar=hbar, mass=cfg["kinetic"]["mass"],
-                              time_independent=True)
+    return HamiltonianSpec(kinetic=lambda t, p: k(p),
+                           potential=lambda t, x: u(x),
+                           hbar=hbar, mass=cfg["kinetic"]["mass"],
+                           time_independent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +448,8 @@ class _OutputSink:
         self.files: list[dict] = []
 
     def _register(self, name):
+        import hashlib
+
         path = os.path.join(self.directory, name)
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
@@ -434,10 +458,14 @@ class _OutputSink:
 
     @staticmethod
     def _require_finite(name, values):
+        import numpy as np
+
         if not np.all(np.isfinite(values)):
             raise FloatingPointError(f"{name} has non-finite values")
 
     def csv(self, name, header, rows):
+        import numpy as np
+
         rows = list(rows)
         self._require_finite(name, np.asarray(rows, dtype=float))
         path = os.path.join(self.directory, name)
@@ -448,6 +476,8 @@ class _OutputSink:
         self._register(name)
 
     def field(self, name, array, axes=None, notes=None):
+        import numpy as np
+
         array = np.ascontiguousarray(array, dtype="<f8")
         self._require_finite(name, array)
         path = os.path.join(self.directory, name + ".f64")
@@ -476,15 +506,22 @@ class _OutputSink:
 
 # ---------------------------------------------------------------------------
 # task runners: each reads a config resolved by _walk, every key present, and
-# may return a dict of numerical diagnostics for the manifest
+# may return a dict of numerical diagnostics for the manifest.  Each imports
+# numpy and the library modules it uses itself, so that ``validate`` loads
+# neither and ``run`` loads only what its task needs.
 # ---------------------------------------------------------------------------
 
 
 def _grid_from_config(cfg):
+    from .grids import make_grid
+
     return make_grid(cfg["L"], cfg["n"], cfg["hbar"])
 
 
 def _run_eigen(cfg, sink):
+    import numpy as np
+    from . import stationary as st
+
     grid = _grid_from_config(cfg["grid"])
     block = cfg["eigen"]
     method = block["method"]
@@ -505,6 +542,9 @@ def _run_eigen(cfg, sink):
 
 
 def _run_bands(cfg, sink):
+    import numpy as np
+    from . import stationary as st
+
     block = cfg["bands"]
     a = block["lattice_constant"]
     spec = _hamiltonian_spec(cfg["hamiltonian"], 1.0)
@@ -524,6 +564,8 @@ def _trace_rows(trace):
 
 
 def _run_propagate(cfg, sink):
+    from . import tdse
+
     grid = _grid_from_config(cfg["grid"])
     block = cfg["propagate"]
     spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
@@ -539,6 +581,8 @@ def _run_propagate(cfg, sink):
 
 
 def _run_imagtime(cfg, sink):
+    from . import tdse
+
     grid = _grid_from_config(cfg["grid"])
     block = cfg["imagtime"]
     spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
@@ -558,6 +602,8 @@ def _run_imagtime(cfg, sink):
 
 
 def _run_gap(cfg, sink):
+    from . import tdse
+
     grid = _grid_from_config(cfg["grid"])
     block = cfg["gap"]
     spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
@@ -569,6 +615,9 @@ def _run_gap(cfg, sink):
 
 
 def _run_classical(cfg, sink):
+    import numpy as np
+    from . import classical as cl
+
     block = cfg["classical"]
     u_fun, du = potential_from_config(block["forces"])
     k_fun, dk = kinetic_from_config(None)
@@ -599,6 +648,10 @@ def _run_classical(cfg, sink):
 
 
 def _run_lindblad(cfg, sink):
+    import numpy as np
+    from . import open_systems as osys
+    from .tdse import SplitStepEngine, gaussian_packet
+
     grid = _grid_from_config(cfg["grid"])
     block = cfg["lindblad"]
     spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
@@ -607,10 +660,10 @@ def _run_lindblad(cfg, sink):
         coupling = lambda x: strength * x
     else:
         coupling = lambda x: np.full_like(np.asarray(x, dtype=float), strength)
-    rho = osys.pure_state_density(tdse.gaussian_packet(grid, **block["initial"]))
+    rho = osys.pure_state_density(gaussian_packet(grid, **block["initial"]))
     dt = block["dt"]
-    n_steps = tdse.step_count(block["t_max"], dt)
-    engine = tdse.SplitStepEngine(grid, spec)
+    n_steps = step_count(block["t_max"], dt)
+    engine = SplitStepEngine(grid, spec)
     u, k = engine.terms()
     dp = grid.p_fft[1] - grid.p_fft[0]
     rows = []
@@ -640,6 +693,9 @@ def _run_lindblad(cfg, sink):
 
 
 def _run_mcwf(cfg, sink):
+    import numpy as np
+    from . import open_systems as osys
+
     block = cfg["mcwf"]
     h = block["rabi"] * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     ops = [np.sqrt(block["decay_rate"])
@@ -654,14 +710,21 @@ def _run_mcwf(cfg, sink):
 
 
 def _run_wigner(cfg, sink):
+    from .open_systems import pure_state_density
+    from .tdse import gaussian_packet
+    from .wigner import wigner_from_density
+
     grid = _grid_from_config(cfg["grid"])
-    psi = tdse.gaussian_packet(grid, **cfg["wigner"]["initial"])
-    w = wg.wigner_from_density(osys.pure_state_density(psi))
+    psi = gaussian_packet(grid, **cfg["wigner"]["initial"])
+    w = wigner_from_density(pure_state_density(psi))
     sink.field("field_wigner", w.values, axes={"x": w.x, "p": w.p},
                notes="Wigner function W[x, p]")
 
 
 def _run_expm_bench(cfg, sink):
+    import numpy as np
+    from .matfunc import expm_pade, expm_taylor
+
     block = cfg["expm_bench"]
     rng = np.random.default_rng(block["seed"])
     dim = block["dim"]
@@ -720,6 +783,8 @@ def run(config_path: str, out_dir: str, threads: int = 1) -> int:
     code, cfg, resolved = _load(config_path, sys.stderr, "schema error: ")
     if code:
         return code
+    import numpy as np
+
     started = time.monotonic()
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -736,6 +801,10 @@ def run(config_path: str, out_dir: str, threads: int = 1) -> int:
         # ValueError covers HermiticityError and numpy's LinAlgError;
         # ArithmeticError covers overflow, zero division and floating point
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = str(exc) or "allocation failed"
+        print(f"numerical failure: out of memory: {detail}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

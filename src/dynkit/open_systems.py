@@ -22,8 +22,8 @@ from .errors import DegenerateJumpError, HermiticityError
 from .grids import UniformGrid, _alt_signs
 from .matfunc import expm_pade, func_of_hermitian
 from .stationary import HamiltonianSpec
-from .tdse import (SplitStepEngine, WaveFunction, _spreads, require_step,
-                   step_count)
+from .steps import require_step, step_count
+from .tdse import SplitStepEngine, WaveFunction, _spreads
 
 
 @dataclass

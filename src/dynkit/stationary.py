@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, HermiticityError
 from .grids import UniformGrid, _alt_signs, fft_bridge, ifft_bridge
+from .steps import step_count
 
 FD_SCHEMES = ("forward", "backward", "central")
 
@@ -169,7 +170,7 @@ def spectrum_via_propagation(psi0, spec: HamiltonianSpec, duration: float,
     lobes of width 2 pi hbar / T by the finite window.
     """
     # local import: tdse depends on this module
-    from .tdse import SplitStepEngine, step_count
+    from .tdse import SplitStepEngine
 
     n_steps = step_count(duration, dt)
     if n_steps < 2:

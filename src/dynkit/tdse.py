@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .grids import UniformGrid, _alt_signs, fft_bridge, ifft_bridge
 from .stationary import HamiltonianSpec
+from .steps import require_step, step_count
 
 #: Triple-jump substep coefficient, the real root of 2 s^3 + (1 - 2s)^3 = 0.
 TRIPLE_JUMP_S = 2.0 ** (1.0 / 3.0) / 3.0 + 2.0 ** (2.0 / 3.0) / 6.0 + 2.0 / 3.0
@@ -109,23 +110,6 @@ def apply_hamiltonian(psi: WaveFunction, spec: HamiltonianSpec,
                       t: float = 0.0) -> np.ndarray:
     """H psi = F^-1[K(t,p) F[psi]] + U(t,x) psi as raw amplitudes."""
     return SplitStepEngine(psi.grid, spec).apply_hamiltonian(psi.values, t)
-
-
-def require_step(dt: complex) -> None:
-    """ValueError unless the step dt is finite and nonzero."""
-    if dt == 0 or not np.isfinite(dt):
-        raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
-
-
-def step_count(span: float, dt: float) -> int:
-    """span/dt as an integer; ValueError unless it is one to 1e-9 relative."""
-    if not (np.isfinite(span) and np.isfinite(dt)) or dt == 0:
-        raise ValueError(f"need a finite span and a finite nonzero step, got "
-                         f"{span!r} and {dt!r}")
-    n_steps = int(round(span / dt))
-    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError(f"{span!r} is not an integer multiple of the step {dt!r}")
-    return n_steps
 
 
 def _checked_mask(mask, n: int) -> np.ndarray:

@@ -463,3 +463,123 @@ def test_validate_config_total_on_mutated_shipped_configs():
         assert all(isinstance(problem, str) for problem in problems)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# memory budget: sizes whose largest array exceeds MAX_ARRAY_ELEMENTS are
+# refused at validation, without allocating anything
+# ---------------------------------------------------------------------------
+
+
+HUGE = 4_000_000_000_000
+
+OVER_BUDGET = {
+    "eigen_n": (("eigen_oscillator.json", "grid", "n", HUGE),
+                "grid.n: must be <= 2048"),
+    "lindblad_n": (("lindblad_dephasing.json", "grid", "n", 2052),
+                   "grid.n: must be <= 2048"),
+    "wigner_n": (("wigner_ground.json", "grid", "n", 1452),
+                 "grid.n: must be <= 1448"),
+    "propagate_n": (("propagate_coherent.json", "grid", "n", 2 ** 22 + 4),
+                    "grid.n: must be <= 4194304"),
+    "bands_n_cell": (("bands_cosine.json", "bands", "n_cell", 2049),
+                     "bands.n_cell: must be <= 2048"),
+    "bands_n_k": (("bands_cosine.json", "bands", "n_k", HUGE),
+                  "bands.n_k: n_k * n_bands must be <= 4194304"),
+    "expm_dim": (("expm_bench.json", "expm_bench", "dim", 2049),
+                 "expm_bench.dim: must be <= 2048"),
+    "classical_n_particles": (("classical_driven.json", "classical",
+                               "n_particles", HUGE),
+                              "classical.n_particles: must be <= 4194304"),
+    "mcwf_n_traj": (("mcwf_decay.json", "mcwf", "n_traj", HUGE),
+                    "mcwf.n_traj: must be <= 4194304"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_BUDGET))
+def test_over_budget_sizes_rejected_at_validation(tmp_path, capsys, name):
+    mutation, message = OVER_BUDGET[name]
+    path = write_config(tmp_path, _shipped_with(*mutation))
+    assert validate(path) == 2
+    assert capsys.readouterr().out == message + "\n"
+
+
+def test_budget_edges_stay_valid():
+    from dynkit.cli import MAX_ARRAY_ELEMENTS
+
+    assert MAX_ARRAY_ELEMENTS == 2 ** 22
+    for mutation in [("eigen_oscillator.json", "grid", "n", 2048),
+                     ("lindblad_dephasing.json", "grid", "n", 2048),
+                     ("wigner_ground.json", "grid", "n", 1448),
+                     ("expm_bench.json", "expm_bench", "dim", 2048),
+                     ("classical_driven.json", "classical", "n_particles",
+                      2 ** 22)]:
+        assert validate_config(_shipped_with(*mutation)) == []
+
+
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    from dynkit import cli
+
+    def exhausted(cfg, sink):
+        raise MemoryError("Unable to allocate 119. TiB")
+
+    monkeypatch.setitem(cli._RUNNERS, "eigen", exhausted)
+    path = write_config(tmp_path, minimal_eigen_config())
+    assert run(path, str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: out of memory: Unable to allocate 119. TiB\n")
+    assert not (tmp_path / "out" / "manifest").exists()
+
+
+# ---------------------------------------------------------------------------
+# run-level exit codes: every mutated shipped config exits 0, 2, 3 or 4, and
+# one that validates never exits 2
+# ---------------------------------------------------------------------------
+
+
+def _leaf_mutations(cfg):
+    """Drop each key, and set each number to 0, -1, NaN, a string or a bool."""
+    for path in _node_paths(cfg):
+        node = cfg
+        for key in path:
+            node = node[key]
+        if path and isinstance(path[-1], str):
+            yield f"drop {'.'.join(map(str, path))}", _dropped(cfg, path)
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            for value in (0, -1, float("nan"), "1", True):
+                yield (f"{'.'.join(map(str, path))} = {value!r}",
+                       _replaced(cfg, path, value))
+
+
+def _dropped(cfg, path):
+    cfg = json.loads(json.dumps(cfg))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return cfg
+
+
+def test_mutated_shipped_configs_exit_0_2_3_or_4(tmp_path, capsys):
+    from dynkit.cli import TASKS
+
+    cases = []
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        with open(os.path.join(CONFIG_DIR, name)) as fh:
+            cfg = json.load(fh)
+        cases += [(name, label, mutated)
+                  for label, mutated in _leaf_mutations(cfg)]
+        cases += [(name, f"task = {task!r}", dict(cfg, task=task))
+                  for task in (*TASKS, "nope") if task != cfg["task"]]
+    codes = {}
+    for i, (name, label, mutated) in enumerate(cases):
+        path = write_config(tmp_path, mutated, name=f"case{i}.json")
+        out = str(tmp_path / f"out{i}")
+        code = run(path, out)
+        assert code in (0, 2, 3, 4), (name, label, code)
+        if validate_config(mutated) == []:
+            assert code != 2, (name, label, capsys.readouterr().err)
+        codes[code] = codes.get(code, 0) + 1
+        capsys.readouterr()
+    # the mutations reach the runners, not only the schema
+    assert codes.get(0, 0) > 0 and codes.get(2, 0) > 0

@@ -1,0 +1,160 @@
+"""What each dynkit command imports, and the lazily resolved package names.
+
+The footprint tests run ``python -m dynkit.cli`` in a fresh interpreter
+(through ``runpy``, as ``-m`` does) and list ``sys.modules`` when it exits.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import dynkit
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(dynkit.__file__)))
+
+# the public names the package root imported eagerly before it resolved them
+# on first use, by defining submodule
+EXPORTED = {
+    "grids": "SpectralSignal UniformGrid cft_forward cft_forward_custom "
+             "cft_inverse frft make_grid",
+    "matfunc": "ExpmReport expm_pade expm_taylor func_of_hermitian",
+    "stationary": "HamiltonianSpec SpectrumResult band_structure "
+                  "build_fd_hamiltonian build_spectral_hamiltonian eigensolve "
+                  "find_spectral_peaks spectrum_via_propagation",
+    "tdse": "EvolutionTrace PauliHamiltonianSpec SpinorWaveFunction "
+            "SplitStepEngine WaveFunction apply_absorbing_boundary "
+            "compute_uncertainty gaussian_packet imaginary_time_excited "
+            "imaginary_time_ground pauli_split_op_step propagate "
+            "spectral_gap_estimate spectral_gap_estimate_discrete "
+            "split_op_step split_op_step_o4",
+    "classical": "ClassicalEnsemble ClassicalSpec ehrenfest_series "
+                 "extend_time_dependent multi_dim_verlet_step "
+                 "propagate_ensemble verlet_step",
+    "open_systems": "DensityMatrix JumpOperatorSpec RateMatrix "
+                    "dissipator_split fermi_dirac_rates gibbs_density "
+                    "gibbs_rates lindblad_propagate lindblad_superoperator "
+                    "lindblad_x_step mcwf_ensemble mcwf_trajectory "
+                    "pauli_master_solve pure_state_density "
+                    "random_collision_step vonneumann_step",
+    "wigner": "MoleculeSpec TwoStateWigner WignerFunction density_from_wigner "
+              "moyal_two_state_step wigner_from_density wigner_marginals",
+}
+NAMES = [(module, name) for module, names in EXPORTED.items()
+         for name in names.split()]
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+# runs the CLI as ``python -m dynkit.cli ARGS`` does, then prints its exit
+# code and every loaded module as the last line of standard output
+_CLI_THEN_MODULES = """
+import json, runpy, sys
+sys.argv[0] = "dynkit"
+try:
+    runpy.run_module("dynkit.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _cli(*args):
+    """(exit code, CLI stdout, loaded module names) of ``dynkit ARGS``."""
+    proc = _python("-c", _CLI_THEN_MODULES, *args)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    *out, last = proc.stdout.splitlines()
+    code, modules = json.loads(last)
+    return code, out, set(modules)
+
+
+def _numpy(modules):
+    return sorted(m for m in modules if m.split(".")[0] == "numpy")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_validate_imports_no_numpy(name):
+    code, out, modules = _cli("validate", os.path.join(CONFIG_DIR, name))
+    assert (code, out) == (0, ["ok"])
+    assert "dynkit.steps" in modules
+    assert _numpy(modules) == []
+
+
+def test_bare_package_import_loads_no_submodule():
+    proc = _python("-c", "import json, sys, dynkit; print(json.dumps(sorted("
+                         "m for m in sys.modules if m.split('.')[0] in "
+                         "('dynkit', 'numpy'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["dynkit"]
+
+
+@pytest.mark.parametrize("name, absent", [
+    ("classical_driven.json", ("open_systems", "wigner", "tdse", "stationary",
+                               "grids")),
+    ("eigen_oscillator.json", ("open_systems", "wigner", "tdse")),
+    ("expm_bench.json", ("open_systems", "wigner", "tdse", "stationary",
+                         "grids")),
+])
+def test_run_imports_only_its_task_modules(tmp_path, name, absent):
+    code, _, modules = _cli("run", os.path.join(CONFIG_DIR, name),
+                            "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert "numpy" in modules
+    assert sorted(modules & {f"dynkit.{a}" for a in absent}) == []
+
+
+@pytest.mark.parametrize("module, name", NAMES)
+def test_exported_names_resolve_to_submodule_objects(module, name):
+    assert getattr(dynkit, name) is getattr(
+        importlib.import_module(f"dynkit.{module}"), name)
+
+
+def test_all_and_dir_list_every_exported_name():
+    assert sorted(dynkit.__all__) == sorted(name for _, name in NAMES)
+    assert {name for _, name in NAMES} <= set(dir(dynkit))
+    assert {"cli", "tdse", "wigner", "__version__"} <= set(dir(dynkit))
+
+
+def test_submodules_resolve_as_attributes():
+    for module in (*EXPORTED, "cli", "errors", "steps"):
+        assert getattr(dynkit, module) is importlib.import_module(
+            f"dynkit.{module}")
+
+
+def test_unknown_attribute_loads_nothing():
+    code = """
+import sys, dynkit
+try:
+    dynkit.no_such_name
+except AttributeError as exc:
+    message = str(exc)
+else:
+    sys.exit("no AttributeError")
+assert not hasattr(dynkit, "numpy"), "hasattr found numpy"
+from dynkit import cli
+print(message)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "module 'dynkit' has no attribute 'no_such_name'", "[]"]
+
+
+def test_step_helpers_are_shared():
+    from dynkit import classical, open_systems, steps, tdse
+
+    assert tdse.step_count is steps.step_count
+    assert tdse.require_step is steps.require_step
+    assert classical.require_step is steps.require_step
+    assert open_systems.step_count is steps.step_count
