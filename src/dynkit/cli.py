@@ -83,8 +83,14 @@ def _block(fields, default=_REQUIRED, **options):
 #: n x n matrices of eigen and lindblad, the (2n, n) Wigner field, the
 #: n_cell x n_cell cell Hamiltonians and (n_k, n_bands) bands of bands, the
 #: dim x dim matrices of expm-bench, and the length-n grid, n_particles and
-#: n_traj vectors.  2**22 complex128 values take 64 MiB.
+#: n_traj vectors.  2**22 complex128 values take 64 MiB.  It also bounds the
+#: recorded rows of a run times the values each row keeps.
 MAX_ARRAY_ELEMENTS = 2 ** 22
+
+#: Columns of every ``trace.csv``; the values a recorded row keeps are these,
+#: a gap sample's tau and ln|<[H, O]>|, or re and im of an MCWF 2 x 2 density.
+_TRACE_COLUMNS = ("t", "x_mean", "p_mean", "energy", "norm")
+_TRACE_ROW, _GAP_ROW, _MCWF_ROW = len(_TRACE_COLUMNS), 2, 8
 
 
 def _side(copies=1):
@@ -107,19 +113,33 @@ def _bands_rule(bands, path, problems):
                         f"{MAX_ARRAY_ELEMENTS}")
 
 
-def _whole_steps(span_key, dt_key, minimum=1):
-    """Rule: ``span_key/dt_key`` is a whole number of >= ``minimum`` steps."""
+def _recorded_rows(span_key, per_row, dt_key=None, minimum=1):
+    """Rule: the run's recorded rows of ``per_row`` values fit the budget.
+
+    The run takes ``span_key`` steps, or ``span_key/dt_key`` steps, which
+    must be a whole number of at least ``minimum``.  It records its start,
+    every ``stride``-th step and the last, and keeps them all until it
+    writes them.
+    """
     def rule(block, path, problems):
-        span, dt = block[span_key], block[dt_key]
-        if span is None or dt is None:
+        steps, stride = block[span_key], block.get("stride", 1)
+        if steps is None or (dt_key and block[dt_key] is None):
             return
-        try:
-            ok = step_count(span, dt) >= minimum
-        except (ValueError, OverflowError):
-            ok = False
-        if not ok:
-            problems.append(f"{path}.{span_key}: must be a whole number of "
-                            f"{dt_key} steps, at least {minimum}")
+        if dt_key:
+            try:
+                steps = step_count(steps, block[dt_key])
+            except (ValueError, OverflowError):
+                steps = -1
+            if steps < minimum:
+                problems.append(f"{path}.{span_key}: must be a whole number of "
+                                f"{dt_key} steps, at least {minimum}")
+                return
+        if stride is None:
+            return
+        rows = 1 + -(-steps // stride)
+        if rows * per_row > MAX_ARRAY_ELEMENTS:
+            problems.append(f"{path}.{span_key}: {rows} recorded rows of "
+                            f"{per_row} values exceed {MAX_ARRAY_ELEMENTS}")
     return rule
 
 
@@ -191,7 +211,7 @@ _SCHEMA = {
                                                     maximum=0.49),
                                 "power": _number(0.125, above=0.0)},
                                default=None),
-        }, default={}, rule=_whole_steps("t_max", "dt")),
+        }, default={}, rule=_recorded_rows("t_max", _TRACE_ROW, "dt")),
     },
     "imagtime": {
         "grid": _GRID, "hamiltonian": _HAMILTONIAN,
@@ -205,7 +225,8 @@ _SCHEMA = {
             "observable": _choice("x", "x2", default="x"),
             "initial": _block(_GAUSSIAN, default={"p0": 1.0},
                               empty_default=True),
-        }, default={}, rule=_whole_steps("tau_max", "dtau", minimum=8)),
+        }, default={}, rule=_recorded_rows("tau_max", _GAP_ROW, "dtau",
+                                           minimum=8)),
     },
     "classical": {
         "classical": _block({
@@ -221,7 +242,7 @@ _SCHEMA = {
             "forces": _block(_POTENTIAL_FIELDS, default={"name": "harmonic"}),
             "drive": _block({"amplitude": _number(0.0),
                              "omega": _number(1.0)}, default=None),
-        }, default={}),
+        }, default={}, rule=_recorded_rows("n_steps", _TRACE_ROW)),
     },
     "lindblad": {
         "grid": _SQUARE_GRID, "hamiltonian": _HAMILTONIAN,
@@ -232,7 +253,7 @@ _SCHEMA = {
                                 "strength": _number(0.1)},
                                default={"name": "linear"}),
             "initial": _INITIAL,
-        }, default={}, rule=_whole_steps("t_max", "dt")),
+        }, default={}, rule=_recorded_rows("t_max", _TRACE_ROW, "dt")),
     },
     "mcwf": {
         "mcwf": _block({
@@ -242,7 +263,7 @@ _SCHEMA = {
             "stride": _STRIDE,
             "decay_rate": _number(1.0, minimum=0.0),
             "rabi": _number(0.0),
-        }, default={}, rule=_whole_steps("t_max", "dt")),
+        }, default={}, rule=_recorded_rows("t_max", _MCWF_ROW, "dt")),
     },
     "wigner": {
         "grid": _grid(_side(2)), "hamiltonian": _HAMILTONIAN,
@@ -370,6 +391,17 @@ def _filled(field, cfg, path):
 # ---------------------------------------------------------------------------
 
 
+def _poly(coeffs):
+    """(P, dP/dz) callables of the power series with ``coeffs``, lowest first."""
+    import numpy as np
+
+    coeffs = np.asarray(coeffs, dtype=float)
+    deriv = coeffs[1:] * np.arange(1, len(coeffs))
+    return (lambda z: np.polynomial.polynomial.polyval(np.asarray(z), coeffs),
+            lambda z: np.polynomial.polynomial.polyval(np.asarray(z), deriv)
+            if len(deriv) else np.zeros_like(np.asarray(z, dtype=float)))
+
+
 def potential_from_config(cfg):
     """(U(x), dU/dx(x)) callables for a named potential block."""
     import numpy as np
@@ -399,11 +431,7 @@ def potential_from_config(cfg):
     if name == "free":
         return (lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                 lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-    coeffs = np.asarray(cfg["coeffs"], dtype=float)  # poly
-    deriv = coeffs[1:] * np.arange(1, len(coeffs))
-    return (lambda x: np.polynomial.polynomial.polyval(np.asarray(x), coeffs),
-            lambda x: np.polynomial.polynomial.polyval(np.asarray(x), deriv)
-            if len(deriv) else np.zeros_like(np.asarray(x, dtype=float)))
+    return _poly(cfg["coeffs"])
 
 
 def kinetic_from_config(cfg):
@@ -415,11 +443,7 @@ def kinetic_from_config(cfg):
         mass = cfg["mass"]
         return (lambda p: np.asarray(p) ** 2 / (2.0 * mass),
                 lambda p: np.asarray(p) / mass)
-    coeffs = np.asarray(cfg["coeffs"], dtype=float)  # poly
-    deriv = coeffs[1:] * np.arange(1, len(coeffs))
-    return (lambda p: np.polynomial.polynomial.polyval(np.asarray(p), coeffs),
-            lambda p: np.polynomial.polynomial.polyval(np.asarray(p), deriv)
-            if len(deriv) else np.zeros_like(np.asarray(p, dtype=float)))
+    return _poly(cfg["coeffs"])
 
 
 def _hamiltonian_spec(cfg, hbar):
@@ -557,12 +581,6 @@ def _run_bands(cfg, sink):
     sink.csv("bands.csv", ("k", "n", "E"), rows)
 
 
-def _trace_rows(trace):
-    return [(t, x, p, e, nrm) for t, x, p, e, nrm in
-            zip(trace.times, trace.x_mean, trace.p_mean, trace.energy,
-                trace.norm)]
-
-
 def _run_propagate(cfg, sink):
     from . import tdse
 
@@ -576,8 +594,9 @@ def _run_propagate(cfg, sink):
     _, trace = tdse.propagate(psi0, 0.0, block["t_max"], block["dt"], spec,
                               stride=block["stride"], order=block["order"],
                               absorbing_mask=mask)
-    sink.csv("trace.csv", ("t", "x_mean", "p_mean", "energy", "norm"),
-             _trace_rows(trace))
+    sink.csv("trace.csv", _TRACE_COLUMNS, zip(trace.times, trace.x_mean,
+                                              trace.p_mean, trace.energy,
+                                              trace.norm))
 
 
 def _run_imagtime(cfg, sink):
@@ -644,7 +663,7 @@ def _run_classical(cfg, sink):
         rows.append((snap.s, float(np.sum(snap.weights * snap.x)),
                      float(np.sum(snap.weights * snap.p)), energy,
                      float(np.sum(snap.weights))))
-    sink.csv("trace.csv", ("t", "x_mean", "p_mean", "energy", "norm"), rows)
+    sink.csv("trace.csv", _TRACE_COLUMNS, rows)
 
 
 def _run_lindblad(cfg, sink):
@@ -682,7 +701,7 @@ def _run_lindblad(cfg, sink):
                                       block["stride"]):
         rho = osys.DensityMatrix(values, grid)
         record(m, rho)
-    sink.csv("trace.csv", ("t", "x_mean", "p_mean", "energy", "norm"), rows)
+    sink.csv("trace.csv", _TRACE_COLUMNS, rows)
     stacked = np.stack([rho.values.real, rho.values.imag])
     sink.field("field_rho", stacked,
                axes={"x": grid.x},

@@ -264,11 +264,8 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
               (np.conj(w2.w_ge), w2.w_e.astype(complex)))
 
     def drop_nyquist(b, axis):
-        b = b.copy()
-        if axis == 0:
-            b[0, :] = 0.0
-        else:
-            b[:, 0] = 0.0
+        # b is a fresh transform, so its Nyquist row or column is zeroed in place
+        b[(slice(None),) * axis + (0,)] = 0.0
         return b
 
     def kinetic(blocks, shear):

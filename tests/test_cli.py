@@ -583,3 +583,86 @@ def test_mutated_shipped_configs_exit_0_2_3_or_4(tmp_path, capsys):
         capsys.readouterr()
     # the mutations reach the runners, not only the schema
     assert codes.get(0, 0) > 0 and codes.get(2, 0) > 0
+
+
+# ---------------------------------------------------------------------------
+# recorded series: a run keeps every recorded row until it writes them, so the
+# rows times the values each keeps are bounded by MAX_ARRAY_ELEMENTS, from the
+# config alone at validation
+# ---------------------------------------------------------------------------
+
+
+OVER_LONG = {
+    "propagate": (("propagate_coherent.json", "propagate", "dt", 1e-8),
+                  "propagate.t_max: 20000001 recorded rows of 5 values "
+                  "exceed 4194304"),
+    "gap": (("gap_oscillator.json", "gap", "dtau", 1e-8),
+            "gap.tau_max: 800000001 recorded rows of 2 values exceed 4194304"),
+    "lindblad": (("lindblad_dephasing.json", "lindblad", "dt", 1e-8),
+                 "lindblad.t_max: 10000001 recorded rows of 5 values "
+                 "exceed 4194304"),
+    "mcwf": (("mcwf_decay.json", "mcwf", "dt", 1e-8),
+             "mcwf.t_max: 20000001 recorded rows of 8 values exceed 4194304"),
+    "classical": (("classical_driven.json", "classical", "n_steps", 10 ** 9),
+                  "classical.n_steps: 100000001 recorded rows of 5 values "
+                  "exceed 4194304"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_LONG))
+def test_over_long_series_rejected_at_validation(tmp_path, capsys, name):
+    mutation, message = OVER_LONG[name]
+    path = write_config(tmp_path, _shipped_with(*mutation))
+    assert validate(path) == 2
+    assert capsys.readouterr().out == message + "\n"
+
+
+# (config, block, steps key, step key or None, values per row, stride)
+SERIES = [("propagate_coherent.json", "propagate", "t_max", "dt", 5, 1),
+          ("propagate_coherent.json", "propagate", "t_max", "dt", 5, 10),
+          ("gap_oscillator.json", "gap", "tau_max", "dtau", 2, None),
+          ("lindblad_dephasing.json", "lindblad", "t_max", "dt", 5, 1),
+          ("lindblad_dephasing.json", "lindblad", "t_max", "dt", 5, 7),
+          ("mcwf_decay.json", "mcwf", "t_max", "dt", 8, 1),
+          ("mcwf_decay.json", "mcwf", "t_max", "dt", 8, 3),
+          ("classical_driven.json", "classical", "n_steps", None, 5, 1),
+          ("classical_driven.json", "classical", "n_steps", None, 5, 10)]
+
+
+@pytest.mark.parametrize("name,block,steps_key,dt_key,per_row,stride", SERIES,
+                         ids=[f"{s[1]}-stride{s[5]}" for s in SERIES])
+def test_series_budget_edges(name, block, steps_key, dt_key, per_row, stride):
+    from dynkit.cli import MAX_ARRAY_ELEMENTS
+
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        cfg = json.load(fh)
+    if stride is not None:
+        cfg[block]["stride"] = stride
+    # the most steps whose 1 + ceil(steps / stride) rows fit the budget
+    most = (MAX_ARRAY_ELEMENTS // per_row - 1) * (stride or 1)
+    for steps, valid in ((most, True), (most + 1, False)):
+        if dt_key is None:
+            cfg[block][steps_key] = steps
+        else:
+            cfg[block][dt_key], cfg[block][steps_key] = 1.0, float(steps)
+        assert (validate_config(cfg) == []) is valid, (steps, validate_config(cfg))
+
+
+def test_shipped_and_workload_configs_fit_the_series_budget(tmp_path):
+    import importlib.util
+
+    bench = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                         "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = []
+    for workload in workloads.NAMES:
+        for seed in (1, 2):
+            out = tmp_path / f"{workload}{seed}"
+            out.mkdir()
+            configs += [cfg for _, _, cfg in
+                        workloads.build(workload, seed, CONFIG_DIR, str(out))]
+    assert len(configs) > 2 * len(os.listdir(CONFIG_DIR))
+    for cfg in configs:
+        assert validate_config(cfg) == []
