@@ -96,8 +96,7 @@ def extend_time_dependent(dk_dp_t: Callable, du_dx_t: Callable) -> ClassicalSpec
     time T the ensemble clock equals T.  For callables that ignore their
     second argument the (x, p) dynamics is unchanged.
     """
-    return ClassicalSpec(dk_dp=lambda p, s_p: dk_dp_t(p, s_p),
-                         du_dx=lambda x, s_x: du_dx_t(x, s_x))
+    return ClassicalSpec(dk_dp=dk_dp_t, du_dx=du_dx_t)
 
 
 def _kick_drift_kick(x: np.ndarray, p: np.ndarray, s: float, dt: float,

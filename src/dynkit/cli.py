@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from itertools import chain
 from typing import NamedTuple
 
 from . import __version__
@@ -654,16 +655,14 @@ def _run_classical(cfg, sink):
     n = block["n_particles"]
     x = rng.normal(cloud["x0"], cloud["sigma_x"], n)
     p = rng.normal(cloud["p0"], cloud["sigma_p"], n)
-    ens = cl.ClassicalEnsemble(x=x, p=p, weights=cl.uniform_weights(n))
-    snaps = cl.propagate_ensemble(ens, block["dt"], block["n_steps"], spec,
-                                  stride=block["stride"])
-    rows = []
-    for snap in snaps:
-        energy = float(np.sum(snap.weights * (k_fun(snap.p) + u_fun(snap.x))))
-        rows.append((snap.s, float(np.sum(snap.weights * snap.x)),
-                     float(np.sum(snap.weights * snap.p)), energy,
-                     float(np.sum(snap.weights))))
-    sink.csv("trace.csv", _TRACE_COLUMNS, rows)
+    w = cl.uniform_weights(n)
+    # each state becomes its row as it arrives, so no snapshot is kept
+    states = chain([(x, p, 0.0)], cl._kick_drift_kick(
+        x, p, 0.0, block["dt"], block["n_steps"], spec, block["stride"]))
+    sink.csv("trace.csv", _TRACE_COLUMNS, (
+        (s, float(np.sum(w * x)), float(np.sum(w * p)),
+         float(np.sum(w * (k_fun(p) + u_fun(x)))), float(np.sum(w)))
+        for x, p, s in states))
 
 
 def _run_lindblad(cfg, sink):

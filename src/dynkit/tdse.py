@@ -450,6 +450,13 @@ def _fit_decay_slope(taus, ys, fit_fraction):
     return -float(slope)
 
 
+def _gap_from_magnitudes(mags, dtau, fit_fraction):
+    """Decay rate of ln|C| for commutator magnitudes at tau = m dtau, m = 0, 1, ..."""
+    taus = [m * dtau for m in range(len(mags))]
+    ys = [np.log(mag) if mag > 0 else -np.inf for mag in mags]
+    return _fit_decay_slope(taus, ys, fit_fraction)
+
+
 def spectral_gap_estimate(psi0: WaveFunction, observable: np.ndarray,
                           dtau: float, tau_max: float, spec: HamiltonianSpec,
                           fit_fraction: float = 0.4) -> float:
@@ -467,9 +474,7 @@ def spectral_gap_estimate(psi0: WaveFunction, observable: np.ndarray,
     mags = []
     for block in _blocks(_flow(engine, psi0.values, dtau, n_steps), psi0.grid.n):
         mags.extend(np.abs(engine.commutator(np.array(block), observable)))
-    taus = [m * dtau for m in range(n_steps + 1)]
-    ys = [np.log(mag) if mag > 0 else -np.inf for mag in mags]
-    return _fit_decay_slope(taus, ys, fit_fraction)
+    return _gap_from_magnitudes(mags, dtau, fit_fraction)
 
 
 def spectral_gap_estimate_discrete(psi0: np.ndarray, hamiltonian: np.ndarray,
@@ -488,31 +493,38 @@ def spectral_gap_estimate_discrete(psi0: np.ndarray, hamiltonian: np.ndarray,
     u = func_of_hermitian(h, lambda lam: np.exp(-dtau * lam))
     psi = np.asarray(psi0, dtype=complex)
     psi = psi / np.linalg.norm(psi)
-    taus, ys = [], []
-    for m in range(n_steps + 1):
-        mag = np.abs(np.conj(psi) @ commutator @ psi)
-        taus.append(m * dtau)
-        ys.append(np.log(mag) if mag > 0 else -np.inf)
+    mags = []
+    for _ in range(n_steps + 1):
+        mags.append(np.abs(np.conj(psi) @ commutator @ psi))
         psi = u @ psi
         psi = psi / np.linalg.norm(psi)
-    return _fit_decay_slope(taus, ys, fit_fraction)
+    return _gap_from_magnitudes(mags, dtau, fit_fraction)
 
 
-def _pauli_apply(a, coeffs, up, down):
-    """exp(i a sum_j c_j sigma_j) acting on (up, down) columns.
+def _two_level_rotation(c1, c2, c3, dt, hbar):
+    """Entries ((t11, t12), (t21, t22)) of exp[-(i dt/hbar) c . sigma].
 
-    Closed form: exp(i a c_0)[cos(ab) + i sin(ab)/b * (c . sigma)] with
-    b = sqrt(c1^2 + c2^2 + c3^2); the b -> 0 limit reduces to the scalar
-    phase exp(i a c_0).
+    With c . sigma = c1 sigma_x + c2 sigma_y + c3 sigma_z and d = |c| it is
+    cos(d dt/hbar) - i sin(d dt/hbar)/d (c . sigma), the sine quotient taken
+    from a sinc so it is exact at d = 0.  The Pauli step and the two-surface
+    Moyal step (``wigner``) both use it.
+    """
+    d = np.sqrt(c1 ** 2 + c2 ** 2 + c3 ** 2)
+    c = np.cos(d * dt / hbar)
+    s = (dt / hbar) * np.sinc(d * dt / (hbar * np.pi))  # sin(d dt/hbar)/d
+    z, x, y = s * c3, s * c1, s * c2
+    return ((c - 1j * z, -1j * x - y), (-1j * x + y, c + 1j * z))
+
+
+def _pauli_apply(dt, hbar, coeffs, up, down):
+    """exp[-(i dt/hbar) sum_j c_j sigma_j] acting on (up, down) columns.
+
+    The identity part c_0 is the scalar phase exp(-i dt c_0/hbar).
     """
     c0, c1, c2, c3 = coeffs
-    b = np.sqrt(c1 ** 2 + c2 ** 2 + c3 ** 2)
-    cos_ab = np.cos(a * b)
-    sin_over_b = a * np.sinc(a * b / np.pi)  # sin(ab)/b, exact at b = 0
-    phase = np.exp(1j * a * c0)
-    new_up = phase * (cos_ab * up + 1j * sin_over_b * (c3 * up + (c1 - 1j * c2) * down))
-    new_down = phase * (cos_ab * down + 1j * sin_over_b * ((c1 + 1j * c2) * up - c3 * down))
-    return new_up, new_down
+    (t11, t12), (t21, t22) = _two_level_rotation(c1, c2, c3, dt, hbar)
+    phase = np.exp(-1j * dt * c0 / hbar)
+    return phase * (t11 * up + t12 * down), phase * (t21 * up + t22 * down)
 
 
 def _pauli_coeffs(functions, t, arg):
@@ -540,13 +552,11 @@ def pauli_split_op_step(spinor: SpinorWaveFunction, t: float, dt: float,
     tm = t + dt / 2.0
     ux = _pauli_coeffs(spec.potential, tm, grid.x)
     kp = _pauli_coeffs(spec.kinetic, tm, grid.p_fft)
-    a_half = -dt / (2.0 * hbar)
-    a_full = -dt / hbar
-    up, down = _pauli_apply(a_half, ux, spinor.up, spinor.down)
+    up, down = _pauli_apply(dt / 2.0, hbar, ux, spinor.up, spinor.down)
     up, down = fft_bridge(up), fft_bridge(down)
-    up, down = _pauli_apply(a_full, kp, up, down)
+    up, down = _pauli_apply(dt, hbar, kp, up, down)
     up, down = ifft_bridge(up), ifft_bridge(down)
-    up, down = _pauli_apply(a_half, ux, up, down)
+    up, down = _pauli_apply(dt / 2.0, hbar, ux, up, down)
     return SpinorWaveFunction(up, down, grid)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import HermiticityError
 from .grids import UniformGrid, fft_bridge, ifft_bridge
 from .open_systems import DensityMatrix
+from .tdse import _two_level_rotation
 
 
 @dataclass
@@ -182,17 +183,12 @@ def wigner_marginals(w: WignerFunction) -> tuple[np.ndarray, np.ndarray]:
     return w.values.sum(axis=1) * w.dp, w.values.sum(axis=0) * w.dx
 
 
-def _sandwich_blocks(tl, blocks, tr):
-    """2x2 matrix product T_left @ blocks @ T_right, all entries arrays."""
-    (l11, l12), (l21, l22) = tl
-    (b11, b12), (b21, b22) = blocks
-    (r11, r12), (r21, r22) = tr
-    m11 = l11 * b11 + l12 * b21
-    m12 = l11 * b12 + l12 * b22
-    m21 = l21 * b11 + l22 * b21
-    m22 = l21 * b12 + l22 * b22
-    return ((m11 * r11 + m12 * r21, m11 * r12 + m12 * r22),
-            (m21 * r11 + m22 * r21, m21 * r12 + m22 * r22))
+def _product(a, b):
+    """2x2 matrix product a @ b of nested tuples, all entries arrays."""
+    (a11, a12), (a21, a22) = a
+    (b11, b12), (b21, b22) = b
+    return ((a11 * b11 + a12 * b21, a11 * b12 + a12 * b22),
+            (a21 * b11 + a22 * b21, a21 * b12 + a22 * b22))
 
 
 def _rotation_entries(spec: MoleculeSpec, q: np.ndarray, v_g: np.ndarray,
@@ -201,15 +197,8 @@ def _rotation_entries(spec: MoleculeSpec, q: np.ndarray, v_g: np.ndarray,
 
     ``v_g`` and ``v_e`` are the surfaces already evaluated on q.
     """
-    hbar = spec.hbar
     v_eg = -np.asarray(spec.dipole(q)) * spec.pulse(t)
-    half_gap = 0.5 * (v_g - v_e)
-    d = np.sqrt(v_eg ** 2 + half_gap ** 2)
-    c = np.cos(d * dt / hbar)
-    s = (dt / hbar) * np.sinc(d * dt / (hbar * np.pi))  # sin(D dt/hbar)/D
-    ll = s * v_eg
-    mm = s * half_gap
-    return ((c - 1j * mm, -1j * ll), (-1j * ll, c + 1j * mm))
+    return _two_level_rotation(v_eg, 0.0, 0.5 * (v_g - v_e), dt, spec.hbar)
 
 
 def _dagger(tmat):
@@ -278,7 +267,7 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
                                   for b in row) for row in blocks)
         tl = _rotation_entries(spec, x_minus, vg_minus, ve_minus, tm, dt)
         tr = _dagger(_rotation_entries(spec, x_plus, vg_plus, ve_plus, tm, dt))
-        sandwiched = _sandwich_blocks(tl, transformed, tr)
+        sandwiched = _product(_product(tl, transformed), tr)
         sandwiched = tuple(tuple(mean_phase * b for b in row)
                            for row in sandwiched)
         return tuple(tuple(ifft_bridge(b, axis=1) for b in row)

@@ -666,3 +666,75 @@ def test_shipped_and_workload_configs_fit_the_series_budget(tmp_path):
     assert len(configs) > 2 * len(os.listdir(CONFIG_DIR))
     for cfg in configs:
         assert validate_config(cfg) == []
+
+
+def test_poly_builder_values_and_derivatives():
+    from dynkit.cli import _poly
+
+    z = np.linspace(-2.0, 2.0, 9)
+    value, slope = _poly([1.0, -2.0, 0.5, 0.25])
+    assert np.allclose(value(z), 1.0 - 2.0 * z + 0.5 * z ** 2 + 0.25 * z ** 3,
+                       rtol=1e-14, atol=1e-14)
+    assert np.allclose(slope(z), -2.0 + z + 0.75 * z ** 2, rtol=1e-14, atol=1e-14)
+    value, slope = _poly([2.5])  # a constant has no derivative coefficients
+    assert np.array_equal(value(z), np.full_like(z, 2.5))
+    assert np.array_equal(slope(z), np.zeros_like(z))
+    assert slope(3).shape == ()
+
+
+def test_named_potentials_and_kinetics_match_closed_forms():
+    from dynkit.cli import kinetic_from_config, potential_from_config
+
+    x = np.linspace(-3.0, 3.0, 13)
+    u, du = potential_from_config({"name": "softcore", "depth": 2.0,
+                                   "width": 0.5})
+    assert np.allclose(u(x), -2.0 / np.sqrt(x ** 2 + 0.25), rtol=1e-14)
+    assert np.allclose(du(x), 2.0 * x / (x ** 2 + 0.25) ** 1.5,
+                       rtol=1e-14, atol=1e-15)
+    # the closed form of the derivative agrees with a central difference
+    h = 1e-5
+    assert np.allclose(du(x), (u(x + h) - u(x - h)) / (2 * h), atol=1e-8)
+    u, du = potential_from_config({"name": "free"})
+    assert np.array_equal(u(x), np.zeros_like(x))
+    assert np.array_equal(du(x), np.zeros_like(x))
+    u, du = potential_from_config({"name": "poly", "coeffs": [0.0, 1.0, 3.0]})
+    assert np.allclose(u(x), x + 3.0 * x ** 2, rtol=1e-14, atol=1e-14)
+    assert np.allclose(du(x), 1.0 + 6.0 * x, rtol=1e-14, atol=1e-14)
+    k, dk = kinetic_from_config({"name": "free", "mass": 2.0})
+    assert np.allclose(k(x), x ** 2 / 4.0, rtol=1e-15)
+    assert np.allclose(dk(x), x / 2.0, rtol=1e-15)
+    k, dk = kinetic_from_config({"name": "poly", "coeffs": [0.0, 0.0, 0.5]})
+    assert np.allclose(k(x), 0.5 * x ** 2, rtol=1e-15)
+    assert np.allclose(dk(x), x, rtol=1e-15)
+
+
+def test_eigen_with_poly_potential_gives_harmonic_energies(tmp_path):
+    cfg = minimal_eigen_config()
+    cfg["hamiltonian"]["potential"] = {"name": "poly", "coeffs": [0, 0, 0.5]}
+    cfg["eigen"] = {"method": "spectral", "n_states": 4}
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, cfg), str(out)) == 0
+    _, rows = read_csv(out / "energies.csv")
+    assert np.allclose(rows[:, 1], [0.5, 1.5, 2.5, 3.5], atol=1e-9)
+
+
+def test_classical_run_keeps_no_snapshots(tmp_path):
+    import tracemalloc
+
+    def peak(stride):
+        cfg = {"task": "classical",
+               "classical": {"dt": 0.01, "n_steps": 500, "seed": 7,
+                             "n_particles": 2 ** 14, "stride": stride,
+                             "drive": {"amplitude": 0.3, "omega": 1.6}}}
+        path = write_config(tmp_path, cfg, f"classical{stride}.json")
+        tracemalloc.start()
+        try:
+            assert run(path, str(tmp_path / f"out{stride}")) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(500)  # warm-up: imports and first-call caches
+    sparse, dense = peak(500), peak(10)
+    # 51 kept snapshots of 2 ** 14 particles would add about 13 MiB
+    assert dense < 1.5 * sparse, (sparse, dense)

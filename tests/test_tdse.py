@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dynkit.errors import ConvergenceError
-from dynkit.grids import make_grid
+from dynkit.grids import fft_bridge, make_grid
+from dynkit.matfunc import func_of_hermitian
 from dynkit.stationary import (
     HamiltonianSpec,
     build_spectral_hamiltonian,
@@ -362,6 +363,36 @@ class TestPauliStep:
         for m in range(100):
             spinor = pauli_split_op_step(spinor, m * 0.02, 0.02, spec)
             assert abs(spinor.norm() - 1.0) <= 1e-13
+
+
+    def test_matches_dense_exponential_with_sigma_y(self):
+        # a uniform potential is the same 2x2 matrix at every momentum, so
+        # the Strang step is exp(-i dt/2 U) exp(-i dt K(p)) exp(-i dt/2 U)
+        # pointwise in momentum space
+        g = make_grid(8.0, 64)
+        c = (0.4, -0.3, 0.7, 0.25)
+        uniform = tuple((lambda t, x, cj=cj: np.full_like(x, cj)) for cj in c)
+        spec = PauliHamiltonianSpec(
+            kinetic=(None, None, lambda t, p: 0.6 * p, None),
+            potential=uniform, hbar=0.8)
+        rng = np.random.default_rng(3)
+        up, down = rng.normal(size=(2, g.n)) + 1j * rng.normal(size=(2, g.n))
+        dt = 0.3
+        out = pauli_split_op_step(SpinorWaveFunction(up, down, g), 0.0, dt, spec)
+
+        sigma = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                          [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+        def rotation(h, tau):
+            return func_of_hermitian(h, lambda lam: np.exp(-1j * tau * lam / 0.8))
+
+        half_u = rotation(np.tensordot(c, sigma, 1), dt / 2)
+        spinor_p = np.stack([fft_bridge(up), fft_bridge(down)])
+        expected = np.stack([
+            half_u @ rotation(0.6 * p * sigma[2], dt) @ half_u @ spinor_p[:, j]
+            for j, p in enumerate(g.p_fft)], axis=1)
+        got = np.stack([fft_bridge(out.up), fft_bridge(out.down)])
+        assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 class TestUncertainty:
