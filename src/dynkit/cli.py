@@ -553,12 +553,12 @@ def _run_eigen(cfg, sink):
     spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
     if method == "spectral":
         h = st.build_spectral_hamiltonian(grid, spec)
-        energies = st.eigensolve(h, dx=grid.dx).energies
+        energies = st.eigenvalues(h)
     else:
         u, _ = potential_from_config(cfg["hamiltonian"]["potential"])
         h = st.build_fd_hamiltonian(grid, u, method, mass=spec.mass)
         if method == "central":
-            energies = st.eigensolve(h, dx=grid.dx).energies
+            energies = st.eigenvalues(h)
         else:
             energies = np.sort(np.linalg.eigvals(h).real)
     n_states = min(block["n_states"], grid.n)

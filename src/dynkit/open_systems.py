@@ -14,6 +14,7 @@ reproduces the master equation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -87,6 +88,18 @@ def position_distribution(rho: DensityMatrix) -> np.ndarray:
     return np.real(np.diag(rho.values)).copy()
 
 
+@lru_cache(maxsize=2)  # 32 MB at n = 2048
+def _skew_index(n: int) -> np.ndarray:
+    """Flat index l n + (l - d) mod n of rho[l, (l - d) mod n] at [l, d].
+
+    Built once per n and shared read-only between callers.
+    """
+    idx = np.arange(n)[:, None]
+    index = idx * n + (idx - idx.T) % n
+    index.setflags(write=False)
+    return index
+
+
 def momentum_distribution(rho: DensityMatrix) -> np.ndarray:
     """P(p_k) = <p_k| rho |p_k> (weight dp) from one 1-D FFT.
 
@@ -97,8 +110,7 @@ def momentum_distribution(rho: DensityMatrix) -> np.ndarray:
         raise ValueError("momentum_distribution needs a grid density matrix")
     grid = rho.grid
     grid.require_fft_bridge()
-    idx = np.arange(grid.n)[:, None]
-    s = rho.values[idx, (idx - idx.T) % grid.n].sum(axis=0)
+    s = np.take(rho.values, _skew_index(grid.n)).sum(axis=0)
     p = np.fft.fft(_alt_signs(grid.n) * s).real
     return p * (grid.dx ** 2 / (2.0 * np.pi * grid.hbar))
 
@@ -166,6 +178,8 @@ def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
     Between steps the trailing and leading factors merge into
     G^2 o outer(tail * head), as ``SplitStepEngine.run`` merges half-kicks;
     for a ``time_independent`` spec it and Kpp are built once per run.
+    The four FFT passes write into the loop's own array (``out=``), so a
+    step allocates only the Kpp product.
     """
     require_step(dt)
     if stride < 1:
@@ -177,7 +191,12 @@ def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
     del values  # updates below are in place on arrays the loop owns
     kpp, across = _outer(cur.kins[0]), None
     for m in range(1, n_steps + 1):
-        w = fft(ifft(kpp * fft(ifft(w, axis=1), axis=0), axis=0), axis=1)
+        ifft(w, axis=1, out=w)
+        # one expression on purpose: numpy multiplies a large temporary in
+        # place as f * kpp and a small one as kpp * f, which round apart
+        w = kpp * fft(w, axis=0)
+        ifft(w, axis=0, out=w)
+        fft(w, axis=1, out=w)
         if m % stride == 0 or m == n_steps:
             out = g * _outer(cur.out)
             out *= w

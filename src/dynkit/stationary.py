@@ -112,17 +112,30 @@ def build_spectral_hamiltonian(grid: UniformGrid, spec: HamiltonianSpec,
     return m
 
 
-def eigensolve(h: np.ndarray, dx: float = 1.0) -> SpectrumResult:
-    """Full spectrum of a hermitian matrix, ascending, dx-weighted orthonormal vectors."""
+def _hermitian_solve(solver, h):
+    """``solver(h)`` for a complex ``h`` checked hermitian to 1e-10 of its largest entry."""
     h = np.asarray(h, dtype=complex)
     scale = max(1.0, np.max(np.abs(h)))
     if np.max(np.abs(h - h.conj().T)) > 1e-10 * scale:
         raise HermiticityError("eigensolve requires a hermitian matrix")
     try:
-        energies, states = np.linalg.eigh(h)
+        return solver(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+
+
+def eigensolve(h: np.ndarray, dx: float = 1.0) -> SpectrumResult:
+    """Full spectrum of a hermitian matrix, ascending, dx-weighted orthonormal vectors."""
+    energies, states = _hermitian_solve(np.linalg.eigh, h)
     return SpectrumResult(energies=energies, states=states / np.sqrt(dx))
+
+
+def eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a hermitian matrix, with no eigenvectors computed.
+
+    The energies of ``eigensolve`` to rounding, at a fraction of its cost.
+    """
+    return _hermitian_solve(np.linalg.eigvalsh, h)
 
 
 def band_structure(cell_spec: HamiltonianSpec, lattice_constant: float,

@@ -193,6 +193,21 @@ class SplitStepEngine:
             self._phases[(dt, order)] = phases
         return phases
 
+    def _checked_phases(self, t0, dt, order) -> _StepPhases:
+        require_step(dt)
+        if order not in _SUBSTEPS:
+            raise ValueError("order must be 2 or 4")
+        return self._step_phases(t0, dt, order)
+
+    @staticmethod
+    def _substeps(cur: _StepPhases, w: np.ndarray) -> np.ndarray:
+        """Amplitudes one step after ``w``, which carries ``cur.lead``, before ``cur.out``."""
+        fft, ifft = np.fft.fft, np.fft.ifft
+        y = ifft(cur.kins[0] * fft(w))
+        for kick, kin in zip(cur.inner, cur.kins[1:]):
+            y = ifft(kin * fft(kick * y))
+        return y
+
     def run(self, values: np.ndarray, t0: float, dt: complex, n_steps: int,
             order: int = 2, stride: int = 1) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (m, amplitudes at t0 + m dt) every ``stride`` steps and after the last.
@@ -200,19 +215,13 @@ class SplitStepEngine:
         ``order`` selects Strang (2) or triple-jump (4) steps.  dt may be
         complex (Wick-rotated -i dtau).
         """
-        require_step(dt)
-        if order not in _SUBSTEPS:
-            raise ValueError("order must be 2 or 4")
         if stride < 1:
             raise ValueError("stride must be >= 1")
-        fft, ifft = np.fft.fft, np.fft.ifft
-        cur = self._step_phases(t0, dt, order)
+        cur = self._checked_phases(t0, dt, order)
         w = cur.lead * values
         across = None
         for m in range(1, n_steps + 1):
-            y = ifft(cur.kins[0] * fft(w))
-            for kick, kin in zip(cur.inner, cur.kins[1:]):
-                y = ifft(kin * fft(kick * y))
+            y = self._substeps(cur, w)
             if m % stride == 0 or m == n_steps:
                 yield m, cur.out * y
             if m < n_steps:
@@ -223,8 +232,12 @@ class SplitStepEngine:
 
     def step(self, values: np.ndarray, t: float, dt: complex,
              order: int = 2) -> np.ndarray:
-        """Amplitudes one step of length dt after ``values`` at time t."""
-        return next(self.run(values, t, dt, 1, order))[1]
+        """Amplitudes one step of length dt after ``values`` at time t.
+
+        The first step of ``run``, bit for bit, without a generator.
+        """
+        cur = self._checked_phases(t, dt, order)
+        return cur.out * self._substeps(cur, cur.lead * values)
 
     def momentum_weights(self, values: np.ndarray) -> np.ndarray:
         """Normalized |psi(p_k)|^2; the bridge's output signs drop out of abs."""

@@ -738,3 +738,49 @@ def test_classical_run_keeps_no_snapshots(tmp_path):
     sparse, dense = peak(500), peak(10)
     # 51 kept snapshots of 2 ** 14 particles would add about 13 MiB
     assert dense < 1.5 * sparse, (sparse, dense)
+
+
+def _workload_configs(workload, seed, out):
+    import importlib.util
+
+    bench = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                         "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {name: cfg for name, _, cfg in
+            workloads.build(workload, seed, CONFIG_DIR, str(out))}
+
+
+def test_eigen_energies_match_the_full_eigensolve(tmp_path):
+    from dynkit.cli import _grid_from_config, _hamiltonian_spec, _walk
+    from dynkit.stationary import (build_fd_hamiltonian,
+                                   build_spectral_hamiltonian, eigensolve)
+
+    configs = {}
+    for name in ("eigen_central_fd", "eigen_oscillator"):
+        with open(os.path.join(CONFIG_DIR, name + ".json")) as fh:
+            configs[name] = json.load(fh)
+    configs["eigen_spectral_n512"] = _workload_configs(
+        "density", 1, tmp_path)["eigen_spectral_n512"]
+    methods = set()
+    for name, cfg in configs.items():
+        out = tmp_path / name
+        assert run(write_config(tmp_path, cfg, name + ".json"), str(out)) == 0
+        _, rows = read_csv(out / "energies.csv")
+        problems, resolved = _walk(cfg)
+        assert problems == []
+        grid = _grid_from_config(resolved["grid"])
+        spec = _hamiltonian_spec(resolved["hamiltonian"], grid.hbar)
+        method = resolved["eigen"]["method"]
+        methods.add(method)
+        if method == "spectral":
+            h = build_spectral_hamiltonian(grid, spec)
+        else:
+            h = build_fd_hamiltonian(grid, lambda x: spec.potential(0.0, x),
+                                     method, mass=spec.mass)
+        energies = eigensolve(h, dx=grid.dx).energies
+        assert len(rows) == min(resolved["eigen"]["n_states"], grid.n)
+        assert np.array_equal(rows[:, 0], np.arange(len(rows)))
+        assert np.max(np.abs(rows[:, 1] - energies[:len(rows)])) <= 1e-10
+    assert methods == {"spectral", "central"}

@@ -263,3 +263,73 @@ def test_grid_steps_reject_non_finite_step(step_name, dt):
     new, _ = _steppers(step_name, SPECS[sorted(SPECS)[0]], rho)
     with pytest.raises(ValueError, match="finite"):
         new(rho, T0, dt)
+
+
+# ---------------------------------------------------------------------------
+# the in-place loop against the out-of-place loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_run_density(engine, values, t0, dt, n_steps, g=1.0, stride=1):
+    """The earlier ``run_density``, whose four FFT passes each allocated."""
+    from dynkit.open_systems import _outer
+
+    fft, ifft = np.fft.fft, np.fft.ifft
+    cur = engine._step_phases(t0, dt, 2)
+    w = g * _outer(cur.lead)
+    w *= values
+    del values
+    kpp, across = _outer(cur.kins[0]), None
+    for m in range(1, n_steps + 1):
+        w = fft(ifft(kpp * fft(ifft(w, axis=1), axis=0), axis=0), axis=1)
+        if m % stride == 0 or m == n_steps:
+            out = g * _outer(cur.out)
+            out *= w
+            yield m, out
+        if m < n_steps:
+            nxt = engine._step_phases(t0 + m * dt, dt, 2)
+            if across is None or nxt is not cur:
+                across = g * g
+                across *= _outer(cur.tail * nxt.head)
+            if nxt is not cur:
+                kpp = _outer(nxt.kins[0])
+            w *= across
+            cur = nxt
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("spec_name", sorted(SPECS))
+@pytest.mark.parametrize("n", [64, 256])
+def test_in_place_loop_is_the_out_of_place_loop_bit_for_bit(n, spec_name,
+                                                            stride):
+    # the driven spec rebuilds Kpp and the merged factor every step
+    spec = SPECS[spec_name]
+    rho = _state(n, "nonhermitian")
+    g = coupling_factor(rho.grid, COUPLINGS["complex"], DT)
+    n_steps = 15
+    expected = list(reference_run_density(SplitStepEngine(rho.grid, spec),
+                                          rho.values, T0, DT, n_steps, g, stride))
+    got = []
+    for m, values in run_density(SplitStepEngine(rho.grid, spec), rho.values,
+                                 T0, DT, n_steps, g, stride):
+        got.append((m, values.tobytes()))
+        values[...] = np.nan  # a yield the loop still used would spoil the rest
+    assert [m for m, _ in got] == [m for m, _ in expected]
+    assert [b for _, b in got] == [v.tobytes() for _, v in expected]
+
+
+def test_in_place_loop_yields_fresh_arrays():
+    rho = _state(64, "hermitian")
+    g = coupling_factor(rho.grid, COUPLINGS["linear"], DT)
+    yields = list(run_density(SplitStepEngine(rho.grid, STATIC), rho.values, T0,
+                              DT, 6, g, stride=2))
+    assert len(yields) == 3
+    arrays = [v for _, v in yields]
+    for i, a in enumerate(arrays):
+        assert a.flags.writeable
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    kept = [a.copy() for a in arrays]
+    arrays[0][...] = 0.0
+    for a, b in zip(arrays[1:], kept[1:]):
+        assert a.tobytes() == b.tobytes()

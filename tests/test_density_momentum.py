@@ -66,3 +66,44 @@ def test_rejects_grid_size_off_the_bridge():
     g = make_grid(8.0, 6)
     with pytest.raises(ValueError, match="divisible by 4"):
         momentum_distribution(DensityMatrix(np.eye(6) / (6 * g.dx), g))
+
+
+def reference_diagonal_sums(values: np.ndarray) -> np.ndarray:
+    """s_d = sum_l rho[l, (l - d) mod n] by the earlier per-call gather."""
+    n = values.shape[0]
+    idx = np.arange(n)[:, None]
+    return values[idx, (idx - idx.T) % n].sum(axis=0)
+
+
+@pytest.mark.parametrize("n", [4, 64, 256, 1024])
+def test_skew_index_gather_matches_the_per_call_gather(n):
+    from dynkit.open_systems import _skew_index
+
+    values = _random(n, False, n)
+    got = np.take(values, _skew_index(n)).sum(axis=0)
+    assert got.tobytes() == reference_diagonal_sums(values).tobytes()
+    # a transposed (Fortran-ordered) matrix is gathered in C order as well
+    got = np.take(values.T, _skew_index(n)).sum(axis=0)
+    assert got.tobytes() == reference_diagonal_sums(values.T).tobytes()
+
+
+def test_momentum_distribution_keeps_grid_sizes_apart():
+    # interleaved sizes: an index cached under the wrong key gathers wrongly
+    grids = [make_grid(8.0, 64), make_grid(8.0, 32)]
+    for _ in range(2):
+        for g in grids:
+            rho = DensityMatrix(_random(g.n, True, g.n), g)
+            ref = reference_momentum_distribution(rho)
+            new = momentum_distribution(rho)
+            assert new.shape == (g.n,)
+            assert np.max(np.abs(new - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_skew_index_is_shared_and_read_only():
+    from dynkit.open_systems import _skew_index
+
+    index = _skew_index(8)
+    assert _skew_index(8) is index
+    assert index.shape == (8, 8)
+    with pytest.raises(ValueError, match="read-only"):
+        index[0, 0] = 0

@@ -196,3 +196,46 @@ def test_rejected_at_validation_by_validate_and_run(tmp_path, capsys, name):
     assert validate(str(path)) == 2
     assert run(str(path), str(tmp_path / "out")) == 2
     assert not (tmp_path / "out" / "manifest").exists()
+
+
+@pytest.mark.parametrize("spec", [STATIC, DRIVEN], ids=["static", "driven"])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("absorber", [False, True], ids=["open", "absorbed"])
+@pytest.mark.parametrize("dt", [0.02, -0.02j, 0.015 - 0.01j],
+                         ids=["real", "imaginary", "complex"])
+def test_step_is_the_first_yield_of_run_bit_for_bit(spec, order, absorber, dt):
+    grid = make_grid(8.0, 128)
+    values = gaussian_packet(grid, x0=1.5, p0=2.0, sigma=0.8).values
+    mask = cosine_absorbing_mask(grid, fraction=0.3) if absorber else None
+    for t in (0.1, 0.7):
+        engine = SplitStepEngine(grid, spec, mask)
+        stepped = engine.step(values, t, dt, order)
+        _, first = next(SplitStepEngine(grid, spec, mask).run(values, t, dt, 5,
+                                                              order))
+        assert stepped.tobytes() == first.tobytes()
+        # a second step on the same engine reuses its cached phases
+        assert engine.step(values, t, dt, order).tobytes() == first.tobytes()
+
+
+def test_step_makes_no_generator(monkeypatch):
+    grid = make_grid(8.0, 64)
+    engine = SplitStepEngine(grid, STATIC)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("step started run")
+
+    monkeypatch.setattr(engine, "run", refuse)
+    engine.step(gaussian_packet(grid).values, 0.0, -0.05j, 4)
+
+
+@pytest.mark.parametrize("dt,order,match", [(np.nan, 2, "finite"),
+                                            (0.0, 2, "nonzero"),
+                                            (0.05, 3, "order")])
+def test_step_rejects_what_run_rejects(dt, order, match):
+    grid = make_grid(8.0, 64)
+    engine = SplitStepEngine(grid, STATIC)
+    values = gaussian_packet(grid).values
+    with pytest.raises(ValueError, match=match):
+        engine.step(values, 0.0, dt, order)
+    with pytest.raises(ValueError, match=match):
+        next(engine.run(values, 0.0, dt, 3, order))

@@ -9,6 +9,7 @@ from dynkit.stationary import (
     build_fd_hamiltonian,
     build_spectral_hamiltonian,
     eigensolve,
+    eigenvalues,
     find_spectral_peaks,
     spectrum_via_propagation,
 )
@@ -122,6 +123,32 @@ class TestEigensolve:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestEigenvalues:
+    def test_matches_eigensolve_energies(self):
+        g = make_grid(10.0, 128)
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+        for h in (build_spectral_hamiltonian(g, OSCILLATOR),
+                  build_fd_hamiltonian(g, lambda x: x ** 2 / 2),
+                  (a + a.conj().T) / 2, np.diag([3.0, 1.0, 2.0])):
+            e = eigenvalues(h)
+            assert e.dtype == np.float64
+            assert np.all(np.diff(e) >= 0)
+            ref = eigensolve(h).energies
+            assert np.max(np.abs(e - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("h", [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.array([[1.0, 1j], [1j, 1.0]]),
+        np.diag([1.0, 2.0]) + 1e-6 * np.triu(np.ones((2, 2)), 1),
+    ])
+    def test_rejects_non_hermitian(self, h):
+        with pytest.raises(HermiticityError, match="hermitian"):
+            eigenvalues(h)
+        with pytest.raises(HermiticityError, match="hermitian"):
+            eigensolve(h)
 
 
 class TestBandStructure:
