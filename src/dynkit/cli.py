@@ -472,20 +472,21 @@ class _OutputSink:
         self.directory = directory
         self.files: list[dict] = []
 
-    def _register(self, name):
+    def _write(self, name, data):
+        """Write the bytes ``data`` to ``name`` and list it with their sha256 and size."""
         import hashlib
 
-        path = os.path.join(self.directory, name)
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        self.files.append({"name": name, "sha256": digest,
-                           "bytes": os.path.getsize(path)})
+        with open(os.path.join(self.directory, name), "wb") as fh:
+            fh.write(data)
+        self.files.append({"name": name, "sha256": hashlib.sha256(data).hexdigest(),
+                           "bytes": len(data)})
 
     @staticmethod
     def _require_finite(name, values):
         import numpy as np
 
-        if not np.all(np.isfinite(values)):
+        # NaN and inf reach the min or the max, so no mask of values is made
+        if values.size and not np.isfinite([values.min(), values.max()]).all():
             raise FloatingPointError(f"{name} has non-finite values")
 
     def csv(self, name, header, rows):
@@ -493,22 +494,16 @@ class _OutputSink:
 
         rows = list(rows)
         self._require_finite(name, np.asarray(rows, dtype=float))
-        path = os.path.join(self.directory, name)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        self._register(name)
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        self._write(name, ("\n".join(lines) + "\n").encode())
 
     def field(self, name, array, axes=None, notes=None):
         import numpy as np
 
         array = np.ascontiguousarray(array, dtype="<f8")
         self._require_finite(name, array)
-        path = os.path.join(self.directory, name + ".f64")
-        with open(path, "wb") as fh:
-            fh.write(array.tobytes())
-        self._register(name + ".f64")
+        # the array's own buffer is written and hashed: no copy of the field
+        self._write(name + ".f64", memoryview(array).cast("B"))
         sidecar = {
             "file": name + ".f64",
             "dtype": "float64",
@@ -521,12 +516,8 @@ class _OutputSink:
                                for key, values in axes.items()}
         if notes:
             sidecar["notes"] = notes
-        meta_name = name + ".meta.json"
-        with open(os.path.join(self.directory, meta_name), "w",
-                  newline="\n") as fh:
-            json.dump(sidecar, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        self._register(meta_name)
+        self._write(name + ".meta.json",
+                    (json.dumps(sidecar, indent=1, sort_keys=True) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -728,13 +719,11 @@ def _run_mcwf(cfg, sink):
 
 
 def _run_wigner(cfg, sink):
-    from .open_systems import pure_state_density
     from .tdse import gaussian_packet
     from .wigner import wigner_from_density
 
     grid = _grid_from_config(cfg["grid"])
-    psi = gaussian_packet(grid, **cfg["wigner"]["initial"])
-    w = wigner_from_density(pure_state_density(psi))
+    w = wigner_from_density(gaussian_packet(grid, **cfg["wigner"]["initial"]))
     sink.field("field_wigner", w.values, axes={"x": w.x, "p": w.p},
                notes="Wigner function W[x, p]")
 

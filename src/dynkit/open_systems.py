@@ -100,18 +100,28 @@ def _skew_index(n: int) -> np.ndarray:
     return index
 
 
+#: Skew-index entries gathered at once: 64 columns d at n = 512.
+_GATHER_ENTRIES = 1 << 15
+
+
 def momentum_distribution(rho: DensityMatrix) -> np.ndarray:
     """P(p_k) = <p_k| rho |p_k> (weight dp) from one 1-D FFT.
 
     The diagonal of the bridged 2-D transform is (dx^2 / 2 pi hbar)
-    Re FFT[(-1)^d s_d] with s_d = sum_l rho[l, (l - d) mod n].
+    Re FFT[(-1)^d s_d] with s_d = sum_l rho[l, (l - d) mod n].  The s_d
+    are gathered in blocks of columns d, so no n x n temporary is made;
+    each still sums over l in order, as a whole-matrix gather would.
     """
     if rho.grid is None:
         raise ValueError("momentum_distribution needs a grid density matrix")
     grid = rho.grid
     grid.require_fft_bridge()
-    s = np.take(rho.values, _skew_index(grid.n)).sum(axis=0)
-    p = np.fft.fft(_alt_signs(grid.n) * s).real
+    n = grid.n
+    flat, index = rho.values.ravel(), _skew_index(n)
+    width = max(1, _GATHER_ENTRIES // n)
+    s = np.concatenate([np.take(flat, index[:, d:d + width]).sum(axis=0)
+                        for d in range(0, n, width)])
+    p = np.fft.fft(_alt_signs(n) * s).real
     return p * (grid.dx ** 2 / (2.0 * np.pi * grid.hbar))
 
 

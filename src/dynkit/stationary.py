@@ -113,10 +113,10 @@ def build_spectral_hamiltonian(grid: UniformGrid, spec: HamiltonianSpec,
 
 
 def _hermitian_solve(solver, h):
-    """``solver(h)`` for a complex ``h`` checked hermitian to 1e-10 of its largest entry."""
+    """``solver(h)`` for a finite complex ``h`` hermitian to 1e-10 of its largest entry."""
     h = np.asarray(h, dtype=complex)
-    scale = max(1.0, np.max(np.abs(h)))
-    if np.max(np.abs(h - h.conj().T)) > 1e-10 * scale:
+    scale = np.max(np.abs(h), initial=1.0)  # NaN or inf for a non-finite h
+    if not (scale < np.inf and np.max(np.abs(h - h.conj().T)) <= 1e-10 * scale):
         raise HermiticityError("eigensolve requires a hermitian matrix")
     try:
         return solver(h)

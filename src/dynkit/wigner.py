@@ -22,7 +22,7 @@ import numpy as np
 from .errors import HermiticityError
 from .grids import UniformGrid, fft_bridge, ifft_bridge
 from .open_systems import DensityMatrix
-from .tdse import _two_level_rotation
+from .tdse import WaveFunction, _two_level_rotation
 
 
 @dataclass
@@ -127,16 +127,33 @@ def _center_blocks(n: int):
         yield start, bra, ket, (bra >= 0) & (bra < n) & (ket >= 0) & (ket < n)
 
 
-def wigner_from_density(rho: DensityMatrix) -> WignerFunction:
+def wigner_from_density(rho: DensityMatrix | WaveFunction) -> WignerFunction:
     """W(x, p) = (1/2 pi) int <x - h t/2| rho |x + h t/2> exp(i p t) dt.
 
     Returns a (2n, n) real array on the half-spaced position axis and the
     transform-conjugate momentum axis (spacing pi hbar / 2L).  A hermiticity
     violation (imaginary residue above 1e-8) is an error; smaller residues
-    are discarded.
+    are discarded.  A wave function psi is read as rho = |psi><psi| without
+    forming that n x n matrix: each block multiplies psi[bra] by
+    conj(psi)[ket], the entries of ``pure_state_density(psi)`` bit for bit.
     """
-    if rho.grid is None:
+    if isinstance(rho, WaveFunction):
+        psi = rho.values
+
+        def block(bra, ket, valid):
+            # clipped indices fill the entries off the matrix, zeroed last
+            rows = np.take(psi, bra, mode="clip")
+            kets = np.take(psi, ket, mode="clip")
+            rows *= np.conj(kets, out=kets)
+            rows[~valid] = 0.0
+            return rows
+    elif rho.grid is None:
         raise ValueError("wigner_from_density needs a grid density matrix")
+    else:
+        def block(bra, ket, valid):
+            rows = np.zeros(bra.shape, dtype=complex)
+            rows[valid] = rho.values[bra[valid], ket[valid]]
+            return rows
     grid = rho.grid
     grid.require_fft_bridge()
     n = grid.n
@@ -145,12 +162,11 @@ def wigner_from_density(rho: DensityMatrix) -> WignerFunction:
     out = np.empty((2 * n, n))
     residue = 0.0
     for start, bra, ket, valid in _center_blocks(n):
-        f = np.zeros(bra.shape, dtype=complex)
-        f[valid] = rho.values[bra[valid], ket[valid]]
-        rows = n * ifft_bridge(f, axis=1) * (dtheta / (2.0 * np.pi))
+        rows = n * ifft_bridge(block(bra, ket, valid), axis=1) * (dtheta / (2.0 * np.pi))
         rows[1::2] *= half_shift
         residue = np.maximum(residue, np.max(np.abs(rows.imag)))  # keeps NaN
         out[start:start + len(rows)] = rows.real
+        del rows  # so the next block gathers without this one's rows
     if not residue <= 1e-8:  # also refuses a NaN residue
         raise HermiticityError(
             f"Wigner transform imaginary residue {residue:.3e} exceeds 1e-8"

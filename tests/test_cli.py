@@ -784,3 +784,17 @@ def test_eigen_energies_match_the_full_eigensolve(tmp_path):
         assert np.array_equal(rows[:, 0], np.arange(len(rows)))
         assert np.max(np.abs(rows[:, 1] - energies[:len(rows)])) <= 1e-10
     assert methods == {"spectral", "central"}
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(CONFIG_DIR)
+                                        if f.endswith(".json")))
+def test_every_shipped_manifest_matches_the_files_on_disk(tmp_path, name):
+    out = tmp_path / "out"
+    assert run(os.path.join(CONFIG_DIR, name), str(out)) == 0
+    manifest = json.loads((out / "manifest").read_text())
+    names = [entry["name"] for entry in manifest["outputs"]]
+    assert sorted(names) == sorted(set(os.listdir(out)) - {"manifest"})
+    for entry in manifest["outputs"]:
+        data = (out / entry["name"]).read_bytes()
+        assert entry["bytes"] == len(data)
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()

@@ -268,3 +268,21 @@ class TestSpectrumViaPropagation:
         h1 = density[np.argmin(np.abs(energies - 3.5))]
         ratio = h0 / h1
         assert abs(ratio - 0.8 / 0.2) < 0.2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(1, 2), (2, 2)], ids=("pair", "diagonal"))
+@pytest.mark.parametrize("solver", [eigensolve, eigenvalues])
+def test_eigensolvers_refuse_non_finite_entries(solver, where, bad):
+    h = np.eye(4)
+    h[where] = h[where[::-1]] = bad
+    with pytest.raises(HermiticityError, match="hermitian"):
+        solver(h)
+
+
+@pytest.mark.parametrize("solver", [eigensolve, eigenvalues])
+def test_eigensolvers_refuse_one_sided_inf(solver):
+    h = np.eye(4)
+    h[0, 3] = np.inf
+    with pytest.raises(HermiticityError, match="hermitian"):
+        solver(h)
