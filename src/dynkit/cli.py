@@ -463,10 +463,6 @@ def _hamiltonian_spec(cfg, hbar):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
 class _OutputSink:
     def __init__(self, directory):
         self.directory = directory
@@ -494,8 +490,10 @@ class _OutputSink:
 
         rows = list(rows)
         self._require_finite(name, np.asarray(rows, dtype=float))
-        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-        self._write(name, ("\n".join(lines) + "\n").encode())
+        # %.17g formats each value as a float, with the 17 digits that round-trip it
+        line = ",".join(["%.17g"] * len(header)) + "\n"
+        text = ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)
+        self._write(name, text.encode())
 
     def field(self, name, array, axes=None, notes=None):
         import numpy as np

@@ -28,6 +28,28 @@ TRIPLE_JUMP_S = 2.0 ** (1.0 / 3.0) / 3.0 + 2.0 ** (2.0 / 3.0) / 6.0 + 2.0 / 3.0
 #: 2**17 raised the wave-packet workload's peak memory by a quarter.
 _BLOCK_AMPLITUDES = 2 ** 13
 
+#: Longest inner product handed to one BLAS dot call.  OpenBLAS splits a dot
+#: of more than 10000 elements across its threads, and the sum then depends
+#: on the thread count.
+_DOT_CHUNK = 2 ** 13
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray):
+    """np.vecdot(a, b), sum(conj(a) * b) over the last axis, with BLAS dot calls
+    of at most _DOT_CHUNK elements.
+
+    Each row of a block gets ``np.dot(row, b)`` (``np.vdot`` if complex) bit
+    for bit, whatever the block size, the alignment or the thread count.
+    """
+    n = a.shape[-1]
+    if n <= _DOT_CHUNK:
+        return np.vecdot(a, b)
+    out = np.vecdot(a[..., :_DOT_CHUNK], b[..., :_DOT_CHUNK])
+    for start in range(_DOT_CHUNK, n, _DOT_CHUNK):
+        stop = start + _DOT_CHUNK
+        out = out + np.vecdot(a[..., start:stop], b[..., start:stop])
+    return out
+
 
 @dataclass
 class WaveFunction:
@@ -170,11 +192,13 @@ class SplitStepEngine:
         self._phases: dict = {}  # (dt, order) -> _StepPhases, static specs only
 
     def terms(self, t: complex = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """(U(t, x), K(t, p)), evaluated once for a time-independent spec."""
+        """(U(t, x), K(t, p)) as length-n arrays, evaluated once for a
+        time-independent spec."""
         if self._static is not None:
             return self._static
-        return (np.asarray(self.spec.potential(t, self.grid.x)),
-                np.asarray(self.spec.kinetic(t, self.grid.p_fft)))
+        n = (self.grid.n,)
+        return (np.broadcast_to(self.spec.potential(t, self.grid.x), n),
+                np.broadcast_to(self.spec.kinetic(t, self.grid.p_fft), n))
 
     def _step_phases(self, t, dt, order) -> _StepPhases:
         if (dt, order) in self._phases:
@@ -239,20 +263,9 @@ class SplitStepEngine:
         cur = self._checked_phases(t, dt, order)
         return cur.out * self._substeps(cur, cur.lead * values)
 
-    def momentum_weights(self, values: np.ndarray) -> np.ndarray:
-        """Normalized |psi(p_k)|^2; the bridge's output signs drop out of abs."""
-        w = np.abs(np.fft.fft(self.signs * values)) ** 2
-        return w / np.sum(w)
-
-    def energy(self, values: np.ndarray, t: float = 0.0,
-               weights: np.ndarray | None = None) -> float:
-        """<K(t,p)> + <U(t,x)>; ``weights`` are momentum_weights(values) if known."""
-        u, k = self.terms(t)
-        prob = np.abs(values) ** 2
-        prob = prob / np.sum(prob)
-        if weights is None:
-            weights = self.momentum_weights(values)
-        return float(np.sum(k * weights)) + float(np.sum(u * prob))
+    def energy(self, values: np.ndarray, t: float = 0.0) -> float:
+        """<K(t,p)> + <U(t,x)>, the energy ``_observables`` gives a one-row block."""
+        return float(_observables(self, [t], values[None])[2][0])
 
     def apply_hamiltonian(self, values: np.ndarray, t: float = 0.0) -> np.ndarray:
         """H psi = F^-1[K(t,p) F[psi]] + U(t,x) psi as raw amplitudes."""
@@ -264,8 +277,7 @@ class SplitStepEngine:
                    t: float = 0.0) -> complex:
         """<psi|[H, O]|psi> for a position-diagonal real O(x), per row of a block."""
         obs = np.asarray(observable, dtype=float)
-        inner = np.sum(np.conj(self.apply_hamiltonian(values, t)) * obs * values,
-                       axis=-1)
+        inner = _rowdot(self.apply_hamiltonian(values, t), obs * values)
         return 2j * (inner * self.grid.dx).imag
 
 
@@ -279,23 +291,24 @@ def _blocks(items, n: int) -> Iterator[list]:
 def _observables(engine: SplitStepEngine, times, rows: np.ndarray):
     """(x_mean, p_mean, energy, norm) arrays for the (m, n) block of states ``rows``.
 
-    One FFT along axis 1 and row sums give each row the per-state numbers bit
-    for bit; a time-dependent spec is evaluated at each row's entry of ``times``.
+    Each moment is one row inner product of |psi(x)|^2 or |psi(p)|^2 with its
+    axis, divided by the row sum afterwards.  One FFT along axis 1, row sums
+    and ``_rowdot`` give each row the per-state numbers bit for bit; a
+    time-dependent spec is evaluated at each row's entry of ``times``.
     """
     grid = engine.grid
-    prob = np.abs(rows) ** 2
+    prob = rows.real ** 2 + rows.imag ** 2
     total = np.sum(prob, axis=1)
-    weights = np.abs(np.fft.fft(engine.signs * rows, axis=1)) ** 2
-    weights = weights / np.sum(weights, axis=1)[:, None]
-    shares = prob / total[:, None]
+    amplitudes = np.fft.fft(engine.signs * rows, axis=1)
+    weights = amplitudes.real ** 2 + amplitudes.imag ** 2
+    wsum = np.sum(weights, axis=1)
     if engine.spec.time_independent:
         u, k = engine.terms()
-        energy = np.sum(k * weights, axis=1) + np.sum(u * shares, axis=1)
     else:
-        energy = np.array([np.sum(k * w) + np.sum(u * s) for (u, k), w, s
-                           in zip(map(engine.terms, times), weights, shares)])
-    return (np.sum(grid.x * prob, axis=1) / total,
-            np.sum(grid.p_fft * weights, axis=1), energy, np.sqrt(total * grid.dx))
+        u, k = map(np.array, zip(*map(engine.terms, times)))
+    energy = _rowdot(weights, k) / wsum + _rowdot(prob, u) / total
+    return (_rowdot(prob, grid.x) / total, _rowdot(weights, grid.p_fft) / wsum,
+            energy, np.sqrt(total * grid.dx))
 
 
 def split_op_step(psi: WaveFunction, t: float, dt: complex,
@@ -384,13 +397,13 @@ def _flow(engine, values, dtau, n_steps, known=()):
     """``values`` and ``n_steps`` imaginary-time steps of it, each normalized
     after the ``known`` states are projected out."""
     dx = engine.grid.dx
+    known = [state.values for state in known]
     for m in range(n_steps + 1):
-        if m:
-            values = engine.step(values, 0.0, -1j * dtau)
+        # each yielded array is a fresh one, so projecting in place is safe
+        values = engine.step(values, 0.0, -1j * dtau) if m else values.copy()
         for state in known:
-            overlap = np.sum(np.conj(state.values) * values) * dx
-            values = values - overlap * state.values
-        values = values / np.sqrt(np.sum(np.abs(values) ** 2) * dx)
+            values -= (_rowdot(state, values) * dx) * state
+        values /= np.sqrt(_rowdot(values, values).real * dx)
         yield values
 
 
@@ -421,6 +434,8 @@ def imaginary_time_excited(n_target: int, known_states: Sequence[WaveFunction],
 def _imaginary_time(psi_guess, dtau, spec, tol, max_iter, known):
     if not 0 < dtau < np.inf:
         raise ValueError(f"dtau must be positive and finite, got {dtau!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     grid = psi_guess.grid
     engine = SplitStepEngine(grid, spec)
     # energies come a block of iterations at a time; the first iteration whose
