@@ -54,34 +54,17 @@ class ClassicalEnsemble:
     s: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
+        object.__setattr__(self, "p", np.atleast_1d(np.asarray(self.p, dtype=float)))
         object.__setattr__(self, "weights",
                            np.atleast_1d(np.asarray(self.weights, dtype=float)))
-        self._set_coordinates(self.x, self.p)
+        if not (self.x.shape == self.p.shape == self.weights.shape):
+            raise ValueError("x, p and weights must have equal lengths")
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         total = self.weights.sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total!r}")
-
-    def _set_coordinates(self, x, p):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        if not (x.shape == p.shape == self.weights.shape):
-            raise ValueError("x, p and weights must have equal lengths")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "p", p)
-
-    def _moved(self, x, p, s: float) -> "ClassicalEnsemble":
-        """This ensemble's weights at new (x, p, s).
-
-        The weights object is the one ``__post_init__`` already checked, so
-        only the coordinates are converted and checked against it.
-        """
-        out = object.__new__(ClassicalEnsemble)
-        object.__setattr__(out, "weights", self.weights)
-        object.__setattr__(out, "s", s)
-        out._set_coordinates(x, p)
-        return out
 
 
 def uniform_weights(n: int) -> np.ndarray:
@@ -158,7 +141,8 @@ def propagate_ensemble(ensemble: ClassicalEnsemble, dt: float, n_steps: int,
         raise ValueError("stride must be >= 1")
     steps = _kick_drift_kick(ensemble.x, ensemble.p, ensemble.s, dt, n_steps,
                              spec, stride)
-    return [ensemble, *(ensemble._moved(x, p, s) for x, p, s in steps)]
+    return [ensemble, *(ClassicalEnsemble(x, p, ensemble.weights, s)
+                        for x, p, s in steps)]
 
 
 @dataclass(frozen=True)

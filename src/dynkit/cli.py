@@ -3,9 +3,10 @@
 ``dynkit run <config> --out <dir>`` executes one task and writes CSV series,
 raw little-endian float64 fields with JSON sidecars, and a ``manifest`` file
 listing every output with its checksum.  ``dynkit validate <config>`` prints
-all schema violations without running anything.  Exit codes: 0 success,
-2 schema violation, 3 numerical failure (running out of memory included),
-4 I/O failure.
+all schema violations without running anything; only a config without any is
+then checked against the memory budget, and its over-budget sizes printed.
+Exit codes: 0 success, 2 schema violation (an over-budget size included),
+3 numerical failure (running out of memory included), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -80,23 +81,12 @@ def _block(fields, default=_REQUIRED, **options):
     return _Field("block", default, fields=fields, **options)
 
 
-#: Elements in the largest array a valid config can make a task allocate: the
-#: n x n matrices of eigen and lindblad, the (2n, n) Wigner field, the
-#: n_cell x n_cell cell Hamiltonians and (n_k, n_bands) bands of bands, the
-#: dim x dim matrices of expm-bench, and the length-n grid, n_particles and
-#: n_traj vectors.  2**22 complex128 values take 64 MiB.  It also bounds the
-#: recorded rows of a run times the values each row keeps.
+#: Elements a valid config may make a run keep because of any one of its keys
+#: (the table ``_KEPT``).  2**22 complex128 values take 64 MiB.
 MAX_ARRAY_ELEMENTS = 2 ** 22
 
-#: Columns of every ``trace.csv``; the values a recorded row keeps are these,
-#: a gap sample's tau and ln|<[H, O]>|, or re and im of an MCWF 2 x 2 density.
+#: Columns of every ``trace.csv``.
 _TRACE_COLUMNS = ("t", "x_mean", "p_mean", "energy", "norm")
-_TRACE_ROW, _GAP_ROW, _MCWF_ROW = len(_TRACE_COLUMNS), 2, 8
-
-
-def _side(copies=1):
-    """Largest n whose (copies * n, n) array fits MAX_ARRAY_ELEMENTS."""
-    return math.isqrt(MAX_ARRAY_ELEMENTS // copies)
 
 
 def _grid_rule(grid, path, problems):
@@ -105,42 +95,23 @@ def _grid_rule(grid, path, problems):
 
 
 def _bands_rule(bands, path, problems):
-    n_bands, n_cell, n_k = bands["n_bands"], bands["n_cell"], bands["n_k"]
+    n_bands, n_cell = bands["n_bands"], bands["n_cell"]
     if n_bands is not None and n_cell is not None and n_bands > n_cell:
         problems.append(f"{path}.n_bands: must be <= n_cell")
-    if n_bands is not None and n_k is not None \
-            and n_k * n_bands > MAX_ARRAY_ELEMENTS:
-        problems.append(f"{path}.n_k: n_k * n_bands must be <= "
-                        f"{MAX_ARRAY_ELEMENTS}")
 
 
-def _recorded_rows(span_key, per_row, dt_key=None, minimum=1):
-    """Rule: the run's recorded rows of ``per_row`` values fit the budget.
-
-    The run takes ``span_key`` steps, or ``span_key/dt_key`` steps, which
-    must be a whole number of at least ``minimum``.  It records its start,
-    every ``stride``-th step and the last, and keeps them all until it
-    writes them.
-    """
+def _whole_steps(span_key, dt_key, minimum=1):
+    """Rule: ``span_key / dt_key`` is a whole number of steps, at least ``minimum``."""
     def rule(block, path, problems):
-        steps, stride = block[span_key], block.get("stride", 1)
-        if steps is None or (dt_key and block[dt_key] is None):
+        if block[span_key] is None or block[dt_key] is None:
             return
-        if dt_key:
-            try:
-                steps = step_count(steps, block[dt_key])
-            except (ValueError, OverflowError):
-                steps = -1
-            if steps < minimum:
-                problems.append(f"{path}.{span_key}: must be a whole number of "
-                                f"{dt_key} steps, at least {minimum}")
-                return
-        if stride is None:
-            return
-        rows = 1 + -(-steps // stride)
-        if rows * per_row > MAX_ARRAY_ELEMENTS:
-            problems.append(f"{path}.{span_key}: {rows} recorded rows of "
-                            f"{per_row} values exceed {MAX_ARRAY_ELEMENTS}")
+        try:
+            steps = step_count(block[span_key], block[dt_key])
+        except (ValueError, OverflowError):
+            steps = -1
+        if steps < minimum:
+            problems.append(f"{path}.{span_key}: must be a whole number of "
+                            f"{dt_key} steps, at least {minimum}")
     return rule
 
 
@@ -164,14 +135,9 @@ _KINETIC = _block({"name": _choice(*KINETICS),
                   default={"name": "free"})
 
 
-def _grid(n_max):
-    return _block({"L": _number(above=0.0),
-                   "n": _integer(minimum=4, maximum=n_max),
-                   "hbar": _number(1.0, above=0.0)}, rule=_grid_rule)
-
-
-_GRID = _grid(MAX_ARRAY_ELEMENTS)  # tasks that keep length-n vectors only
-_SQUARE_GRID = _grid(_side())      # tasks that build n x n matrices
+_GRID = _block({"L": _number(above=0.0),
+                "n": _integer(minimum=4),
+                "hbar": _number(1.0, above=0.0)}, rule=_grid_rule)
 _HAMILTONIAN = _block({"potential": _POTENTIAL, "kinetic": _KINETIC})
 _GAUSSIAN = {"x0": _number(0.0), "p0": _number(0.0),
              "sigma": _number(1.0, above=0.0)}
@@ -185,7 +151,7 @@ _TOL = _number(1e-12, above=0.0)
 # its required keys is reported by name.
 _SCHEMA = {
     "eigen": {
-        "grid": _SQUARE_GRID, "hamiltonian": _HAMILTONIAN,
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
         "eigen": _block({
             "n_states": _integer(minimum=1),
             "method": _choice("central", "forward", "backward", "spectral",
@@ -196,7 +162,7 @@ _SCHEMA = {
         "hamiltonian": _HAMILTONIAN,
         "bands": _block({
             "lattice_constant": _POSITIVE,
-            "n_cell": _integer(minimum=2, maximum=_side()),
+            "n_cell": _integer(minimum=2),
             "n_bands": _integer(minimum=1),
             "n_k": _integer(minimum=1),
         }, default={}, rule=_bands_rule),
@@ -212,7 +178,7 @@ _SCHEMA = {
                                                     maximum=0.49),
                                 "power": _number(0.125, above=0.0)},
                                default=None),
-        }, default={}, rule=_recorded_rows("t_max", _TRACE_ROW, "dt")),
+        }, default={}, rule=_whole_steps("t_max", "dt")),
     },
     "imagtime": {
         "grid": _GRID, "hamiltonian": _HAMILTONIAN,
@@ -226,14 +192,13 @@ _SCHEMA = {
             "observable": _choice("x", "x2", default="x"),
             "initial": _block(_GAUSSIAN, default={"p0": 1.0},
                               empty_default=True),
-        }, default={}, rule=_recorded_rows("tau_max", _GAP_ROW, "dtau",
-                                           minimum=8)),
+        }, default={}, rule=_whole_steps("tau_max", "dtau", minimum=8)),
     },
     "classical": {
         "classical": _block({
             "dt": _POSITIVE,
             "n_steps": _integer(minimum=1),
-            "n_particles": _integer(minimum=1, maximum=MAX_ARRAY_ELEMENTS),
+            "n_particles": _integer(minimum=1),
             "seed": _SEED,
             "stride": _STRIDE,
             "cloud": _block({"x0": _number(1.0), "p0": _number(0.0),
@@ -243,10 +208,10 @@ _SCHEMA = {
             "forces": _block(_POTENTIAL_FIELDS, default={"name": "harmonic"}),
             "drive": _block({"amplitude": _number(0.0),
                              "omega": _number(1.0)}, default=None),
-        }, default={}, rule=_recorded_rows("n_steps", _TRACE_ROW)),
+        }, default={}),
     },
     "lindblad": {
-        "grid": _SQUARE_GRID, "hamiltonian": _HAMILTONIAN,
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
         "lindblad": _block({
             "dt": _POSITIVE, "t_max": _POSITIVE,
             "stride": _STRIDE,
@@ -254,25 +219,25 @@ _SCHEMA = {
                                 "strength": _number(0.1)},
                                default={"name": "linear"}),
             "initial": _INITIAL,
-        }, default={}, rule=_recorded_rows("t_max", _TRACE_ROW, "dt")),
+        }, default={}, rule=_whole_steps("t_max", "dt")),
     },
     "mcwf": {
         "mcwf": _block({
             "dt": _POSITIVE, "t_max": _POSITIVE,
-            "n_traj": _integer(minimum=1, maximum=MAX_ARRAY_ELEMENTS),
+            "n_traj": _integer(minimum=1),
             "seed": _SEED,
             "stride": _STRIDE,
             "decay_rate": _number(1.0, minimum=0.0),
             "rabi": _number(0.0),
-        }, default={}, rule=_recorded_rows("t_max", _MCWF_ROW, "dt")),
+        }, default={}, rule=_whole_steps("t_max", "dt")),
     },
     "wigner": {
-        "grid": _grid(_side(2)), "hamiltonian": _HAMILTONIAN,
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
         "wigner": _block({"initial": _INITIAL}, default={}),
     },
     "expm-bench": {
         "expm_bench": _block({
-            "dim": _integer(minimum=2, maximum=_side()),
+            "dim": _integer(minimum=2),
             "norms": _Field("numbers", above=0.0),
             "seed": _SEED,
             "tol": _TOL,
@@ -280,6 +245,46 @@ _SCHEMA = {
     },
 }
 TASKS = tuple(_SCHEMA)
+
+
+def _series(cfg, name, span_key, width, dt_key=None):
+    """(key, elements) of the rows a run records and keeps until it writes them.
+
+    A run of ``span_key`` steps, or ``span_key / dt_key`` steps, records its
+    start, every ``stride``-th step and the last; each row keeps ``width`` values.
+    """
+    block = cfg[name]
+    steps = step_count(block[span_key], block[dt_key]) if dt_key else block[span_key]
+    return f"{name}.{span_key}", width * (1 + -(-steps // block.get("stride", 1)))
+
+
+# task -> [(config key, elements the run keeps because of it)], read from a
+# config that is otherwise valid: the n x n matrices of eigen, lindblad, bands
+# cells and expm-bench, the (2n, n) Wigner field, the length-n grids, the
+# imagtime states and the particle and trajectory vectors.  A recorded row
+# keeps the 5 values of a trace.csv row, a gap sample's tau and ln|<[H, O]>|,
+# or re and im of an MCWF 2 x 2 density.
+_KEPT = {
+    "eigen": lambda c: [("grid.n", c["grid"]["n"] ** 2)],
+    "bands": lambda c: [("bands.n_cell", c["bands"]["n_cell"] ** 2),
+                        ("bands.n_k", c["bands"]["n_k"] * c["bands"]["n_bands"])],
+    "propagate": lambda c: [("grid.n", c["grid"]["n"]),
+                            _series(c, "propagate", "t_max", 5, "dt")],
+    "imagtime": lambda c: [
+        ("grid.n", c["grid"]["n"]),
+        ("imagtime.n_states", c["imagtime"]["n_states"] * c["grid"]["n"])],
+    "gap": lambda c: [("grid.n", c["grid"]["n"]),
+                      _series(c, "gap", "tau_max", 2, "dtau")],
+    "classical": lambda c: [
+        ("classical.n_particles", c["classical"]["n_particles"]),
+        _series(c, "classical", "n_steps", 5)],
+    "lindblad": lambda c: [("grid.n", c["grid"]["n"] ** 2),
+                           _series(c, "lindblad", "t_max", 5, "dt")],
+    "mcwf": lambda c: [("mcwf.n_traj", c["mcwf"]["n_traj"]),
+                       _series(c, "mcwf", "t_max", 8, "dt")],
+    "wigner": lambda c: [("grid.n", 2 * c["grid"]["n"] ** 2)],
+    "expm-bench": lambda c: [("expm_bench.dim", c["expm_bench"]["dim"] ** 2)],
+}
 
 
 def _problem(field, value):
@@ -370,11 +375,19 @@ def _walk(cfg):
         else:
             resolved[name] = _resolve(field, cfg.get(name, _ABSENT), name,
                                       problems)
+    if not problems:  # sizes are read only from an otherwise valid config
+        problems = [f"{key}: keeps {count} elements, over MAX_ARRAY_ELEMENTS = "
+                    f"{MAX_ARRAY_ELEMENTS}" for key, count in _KEPT[task](resolved)
+                    if count > MAX_ARRAY_ELEMENTS]
     return problems, None if problems else resolved
 
 
 def validate_config(cfg) -> list[str]:
-    """Return all schema diagnostics for a parsed config; empty means valid."""
+    """Return the diagnostics of a parsed config; empty means valid.
+
+    These are all its schema violations or, when it has none, every key whose
+    size makes the run keep more than ``MAX_ARRAY_ELEMENTS`` elements.
+    """
     return _walk(cfg)[0]
 
 

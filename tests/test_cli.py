@@ -466,33 +466,35 @@ def test_validate_config_total_on_mutated_shipped_configs():
 
 
 # ---------------------------------------------------------------------------
-# memory budget: sizes whose largest array exceeds MAX_ARRAY_ELEMENTS are
-# refused at validation, without allocating anything
+# memory budget: sizes that make a run keep more than MAX_ARRAY_ELEMENTS
+# elements are refused at validation, without allocating anything
 # ---------------------------------------------------------------------------
 
 
 HUGE = 4_000_000_000_000
+OVER = " elements, over MAX_ARRAY_ELEMENTS = 4194304"
 
 OVER_BUDGET = {
     "eigen_n": (("eigen_oscillator.json", "grid", "n", HUGE),
-                "grid.n: must be <= 2048"),
+                "grid.n: keeps 16000000000000000000000000" + OVER),
     "lindblad_n": (("lindblad_dephasing.json", "grid", "n", 2052),
-                   "grid.n: must be <= 2048"),
+                   "grid.n: keeps 4210704" + OVER),
     "wigner_n": (("wigner_ground.json", "grid", "n", 1452),
-                 "grid.n: must be <= 1448"),
+                 "grid.n: keeps 4216608" + OVER),
     "propagate_n": (("propagate_coherent.json", "grid", "n", 2 ** 22 + 4),
-                    "grid.n: must be <= 4194304"),
+                    "grid.n: keeps 4194308" + OVER),
     "bands_n_cell": (("bands_cosine.json", "bands", "n_cell", 2049),
-                     "bands.n_cell: must be <= 2048"),
+                     "bands.n_cell: keeps 4198401" + OVER),
     "bands_n_k": (("bands_cosine.json", "bands", "n_k", HUGE),
-                  "bands.n_k: n_k * n_bands must be <= 4194304"),
+                  "bands.n_k: keeps 12000000000000" + OVER),
     "expm_dim": (("expm_bench.json", "expm_bench", "dim", 2049),
-                 "expm_bench.dim: must be <= 2048"),
+                 "expm_bench.dim: keeps 4198401" + OVER),
     "classical_n_particles": (("classical_driven.json", "classical",
                                "n_particles", HUGE),
-                              "classical.n_particles: must be <= 4194304"),
+                              "classical.n_particles: keeps 4000000000000"
+                              + OVER),
     "mcwf_n_traj": (("mcwf_decay.json", "mcwf", "n_traj", HUGE),
-                    "mcwf.n_traj: must be <= 4194304"),
+                    "mcwf.n_traj: keeps 4000000000000" + OVER),
 }
 
 
@@ -515,6 +517,34 @@ def test_budget_edges_stay_valid():
                      ("classical_driven.json", "classical", "n_particles",
                       2 ** 22)]:
         assert validate_config(_shipped_with(*mutation)) == []
+
+
+def test_imagtime_budget_counts_every_kept_state(tmp_path, capsys):
+    # the runner keeps every converged state: 1000 states of 2**22 points
+    # would take 64 GiB
+    cfg = _shipped_with("imagtime_ladder.json", "grid", "n", 2 ** 22)
+    cfg["imagtime"]["n_states"] = 1000
+    assert validate(write_config(tmp_path, cfg)) == 2
+    assert capsys.readouterr().out == (
+        "imagtime.n_states: keeps 4194304000" + OVER + "\n")
+    # n_states * n == 2**22 fits; one more state does not
+    cfg["grid"]["n"], cfg["imagtime"]["n_states"] = 2 ** 12, 2 ** 10
+    assert validate(write_config(tmp_path, cfg)) == 0
+    assert capsys.readouterr().out == "ok\n"
+    cfg["imagtime"]["n_states"] += 1
+    assert validate(write_config(tmp_path, cfg)) == 2
+    assert capsys.readouterr().out == (
+        "imagtime.n_states: keeps 4198400" + OVER + "\n")
+
+
+def test_sizes_are_checked_only_once_the_schema_holds(tmp_path, capsys):
+    cfg = _shipped_with("lindblad_dephasing.json", "grid", "n", 4096)
+    cfg["lindblad"]["dt"] = -1
+    assert validate(write_config(tmp_path, cfg)) == 2
+    assert capsys.readouterr().out == "lindblad.dt: must be > 0.0\n"
+    cfg["lindblad"]["dt"] = 0.01
+    assert validate(write_config(tmp_path, cfg)) == 2
+    assert capsys.readouterr().out == "grid.n: keeps 16777216" + OVER + "\n"
 
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -594,18 +624,15 @@ def test_mutated_shipped_configs_exit_0_2_3_or_4(tmp_path, capsys):
 
 OVER_LONG = {
     "propagate": (("propagate_coherent.json", "propagate", "dt", 1e-8),
-                  "propagate.t_max: 20000001 recorded rows of 5 values "
-                  "exceed 4194304"),
+                  "propagate.t_max: keeps 100000005" + OVER),
     "gap": (("gap_oscillator.json", "gap", "dtau", 1e-8),
-            "gap.tau_max: 800000001 recorded rows of 2 values exceed 4194304"),
+            "gap.tau_max: keeps 1600000002" + OVER),
     "lindblad": (("lindblad_dephasing.json", "lindblad", "dt", 1e-8),
-                 "lindblad.t_max: 10000001 recorded rows of 5 values "
-                 "exceed 4194304"),
+                 "lindblad.t_max: keeps 50000005" + OVER),
     "mcwf": (("mcwf_decay.json", "mcwf", "dt", 1e-8),
-             "mcwf.t_max: 20000001 recorded rows of 8 values exceed 4194304"),
+             "mcwf.t_max: keeps 160000008" + OVER),
     "classical": (("classical_driven.json", "classical", "n_steps", 10 ** 9),
-                  "classical.n_steps: 100000001 recorded rows of 5 values "
-                  "exceed 4194304"),
+                  "classical.n_steps: keeps 500000005" + OVER),
 }
 
 
