@@ -7,6 +7,8 @@ all schema violations without running anything; only a config without any is
 then checked against the memory budget, and its over-budget sizes printed.
 Exit codes: 0 success, 2 schema violation (an over-budget size included),
 3 numerical failure (running out of memory included), 4 I/O failure.
+``run`` sizes numpy's BLAS pools from ``--threads`` (default 1) before numpy
+loads, so its outputs do not depend on the host's core count.
 """
 
 from __future__ import annotations
@@ -98,6 +100,19 @@ def _bands_rule(bands, path, problems):
     n_bands, n_cell = bands["n_bands"], bands["n_cell"]
     if n_bands is not None and n_cell is not None and n_bands > n_cell:
         problems.append(f"{path}.n_bands: must be <= n_cell")
+
+
+def _fd_kinetic_rule(cfg, problems):
+    """A finite-difference ``eigen`` method needs the free kinetic.
+
+    The stencils discretize -hbar^2/(2m) d^2/dx^2 only, so they would solve
+    p^2/2m whatever other kinetic the config names.
+    """
+    method = (cfg.get("eigen") or {}).get("method")
+    kinetic = (cfg.get("hamiltonian") or {}).get("kinetic") or {}
+    if method in ("central", "forward", "backward") and kinetic.get("name") == "poly":
+        problems.append(f"hamiltonian.kinetic.name: must be 'free' for eigen.method "
+                        f"{method!r}; the stencils discretize p^2/2m only")
 
 
 def _whole_steps(span_key, dt_key, minimum=1):
@@ -375,6 +390,8 @@ def _walk(cfg):
         else:
             resolved[name] = _resolve(field, cfg.get(name, _ABSENT), name,
                                       problems)
+    if task == "eigen":
+        _fd_kinetic_rule(resolved, problems)
     if not problems:  # sizes are read only from an otherwise valid config
         problems = [f"{key}: keeps {count} elements, over MAX_ARRAY_ELEMENTS = "
                     f"{MAX_ARRAY_ELEMENTS}" for key, count in _KEPT[task](resolved)
@@ -559,10 +576,10 @@ def _run_eigen(cfg, sink):
     else:
         u, _ = potential_from_config(cfg["hamiltonian"]["potential"])
         h = st.build_fd_hamiltonian(grid, u, method, mass=spec.mass)
-        if method == "central":
-            energies = st.eigenvalues(h)
-        else:
-            energies = np.sort(np.linalg.eigvals(h).real)
+        # the forward and backward stencils are triangular: their eigenvalues
+        # are the diagonal
+        energies = (st.eigenvalues(h) if method == "central"
+                    else np.sort(np.diag(h).real))
     n_states = min(block["n_states"], grid.n)
     sink.csv("energies.csv", ("index", "E"),
              [(i, energies[i]) for i in range(n_states)])
@@ -796,8 +813,26 @@ def _load(config_path, stream, prefix):
     return 0, cfg, resolved
 
 
-def run(config_path: str, out_dir: str, threads: int = 1) -> int:
-    """Execute one config; returns a process exit code."""
+def _pin_blas_threads(threads):
+    """Set numpy's BLAS and OpenMP pools to ``threads``; returns the pin, or None.
+
+    The pools read their size once, when numpy loads, so the pin is set only
+    while numpy is not loaded yet, and then it overrides the environment.
+    Once numpy is loaded, ``os.environ`` is left alone and None returned.
+    """
+    if "numpy" in sys.modules:
+        return None
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[key] = str(threads)
+    return threads
+
+
+def run(config_path: str, out_dir: str, threads: int | None = None) -> int:
+    """Execute one config; returns a process exit code.
+
+    ``threads`` is the BLAS thread pin in effect, recorded in the manifest;
+    None (null) means the run has whatever threading numpy's BLAS has.
+    """
     code, cfg, resolved = _load(config_path, sys.stderr, "schema error: ")
     if code:
         return code
@@ -863,7 +898,9 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="upper bound on worker threads")
+                       help="BLAS and OpenMP threads, set before numpy loads; "
+                            "overrides OPENBLAS_NUM_THREADS, OMP_NUM_THREADS "
+                            "and MKL_NUM_THREADS")
     p_val = sub.add_parser("validate", help="check a config without running")
     p_val.add_argument("config")
     args = parser.parse_args(argv)
@@ -871,7 +908,8 @@ def main(argv=None) -> int:
         if args.threads < 1:
             print("error: --threads must be >= 1", file=sys.stderr)
             return 2
-        return run(args.config, args.out, threads=args.threads)
+        return run(args.config, args.out,
+                   threads=_pin_blas_threads(args.threads))
     return validate(args.config)
 
 

@@ -5,6 +5,8 @@ a truncated Taylor series for the exponential (O(||A||) multiplications),
 and a diagonal Pade approximant with scaling and squaring
 (O(log ||A||) multiplications).  The exponential routines report their
 matrix-multiplication counts so the complexity separation can be measured.
+``_hermitian_solve`` is the package's one dense eigensolve; the spectra of
+``stationary`` and ``open_systems`` go through its checks too.
 """
 
 from __future__ import annotations
@@ -43,26 +45,38 @@ def _check_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _require_hermitian(a: np.ndarray, tol: float = 1e-12) -> None:
-    scale = max(1.0, np.max(np.abs(a)))
-    dev = np.max(np.abs(a - a.conj().T))
-    if dev > tol * scale:
-        raise HermiticityError(f"matrix is not hermitian: max |A - A^H| = {dev:.3e}")
+def _finite_norm(a: np.ndarray) -> float:
+    """||A||_1 of a square A; ValueError if it is NaN or inf, as any NaN or inf entry makes it."""
+    norm = np.linalg.norm(a, 1)
+    if not norm < np.inf:
+        raise ValueError(f"matrix must be finite, got 1-norm {norm}")
+    return norm
+
+
+def _hermitian_solve(h: np.ndarray, vectors: bool, tol: float):
+    """Eigenvalues, and with ``vectors`` the eigenvectors, of a dense hermitian ``h``.
+
+    The one dense eigensolve of the package.  ``h`` must be finite and
+    hermitian to ``tol`` times max(1, max|h|); eigensolver non-convergence is
+    raised, never silently approximated.  Eigenvalues ascend.
+    """
+    h = np.asarray(h, dtype=complex)
+    scale = np.max(np.abs(h), initial=1.0)  # NaN or inf for a non-finite h
+    if not (scale < np.inf and np.max(np.abs(h - h.conj().T)) <= tol * scale):
+        raise HermiticityError("eigensolve requires a finite hermitian matrix")
+    try:
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
 
 def func_of_hermitian(a: np.ndarray, f: Callable) -> np.ndarray:
     """f(A) = U diag(f(lambda_1), ...) U^H from the eigendecomposition of hermitian A.
 
     Eigenvalues are taken in ascending order; the result is hermitian whenever
-    f is real-valued on the spectrum.  Eigensolver non-convergence is raised,
-    never silently approximated.
+    f is real-valued on the spectrum.
     """
-    a = _check_square(a)
-    _require_hermitian(a)
-    try:
-        w, u = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    w, u = _hermitian_solve(_check_square(a), vectors=True, tol=1e-12)
     fw = np.asarray(f(w), dtype=complex)
     return (u * fw) @ u.conj().T
 
@@ -78,7 +92,7 @@ def expm_taylor(a: np.ndarray, tol: float = 1e-14) -> ExpmReport:
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = a.shape[0]
-    norm = np.linalg.norm(a, 1)
+    norm = _finite_norm(a)
     result = np.eye(n, dtype=complex)
     if norm <= tol:
         return ExpmReport(result, 0, 0)
@@ -143,7 +157,7 @@ def expm_pade(a: np.ndarray) -> ExpmReport:
     multiplications.
     """
     a = _check_square(a)
-    norm = np.linalg.norm(a, 1)
+    norm = _finite_norm(a)
     if norm == 0.0:
         return ExpmReport(np.eye(a.shape[0], dtype=complex), 0, 0)
     k = 0

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateJumpError, HermiticityError
 from .grids import UniformGrid, _alt_signs
-from .matfunc import expm_pade, func_of_hermitian
+from .matfunc import _hermitian_solve, expm_pade, func_of_hermitian
 from .stationary import HamiltonianSpec
 from .steps import require_step, step_count
 from .tdse import SplitStepEngine, WaveFunction, _spreads
@@ -58,7 +58,7 @@ class DensityMatrix:
 
     def min_eigenvalue(self) -> float:
         sym = (self.values + self.values.conj().T) / 2
-        w = np.linalg.eigvalsh(sym)
+        w = _hermitian_solve(sym, vectors=False, tol=1e-12)
         return float(w[0] * (self.grid.dx if self.grid is not None else 1.0))
 
     def validate(self, tol: float = 1e-10) -> None:

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, HermiticityError
 from .grids import UniformGrid, _alt_signs, fft_bridge, ifft_bridge
+from .matfunc import _hermitian_solve
 from .steps import step_count
 
 FD_SCHEMES = ("forward", "backward", "central")
@@ -112,21 +112,9 @@ def build_spectral_hamiltonian(grid: UniformGrid, spec: HamiltonianSpec,
     return m
 
 
-def _hermitian_solve(solver, h):
-    """``solver(h)`` for a finite complex ``h`` hermitian to 1e-10 of its largest entry."""
-    h = np.asarray(h, dtype=complex)
-    scale = np.max(np.abs(h), initial=1.0)  # NaN or inf for a non-finite h
-    if not (scale < np.inf and np.max(np.abs(h - h.conj().T)) <= 1e-10 * scale):
-        raise HermiticityError("eigensolve requires a hermitian matrix")
-    try:
-        return solver(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-
-
 def eigensolve(h: np.ndarray, dx: float = 1.0) -> SpectrumResult:
     """Full spectrum of a hermitian matrix, ascending, dx-weighted orthonormal vectors."""
-    energies, states = _hermitian_solve(np.linalg.eigh, h)
+    energies, states = _hermitian_solve(h, vectors=True, tol=1e-10)
     return SpectrumResult(energies=energies, states=states / np.sqrt(dx))
 
 
@@ -135,7 +123,7 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
 
     The energies of ``eigensolve`` to rounding, at a fraction of its cost.
     """
-    return _hermitian_solve(np.linalg.eigvalsh, h)
+    return _hermitian_solve(h, vectors=False, tol=1e-10)
 
 
 def band_structure(cell_spec: HamiltonianSpec, lattice_constant: float,
@@ -168,8 +156,7 @@ def band_structure(cell_spec: HamiltonianSpec, lattice_constant: float,
         kdiag = np.asarray(cell_spec.kinetic(0.0, p + hbar * k), dtype=float)
         h = np.fft.ifft(kdiag[:, None] * fw, axis=0)
         h[np.arange(n), np.arange(n)] += u
-        energies = np.linalg.eigvalsh(h)
-        bands[i, :] = energies[:n_bands]
+        bands[i, :] = _hermitian_solve(h, vectors=False, tol=1e-10)[:n_bands]
     return bands
 
 

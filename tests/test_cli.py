@@ -1,12 +1,15 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from dynkit.cli import _OutputSink, main, run, validate, validate_config
+from dynkit.cli import (_OutputSink, _pin_blas_threads, main, run, validate,
+                        validate_config)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -825,3 +828,77 @@ def test_every_shipped_manifest_matches_the_files_on_disk(tmp_path, name):
         data = (out / entry["name"]).read_bytes()
         assert entry["bytes"] == len(data)
         assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("method", ["forward", "backward"])
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_triangular_stencil_energies_equal_the_general_eigensolve(tmp_path, method, n):
+    from dynkit.cli import _grid_from_config, _walk, potential_from_config
+    from dynkit.stationary import build_fd_hamiltonian
+
+    cfg = minimal_eigen_config()
+    cfg["grid"]["n"] = n
+    cfg["hamiltonian"]["potential"] = {"name": "softcore", "depth": 2.0}
+    cfg["eigen"] = {"method": method, "n_states": n}
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, cfg), str(out)) == 0
+    _, rows = read_csv(out / "energies.csv")
+    resolved = _walk(cfg)[1]
+    u, _ = potential_from_config(resolved["hamiltonian"]["potential"])
+    h = build_fd_hamiltonian(_grid_from_config(resolved["grid"]), u, method)
+    reference = np.sort(np.linalg.eigvals(h).real)
+    assert rows[:, 1].tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("method", ["central", "forward", "backward"])
+def test_finite_differences_refuse_a_poly_kinetic(tmp_path, capsys, method):
+    cfg = minimal_eigen_config()
+    cfg["eigen"]["method"] = method
+    cfg["hamiltonian"]["kinetic"] = {"name": "poly", "coeffs": [0, 0, 2]}
+    cfg["grid"]["n"] = 30  # reported alongside the other schema problems
+    assert validate(write_config(tmp_path, cfg)) == 2
+    out = capsys.readouterr().out
+    assert "grid.n: must be divisible by 4" in out
+    assert f"hamiltonian.kinetic.name: must be 'free' for eigen.method '{method}'" in out
+    cfg["grid"]["n"] = 32
+    cfg["eigen"]["method"] = "spectral"
+    assert validate(write_config(tmp_path, cfg)) == 0
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_blas_pin_is_set_only_before_numpy_loads(monkeypatch):
+    for key in BLAS_THREAD_VARS:
+        monkeypatch.setenv(key, "7")
+    assert _pin_blas_threads(4096) is None  # numpy is loaded in this process
+    assert all(os.environ[key] == "7" for key in BLAS_THREAD_VARS)
+    # hidden only while the pin runs, which imports nothing
+    monkeypatch.delitem(sys.modules, "numpy")
+    assert _pin_blas_threads(4096) == 4096
+    assert all(os.environ[key] == "4096" for key in BLAS_THREAD_VARS)
+
+
+def test_in_process_run_records_no_pin(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, minimal_eigen_config()),
+                 "--out", str(out), "--threads", "4096"]) == 0
+    assert json.loads((out / "manifest").read_text())["threads"] is None
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+
+
+def test_eigen_bytes_do_not_depend_on_the_environment_thread_count(tmp_path):
+    # two OpenBLAS threads change the last bits of eigvalsh at n = 512
+    cfg = _workload_configs("density", 1, tmp_path)["eigen_spectral_n512"]
+    path = write_config(tmp_path, cfg)
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-m", "dynkit.cli", "run", path,
+                        "--out", str(out)], env=env, check=True)
+        assert json.loads((out / "manifest").read_text())["threads"] == 1
+        outputs[threads] = _data_checksums(out)
+    assert outputs["1"] == outputs["2"]

@@ -63,6 +63,15 @@ class TestExpmTaylor:
             expm_taylor(np.array([[800.0]]), tol=1e-14)
 
 
+@pytest.mark.parametrize("expm", [expm_pade, expm_taylor])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])
+def test_expm_refuses_non_finite_matrices(expm, bad):
+    a = np.zeros((3, 3), dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        expm(a)
+
+
 class TestExpmPade:
     def test_zero_matrix(self):
         rep = expm_pade(np.zeros((4, 4)))

@@ -3,6 +3,8 @@ import pytest
 
 from dynkit.errors import HermiticityError
 from dynkit.grids import make_grid
+from dynkit.matfunc import func_of_hermitian
+from dynkit.open_systems import gibbs_density
 from dynkit.stationary import (
     HamiltonianSpec,
     band_structure,
@@ -270,9 +272,20 @@ class TestSpectrumViaPropagation:
         assert abs(ratio - 0.8 / 0.2) < 0.2
 
 
+def _bands_of(h):
+    """band_structure on a len(h)-point cell whose potential is h's column sums."""
+    spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
+                           potential=lambda t, x: h.sum(axis=0))
+    return band_structure(spec, 1.0, len(h), [0.0], 2)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [(1, 2), (2, 2)], ids=("pair", "diagonal"))
-@pytest.mark.parametrize("solver", [eigensolve, eigenvalues])
+@pytest.mark.parametrize("solver", [
+    eigensolve, eigenvalues, lambda h: func_of_hermitian(h, np.exp), _bands_of,
+    lambda h: gibbs_density(h, 1.0),
+], ids=("eigensolve", "eigenvalues", "func_of_hermitian", "band_structure",
+        "gibbs_density"))
 def test_eigensolvers_refuse_non_finite_entries(solver, where, bad):
     h = np.eye(4)
     h[where] = h[where[::-1]] = bad
