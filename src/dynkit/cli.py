@@ -908,6 +908,12 @@ def main(argv=None) -> int:
         if args.threads < 1:
             print("error: --threads must be >= 1", file=sys.stderr)
             return 2
+        # bounded only where the pin takes effect: see _pin_blas_threads
+        cpus = os.cpu_count() or 1
+        if args.threads > cpus and "numpy" not in sys.modules:
+            print(f"error: --threads must be <= {cpus}, the number of CPUs",
+                  file=sys.stderr)
+            return 2
         return run(args.config, args.out,
                    threads=_pin_blas_threads(args.threads))
     return validate(args.config)

@@ -57,6 +57,8 @@ class DensityMatrix:
         return float(np.max(np.abs(self.values - self.values.conj().T)))
 
     def min_eigenvalue(self) -> float:
+        if not np.isfinite(self.values).all():
+            raise HermiticityError("min_eigenvalue requires a finite hermitian matrix")
         sym = (self.values + self.values.conj().T) / 2
         w = _hermitian_solve(sym, vectors=False, tol=1e-12)
         return float(w[0] * (self.grid.dx if self.grid is not None else 1.0))

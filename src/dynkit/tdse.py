@@ -183,6 +183,10 @@ class SplitStepEngine:
     def __init__(self, grid: UniformGrid, spec: HamiltonianSpec,
                  mask: np.ndarray | None = None):
         grid.require_fft_bridge()
+        # numpy's pocketfft gufuncs, bound here so that importing dynkit.tdse
+        # loads no numpy.fft
+        from numpy.fft import _pocketfft_umath
+        self._fft, self._ifft = _pocketfft_umath.fft, _pocketfft_umath.ifft
         self.grid, self.spec = grid, spec
         self.signs = _alt_signs(grid.n)
         self.mask = None if mask is None else _checked_mask(mask, grid.n)
@@ -223,14 +227,21 @@ class SplitStepEngine:
             raise ValueError("order must be 2 or 4")
         return self._step_phases(t0, dt, order)
 
-    @staticmethod
-    def _substeps(cur: _StepPhases, w: np.ndarray) -> np.ndarray:
-        """Amplitudes one step after ``w``, which carries ``cur.lead``, before ``cur.out``."""
-        fft, ifft = np.fft.fft, np.fft.ifft
-        y = ifft(cur.kins[0] * fft(w))
-        for kick, kin in zip(cur.inner, cur.kins[1:]):
-            y = ifft(kin * fft(kick * y))
-        return y
+    def _substeps(self, cur: _StepPhases, w: np.ndarray) -> np.ndarray:
+        """Step ``w``, which carries ``cur.lead``, in place to one step later, before ``cur.out``.
+
+        The gufuncs are the calls and the normalization of ``np.fft.fft`` and
+        ``np.fft.ifft`` without their Python wrapper, which costs about as
+        much as the transform itself at n = 256.
+        """
+        fft, ifft, inv_n = self._fft, self._ifft, 1.0 / self.grid.n
+        for kick, kin in zip([None, *cur.inner], cur.kins):
+            if kick is not None:
+                np.multiply(kick, w, out=w)
+            fft(w, 1.0, out=w)
+            np.multiply(kin, w, out=w)
+            ifft(w, inv_n, out=w)
+        return w
 
     def run(self, values: np.ndarray, t0: float, dt: complex, n_steps: int,
             order: int = 2, stride: int = 1) -> Iterator[tuple[int, np.ndarray]]:
@@ -245,14 +256,15 @@ class SplitStepEngine:
         w = cur.lead * values
         across = None
         for m in range(1, n_steps + 1):
-            y = self._substeps(cur, w)
+            self._substeps(cur, w)
             if m % stride == 0 or m == n_steps:
-                yield m, cur.out * y
+                yield m, cur.out * w
             if m < n_steps:
                 nxt = self._step_phases(t0 + m * dt, dt, order)
                 if across is None or nxt is not cur:
                     across = cur.tail * nxt.head
-                w, cur = across * y, nxt
+                np.multiply(across, w, out=w)
+                cur = nxt
 
     def step(self, values: np.ndarray, t: float, dt: complex,
              order: int = 2) -> np.ndarray:
@@ -261,7 +273,8 @@ class SplitStepEngine:
         The first step of ``run``, bit for bit, without a generator.
         """
         cur = self._checked_phases(t, dt, order)
-        return cur.out * self._substeps(cur, cur.lead * values)
+        w = self._substeps(cur, cur.lead * values)
+        return np.multiply(cur.out, w, out=w)
 
     def energy(self, values: np.ndarray, t: float = 0.0) -> float:
         """<K(t,p)> + <U(t,x)>, the energy ``_observables`` gives a one-row block."""

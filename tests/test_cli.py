@@ -902,3 +902,25 @@ def test_eigen_bytes_do_not_depend_on_the_environment_thread_count(tmp_path):
         assert json.loads((out / "manifest").read_text())["threads"] == 1
         outputs[threads] = _data_checksums(out)
     assert outputs["1"] == outputs["2"]
+
+
+def test_threads_above_the_cpu_count_are_refused_before_numpy_loads(
+        tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, minimal_eigen_config())
+    for key in BLAS_THREAD_VARS:
+        monkeypatch.setenv(key, "7")
+    started = []
+    # no run, pool or second numpy import is started, whatever main decides
+    monkeypatch.setattr("dynkit.cli.run",
+                        lambda config, out, threads: started.append(threads) or 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # hidden as in a fresh `dynkit run` process; the check imports nothing
+    monkeypatch.delitem(sys.modules, "numpy")
+    for threads in ("3", "99999"):
+        assert main(["run", path, "--out", str(tmp_path / "o"),
+                     "--threads", threads]) == 2
+        assert "--threads must be <= 2, the number of CPUs" in capsys.readouterr().err
+    assert started == [] and "numpy" not in sys.modules
+    assert all(os.environ[key] == "7" for key in BLAS_THREAD_VARS)
+    assert main(["run", path, "--out", str(tmp_path / "o"), "--threads", "2"]) == 0
+    assert started == [2]

@@ -4,7 +4,7 @@ import pytest
 from dynkit.errors import HermiticityError
 from dynkit.grids import make_grid
 from dynkit.matfunc import func_of_hermitian
-from dynkit.open_systems import gibbs_density
+from dynkit.open_systems import DensityMatrix, gibbs_density
 from dynkit.stationary import (
     HamiltonianSpec,
     band_structure,
@@ -279,13 +279,18 @@ def _bands_of(h):
     return band_structure(spec, 1.0, len(h), [0.0], 2)
 
 
+def _min_eigenvalue_of(h):
+    return DensityMatrix(np.asarray(h, dtype=complex)).min_eigenvalue()
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [(1, 2), (2, 2)], ids=("pair", "diagonal"))
 @pytest.mark.parametrize("solver", [
     eigensolve, eigenvalues, lambda h: func_of_hermitian(h, np.exp), _bands_of,
-    lambda h: gibbs_density(h, 1.0),
+    lambda h: gibbs_density(h, 1.0), _min_eigenvalue_of,
 ], ids=("eigensolve", "eigenvalues", "func_of_hermitian", "band_structure",
-        "gibbs_density"))
+        "gibbs_density", "min_eigenvalue"))
 def test_eigensolvers_refuse_non_finite_entries(solver, where, bad):
     h = np.eye(4)
     h[where] = h[where[::-1]] = bad
@@ -293,7 +298,8 @@ def test_eigensolvers_refuse_non_finite_entries(solver, where, bad):
         solver(h)
 
 
-@pytest.mark.parametrize("solver", [eigensolve, eigenvalues])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solver", [eigensolve, eigenvalues, _min_eigenvalue_of])
 def test_eigensolvers_refuse_one_sided_inf(solver):
     h = np.eye(4)
     h[0, 3] = np.inf
