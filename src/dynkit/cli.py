@@ -579,7 +579,7 @@ def _run_eigen(cfg, sink):
         # the forward and backward stencils are triangular: their eigenvalues
         # are the diagonal
         energies = (st.eigenvalues(h) if method == "central"
-                    else np.sort(np.diag(h).real))
+                    else np.sort(np.diag(h)))
     n_states = min(block["n_states"], grid.n)
     sink.csv("energies.csv", ("index", "E"),
              [(i, energies[i]) for i in range(n_states)])
@@ -715,10 +715,16 @@ def _run_lindblad(cfg, sink):
 
     record(0, rho)
     g = osys.coupling_factor(grid, coupling, dt)
-    for m, values in osys.run_density(engine, rho.values, 0.0, dt, n_steps, g,
-                                      block["stride"]):
+    states = osys.run_density(engine, rho.values, 0.0, dt, n_steps, g, block["stride"])
+    # drop each n x n array once spent: the initial state after the first
+    # step has read it, each recorded state but the last, and g at the end
+    del rho
+    for m, values in states:
         rho = osys.DensityMatrix(values, grid)
         record(m, rho)
+        if m < n_steps:
+            del rho, values
+    del g
     sink.csv("trace.csv", _TRACE_COLUMNS, rows)
     stacked = np.stack([rho.values.real, rho.values.imag])
     sink.field("field_rho", stacked,

@@ -53,16 +53,37 @@ def _finite_norm(a: np.ndarray) -> float:
     return norm
 
 
+#: Elements per row block of ``_hermiticity_defect``.
+_DEFECT_BLOCK = 2 ** 16
+
+
+def _hermiticity_defect(h: np.ndarray) -> float:
+    """max |h - h^H| of a square ``h``, NaN if any difference is NaN.
+
+    Taken over blocks of rows, so no n x n temporary is made; each block
+    difference is the whole-matrix one's rows, so the max is the same bits.
+    """
+    n = h.shape[0]
+    rows = max(1, _DEFECT_BLOCK // max(n, 1))
+    # np.max, not max(): the block maxima keep a NaN
+    return float(np.max([np.max(np.abs(h[i:i + rows] - h[:, i:i + rows].conj().T))
+                         for i in range(0, n, rows)]))
+
+
 def _hermitian_solve(h: np.ndarray, vectors: bool, tol: float):
     """Eigenvalues, and with ``vectors`` the eigenvectors, of a dense hermitian ``h``.
 
     The one dense eigensolve of the package.  ``h`` must be finite and
     hermitian to ``tol`` times max(1, max|h|); eigensolver non-convergence is
-    raised, never silently approximated.  Eigenvalues ascend.
+    raised, never silently approximated.  Eigenvalues ascend.  A real ``h``
+    goes to LAPACK's real symmetric driver, a complex one to the hermitian
+    driver; numpy picks it from the dtype, which is raised to double
+    precision at least.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
+    h = h.astype(np.result_type(h.dtype, np.float64), copy=False)
     scale = np.max(np.abs(h), initial=1.0)  # NaN or inf for a non-finite h
-    if not (scale < np.inf and np.max(np.abs(h - h.conj().T)) <= tol * scale):
+    if not (scale < np.inf and _hermiticity_defect(h) <= tol * scale):
         raise HermiticityError("eigensolve requires a finite hermitian matrix")
     try:
         return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DegenerateJumpError, HermiticityError
 from .grids import UniformGrid, _alt_signs
-from .matfunc import _hermitian_solve, expm_pade, func_of_hermitian
+from .matfunc import (_hermitian_solve, _hermiticity_defect, expm_pade,
+                      func_of_hermitian)
 from .stationary import HamiltonianSpec
 from .steps import require_step, step_count
 from .tdse import SplitStepEngine, WaveFunction, _spreads
@@ -54,7 +55,7 @@ class DensityMatrix:
         return t * self.grid.dx if self.grid is not None else t
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.conj().T)))
+        return _hermiticity_defect(self.values)
 
     def min_eigenvalue(self) -> float:
         if not np.isfinite(self.values).all():
@@ -213,6 +214,7 @@ def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
             out = g * _outer(cur.out)
             out *= w
             yield m, out
+            del out  # the caller may have dropped it already
         if m < n_steps:
             nxt = engine._step_phases(t0 + m * dt, dt, 2)
             if across is None or nxt is not cur:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import UniformGrid, _alt_signs, fft_bridge, ifft_bridge
+from .grids import UniformGrid, _alt_signs
 from .matfunc import _hermitian_solve
 from .steps import step_count
 
@@ -70,14 +70,14 @@ def build_fd_hamiltonian(grid: UniformGrid, potential, scheme: str = "central",
     stencil with the boundary condition psi(x_-1) = psi(x_N) = 0 is hermitian;
     the forward/backward stencils (psi vanishing beyond the right/left edge)
     are triangular, so their eigenvalues sit on the stencil diagonal
-    -hbar^2/(2 m dx^2) + U(x_k).
+    -hbar^2/(2 m dx^2) + U(x_k).  The matrix is real (float64).
     """
     if scheme not in FD_SCHEMES:
         raise ValueError(f"scheme must be one of {FD_SCHEMES}, got {scheme!r}")
     u = _potential_values(potential, grid.x)
     n = grid.n
     c = grid.hbar ** 2 / (2.0 * mass * grid.dx ** 2)
-    h = np.zeros((n, n), dtype=complex)
+    h = np.zeros((n, n))
     if scheme == "central":
         idx = np.arange(n)
         h[idx, idx] = 2.0 * c + u
@@ -98,16 +98,26 @@ def build_spectral_hamiltonian(grid: UniformGrid, spec: HamiltonianSpec,
                                t: float = 0.0) -> np.ndarray:
     """Dense H = F^-1 diag(K(t, p)) F + diag(U(t, x)) via the sign-alternation bridge.
 
-    The kinetic block is a similarity transform of a real diagonal by the
-    unitary discrete bridge, so the assembled matrix is hermitian to rounding.
+    The bridged kinetic block is circulant, H_kin[i, j] = c[(i - j) mod n]
+    with c_d = (-1)^d ifft(K)_d, so one length-n transform builds it.  The
+    grid momenta pair into exact negatives; where K gives each pair the same
+    bits (p^2/2m does, as does an even polynomial evaluated by Horner's
+    rule), c is real and so is H (float64).  Otherwise H is complex and
+    hermitian to rounding.
     """
     grid.require_fft_bridge()
     n = grid.n
     kdiag = np.asarray(spec.kinetic(t, grid.p_fft), dtype=float)
     u = np.asarray(spec.potential(t, grid.x), dtype=float)
-    m = np.diag(kdiag.astype(complex))
-    m = ifft_bridge(m, axis=0)
-    m = fft_bridge(m, axis=1)
+    c = np.fft.ifft(kdiag)
+    # p_fft[k] = -p_fft[n - k], so a K even to the bit makes c real
+    if np.array_equal(kdiag[1:], kdiag[:0:-1]):
+        c = c.real
+    c *= _alt_signs(n)
+    # row i of H is window n - 1 - i of the reversed c written twice
+    rev = c[::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rev, rev[:-1]]), n)
+    m = windows[::-1].copy()
     m[np.arange(n), np.arange(n)] += u
     return m
 

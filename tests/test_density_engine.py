@@ -10,6 +10,8 @@ x-diagonal factors of adjacent steps; both are the same operator, so they
 must agree to rounding, one step or many.
 """
 
+import weakref
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -333,3 +335,23 @@ def test_in_place_loop_yields_fresh_arrays():
     arrays[0][...] = 0.0
     for a, b in zip(arrays[1:], kept[1:]):
         assert a.tobytes() == b.tobytes()
+
+
+def test_loop_drops_a_yield_the_caller_dropped():
+    # the steps after a yield evaluate the driven potential before the next
+    # yield, so a recorded state the caller let go must be gone by then
+    alive, ref = [], None
+
+    def potential(t, x):
+        alive.append(ref is not None and ref() is not None)
+        return DRIVEN.potential(t, x)
+
+    rho = _state(64, "hermitian")
+    engine = SplitStepEngine(rho.grid, replace(DRIVEN, potential=potential))
+    states = run_density(engine, rho.values, T0, DT, 4, stride=2)
+    _, values = next(states)
+    ref = weakref.ref(values)
+    del values, alive[:]
+    next(states)
+    assert ref() is None
+    assert alive == [False, False]

@@ -4,18 +4,21 @@ A wave function goes into ``wigner_from_density`` without its n x n density
 matrix, ``momentum_distribution`` gathers its skew sums in column blocks,
 and the output sink writes and hashes a field from the array's own buffer.
 Each must give the bytes of the whole-matrix or copying original and hold
-less memory, measured with tracemalloc.
+less memory, measured with tracemalloc.  The CLI's Lindblad runner must let
+each n x n matrix go once it is spent, watched through weak references.
 """
 
 import hashlib
 import json
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from dynkit.cli import _OutputSink
+from dynkit import open_systems
+from dynkit.cli import _OutputSink, _run_lindblad, _walk
 from dynkit.errors import HermiticityError
 from dynkit.grids import _alt_signs, make_grid
 from dynkit.open_systems import (
@@ -28,6 +31,7 @@ from dynkit.tdse import WaveFunction, gaussian_packet
 from dynkit.wigner import wigner_from_density
 
 SIZES = (4, 64, 256, 1024)
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def traced_peak(fn):
@@ -120,6 +124,42 @@ def test_blocked_gather_makes_no_matrix_sized_temporary():
     rho = pure_state_density(packet(n))
     momentum_distribution(rho)  # builds the cached index outside the measurement
     assert traced_peak(lambda: momentum_distribution(rho)) < n * n * 16 // 4
+
+
+# ---------------------------------------------------------------------------
+# the Lindblad runner
+# ---------------------------------------------------------------------------
+
+
+def test_lindblad_runner_lets_each_spent_matrix_go(monkeypatch, tmp_path):
+    # run_density is wrapped so that every state it reads or yields is
+    # watched; by each new yield, all earlier ones and the initial state must
+    # be freed, and g by the time the final state is written
+    real = open_systems.run_density
+    states_seen, g_seen, freed_at_yield, freed_at_write = [], [], [], []
+
+    def watched(engine, values, t0, dt, n_steps, g, stride):
+        states_seen.append(weakref.ref(values))
+        g_seen.append(weakref.ref(g))
+        states = real(engine, values, t0, dt, n_steps, g, stride)
+        del values, g
+        for m, out in states:
+            freed_at_yield.append(all(r() is None for r in states_seen))
+            states_seen.append(weakref.ref(out))
+            yield m, out
+            del out
+
+    class Sink(_OutputSink):
+        def field(self, name, values, **kw):
+            freed_at_write.append(g_seen[0]() is None)
+            super().field(name, values, **kw)
+
+    monkeypatch.setattr(open_systems, "run_density", watched)
+    with open(os.path.join(CONFIGS, "lindblad_dephasing.json")) as fh:
+        cfg = _walk(json.load(fh))[1]
+    _run_lindblad(cfg, Sink(str(tmp_path)))
+    assert freed_at_yield == [True] * 10
+    assert freed_at_write == [True]
 
 
 # ---------------------------------------------------------------------------
