@@ -563,7 +563,6 @@ def _grid_from_config(cfg):
 
 
 def _run_eigen(cfg, sink):
-    import numpy as np
     from . import stationary as st
 
     grid = _grid_from_config(cfg["grid"])
@@ -575,11 +574,11 @@ def _run_eigen(cfg, sink):
         energies = st.eigenvalues(h)
     else:
         u, _ = potential_from_config(cfg["hamiltonian"]["potential"])
-        h = st.build_fd_hamiltonian(grid, u, method, mass=spec.mass)
-        # the forward and backward stencils are triangular: their eigenvalues
-        # are the diagonal
-        energies = (st.eigenvalues(h) if method == "central"
-                    else np.sort(np.diag(h)))
+        if method == "central":
+            h = st.build_fd_hamiltonian(grid, u, method, mass=spec.mass)
+            energies = st.eigenvalues(h)
+        else:  # triangular: the sorted diagonal, with no matrix built
+            energies = st.triangular_fd_energies(grid, u, method, mass=spec.mass)
     n_states = min(block["n_states"], grid.n)
     sink.csv("energies.csv", ("index", "E"),
              [(i, energies[i]) for i in range(n_states)])

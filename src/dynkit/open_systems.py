@@ -14,7 +14,6 @@ reproduces the master equation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -91,18 +90,6 @@ def position_distribution(rho: DensityMatrix) -> np.ndarray:
     return np.real(np.diag(rho.values)).copy()
 
 
-@lru_cache(maxsize=2)  # 32 MB at n = 2048
-def _skew_index(n: int) -> np.ndarray:
-    """Flat index l n + (l - d) mod n of rho[l, (l - d) mod n] at [l, d].
-
-    Built once per n and shared read-only between callers.
-    """
-    idx = np.arange(n)[:, None]
-    index = idx * n + (idx - idx.T) % n
-    index.setflags(write=False)
-    return index
-
-
 #: Skew-index entries gathered at once: 64 columns d at n = 512.
 _GATHER_ENTRIES = 1 << 15
 
@@ -112,19 +99,26 @@ def momentum_distribution(rho: DensityMatrix) -> np.ndarray:
 
     The diagonal of the bridged 2-D transform is (dx^2 / 2 pi hbar)
     Re FFT[(-1)^d s_d] with s_d = sum_l rho[l, (l - d) mod n].  The s_d
-    are gathered in blocks of columns d, so no n x n temporary is made;
-    each still sums over l in order, as a whole-matrix gather would.
+    are gathered in blocks of columns d through the flat index
+    l n + (l - d) mod n, built per block, so no n x n temporary or index is
+    made; each still sums over l in order, as a whole-matrix gather would.
     """
     if rho.grid is None:
         raise ValueError("momentum_distribution needs a grid density matrix")
     grid = rho.grid
     grid.require_fft_bridge()
     n = grid.n
-    flat, index = rho.values.ravel(), _skew_index(n)
-    width = max(1, _GATHER_ENTRIES // n)
-    s = np.concatenate([np.take(flat, index[:, d:d + width]).sum(axis=0)
-                        for d in range(0, n, width)])
-    p = np.fft.fft(_alt_signs(n) * s).real
+    flat, rows = rho.values.ravel(), np.arange(n)[:, None] * n
+    width = min(n, max(1, _GATHER_ENTRIES // n))
+    # window i holds (n - 1 - i - j) mod n at j, so windows d + n - 1 - l,
+    # for l = 0 .. n - 1, hold the columns (l - d - j) mod n of block d
+    windows = np.lib.stride_tricks.sliding_window_view(
+        (n - 1 - np.arange(2 * n + width)) % n, width)
+    sums = []
+    for d in range(0, n, width):
+        columns = windows[d:d + n][::-1, :n - d]
+        sums.append(np.take(flat, rows + columns).sum(axis=0))
+    p = np.fft.fft(_alt_signs(n) * np.concatenate(sums)).real
     return p * (grid.dx ** 2 / (2.0 * np.pi * grid.hbar))
 
 
@@ -183,45 +177,49 @@ def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
     A step is rho <- G o U (G o rho) U^H with U the engine's Strang step on
     the row index, conj(U) on the column index and ``g`` the (x, x') factor
     G (1 for unitary steps).  Every x-diagonal factor acts elementwise on
-    (x, x'), so with Lead, Out and Kpp the ``_outer`` products of the
-    engine's sign-folded phases a step is
+    (x, x'), so with Lead and Out the ``_outer`` products of the engine's
+    sign-folded phases and K its kinetic phase a step is
 
-        rho <- (G o Out) o ifft0-fft1[Kpp o fft0-ifft1[(G o Lead) o rho]].
+        rho <- (G o Out) o ifft0-fft1[K_p conj(K_p') fft0-ifft1[(G o Lead) o rho]].
 
-    Between steps the trailing and leading factors merge into
-    G^2 o outer(tail * head), as ``SplitStepEngine.run`` merges half-kicks;
-    for a ``time_independent`` spec it and Kpp are built once per run.
-    The four FFT passes write into the loop's own array (``out=``), so a
-    step allocates only the Kpp product.
+    The kinetic factor is separable, so it is applied as conj(K) along
+    axis 1 after the axis-1 ifft and as K along axis 0 after the axis-0
+    fft, and no n x n kinetic factor is built.  Between steps the trailing
+    and leading factors merge into G^2 o outer(tail * head), as
+    ``SplitStepEngine.run`` merges half-kicks; for a ``time_independent``
+    spec it is built once per run.  The FFT passes and the factors write
+    into the loop's own arrays (``out=``), so the loop holds G, the state,
+    the merged factor and the yielded rho: four n x n arrays.
     """
     require_step(dt)
     if stride < 1:
         raise ValueError("stride must be >= 1")
     fft, ifft = np.fft.fft, np.fft.ifft
     cur = engine._step_phases(t0, dt, 2)
-    w = g * _outer(cur.lead)
+    w = _outer(cur.lead)
+    np.multiply(w, g, out=w)
     w *= values
     del values  # updates below are in place on arrays the loop owns
-    kpp, across = _outer(cur.kins[0]), None
+    across = None
     for m in range(1, n_steps + 1):
+        kin = cur.kins[0]
         ifft(w, axis=1, out=w)
-        # one expression on purpose: numpy multiplies a large temporary in
-        # place as f * kpp and a small one as kpp * f, which round apart
-        w = kpp * fft(w, axis=0)
+        np.multiply(w, np.conj(kin), out=w)
+        fft(w, axis=0, out=w)
+        np.multiply(w, kin[:, None], out=w)
         ifft(w, axis=0, out=w)
         fft(w, axis=1, out=w)
         if m % stride == 0 or m == n_steps:
-            out = g * _outer(cur.out)
-            out *= w
+            out = _outer(cur.out)
+            np.multiply(out, g, out=out)
+            np.multiply(out, w, out=out)
             yield m, out
             del out  # the caller may have dropped it already
         if m < n_steps:
             nxt = engine._step_phases(t0 + m * dt, dt, 2)
             if across is None or nxt is not cur:
-                across = g * g
+                across = np.multiply(g, g, out=across)
                 across *= _outer(cur.tail * nxt.head)
-            if nxt is not cur:
-                kpp = _outer(nxt.kins[0])
             w *= across
             cur = nxt
 

@@ -62,6 +62,14 @@ def _potential_values(potential, x):
     return u
 
 
+def _stencil_terms(grid: UniformGrid, potential, scheme: str, mass: float):
+    """(hbar^2 / (2 m dx^2), U on the grid) of a finite-difference stencil."""
+    if scheme not in FD_SCHEMES:
+        raise ValueError(f"scheme must be one of {FD_SCHEMES}, got {scheme!r}")
+    return (grid.hbar ** 2 / (2.0 * mass * grid.dx ** 2),
+            _potential_values(potential, grid.x))
+
+
 def build_fd_hamiltonian(grid: UniformGrid, potential, scheme: str = "central",
                          mass: float = 1.0) -> np.ndarray:
     """Finite-difference Hamiltonian -hbar^2/(2m) d^2/dx^2 + U(x) on the grid.
@@ -72,11 +80,8 @@ def build_fd_hamiltonian(grid: UniformGrid, potential, scheme: str = "central",
     are triangular, so their eigenvalues sit on the stencil diagonal
     -hbar^2/(2 m dx^2) + U(x_k).  The matrix is real (float64).
     """
-    if scheme not in FD_SCHEMES:
-        raise ValueError(f"scheme must be one of {FD_SCHEMES}, got {scheme!r}")
-    u = _potential_values(potential, grid.x)
+    c, u = _stencil_terms(grid, potential, scheme, mass)
     n = grid.n
-    c = grid.hbar ** 2 / (2.0 * mass * grid.dx ** 2)
     h = np.zeros((n, n))
     if scheme == "central":
         idx = np.arange(n)
@@ -92,6 +97,19 @@ def build_fd_hamiltonian(grid: UniformGrid, potential, scheme: str = "central",
         third = np.arange(n)[(idx + 2 * step >= 0) & (idx + 2 * step < n)]
         h[third, third + 2 * step] = -c
     return h
+
+
+def triangular_fd_energies(grid: UniformGrid, potential, scheme: str,
+                           mass: float = 1.0) -> np.ndarray:
+    """Ascending eigenvalues of the forward or backward stencil, without its matrix.
+
+    Both stencils are triangular, so their eigenvalues are the diagonal
+    -hbar^2/(2 m dx^2) + U(x_k) of ``build_fd_hamiltonian``, bit for bit.
+    """
+    if scheme == "central":
+        raise ValueError("the central stencil is not triangular")
+    c, u = _stencil_terms(grid, potential, scheme, mass)
+    return np.sort(-c + u)
 
 
 def build_spectral_hamiltonian(grid: UniformGrid, spec: HamiltonianSpec,

@@ -225,6 +225,11 @@ class SplitStepEngine:
         require_step(dt)
         if order not in _SUBSTEPS:
             raise ValueError("order must be 2 or 4")
+        if order == 4 and complex(dt).imag != 0:
+            # the middle substep's length (1 - 2s) dt is negative, so with an
+            # imaginary part it grows high momenta by exp(+0.70 |Im dt| K)
+            raise ValueError(f"order 4 needs a real dt, got {dt!r}; the triple "
+                             "jump's backward substep diverges in imaginary time")
         return self._step_phases(t0, dt, order)
 
     def _substeps(self, cur: _StepPhases, w: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HermiticityError
-from .grids import UniformGrid, fft_bridge, ifft_bridge
+from .grids import UniformGrid, _alt_signs, fft_bridge, ifft_bridge
 from .open_systems import DensityMatrix
 from .tdse import WaveFunction, _two_level_rotation
 
@@ -107,9 +107,14 @@ def _wigner_axes(grid: UniformGrid):
     return x_w, p_w, dtheta
 
 
-#: Amplitudes gathered per block of centers: 128 centers at n = 1024.  It
+#: Amplitudes gathered per block of centers: 32 centers at n = 1024.  It
 #: bounds the transforms' working memory beside the (2n, n) result.
-_BLOCK_AMPLITUDES = 1 << 17
+_BLOCK_AMPLITUDES = 1 << 15
+
+
+def _block_rows(n: int) -> int:
+    """Centers per block: even, so that every block starts at an even center."""
+    return 2 * max(1, _BLOCK_AMPLITUDES // (2 * n))
 
 
 def _center_blocks(n: int):
@@ -118,13 +123,22 @@ def _center_blocks(n: int):
     Center c pairs bra c//2 - u with ket (c+1)//2 + u, u = m - n/2, so it
     is the anti-diagonal bra + ket = c of rho.  Blocks hold an even number
     of centers and start at an even one, so odd centers are rows 1::2.
+    Every block is written into the same three arrays, so a block's arrays
+    hold until the next block is drawn.
     """
     u = np.arange(n) - n // 2
-    size = 2 * max(1, _BLOCK_AMPLITUDES // (2 * n))
+    size = _block_rows(n)
+    bras, kets = np.empty((2, size, n), dtype=np.int64)
+    valids = np.empty((size, n), dtype=bool)
     for start in range(0, 2 * n, size):
         c = np.arange(start, min(start + size, 2 * n))[:, None]
-        bra, ket = c // 2 - u, (c + 1) // 2 + u
-        yield start, bra, ket, (bra >= 0) & (bra < n) & (ket >= 0) & (ket < n)
+        bra, ket, valid = bras[:len(c)], kets[:len(c)], valids[:len(c)]
+        np.subtract(c // 2, u, out=bra)
+        np.add((c + 1) // 2, u, out=ket)
+        # 0 <= i < n as one unsigned compare: a negative i wraps above n
+        np.less(bra.view(np.uint64), n, out=valid)
+        valid &= ket.view(np.uint64) < n
+        yield start, bra, ket, valid
 
 
 def wigner_from_density(rho: DensityMatrix | WaveFunction) -> WignerFunction:
@@ -136,37 +150,57 @@ def wigner_from_density(rho: DensityMatrix | WaveFunction) -> WignerFunction:
     are discarded.  A wave function psi is read as rho = |psi><psi| without
     forming that n x n matrix: each block multiplies psi[bra] by
     conj(psi)[ket], the entries of ``pure_state_density(psi)`` bit for bit.
+    Each block of centers is gathered into one work block, and its bridged
+    transform is taken there in place, so besides the result the transform
+    holds two blocks of ``_BLOCK_AMPLITUDES`` amplitudes.
     """
-    if isinstance(rho, WaveFunction):
-        psi = rho.values
+    # numpy's pocketfft gufunc, imported here so that importing dynkit.wigner
+    # loads no numpy.fft
+    from numpy.fft import _pocketfft_umath
 
-        def block(bra, ket, valid):
-            # clipped indices fill the entries off the matrix, zeroed last
-            rows = np.take(psi, bra, mode="clip")
-            kets = np.take(psi, ket, mode="clip")
-            rows *= np.conj(kets, out=kets)
-            rows[~valid] = 0.0
-            return rows
-    elif rho.grid is None:
+    if rho.grid is None:
         raise ValueError("wigner_from_density needs a grid density matrix")
-    else:
-        def block(bra, ket, valid):
-            rows = np.zeros(bra.shape, dtype=complex)
-            rows[valid] = rho.values[bra[valid], ket[valid]]
-            return rows
     grid = rho.grid
     grid.require_fft_bridge()
     n = grid.n
+    if isinstance(rho, WaveFunction):
+        psi = rho.values
+
+        def gather(rows, spare, bra, ket):
+            # clipped indices fill the entries off the matrix, zeroed later
+            np.take(psi, bra, mode="clip", out=rows)
+            np.take(psi, ket, mode="clip", out=spare)
+            rows *= np.conj(spare, out=spare)
+    else:
+        flat = rho.values.ravel()  # a copy only for a matrix not in C order
+        index = np.empty((_block_rows(n), n), dtype=np.int64)
+
+        def gather(rows, spare, bra, ket):
+            # flat entry bra n + ket, clipped like the wave-function gather
+            at = index[:len(rows)]
+            np.multiply(bra, n, out=at)
+            at += ket
+            np.take(flat, at, mode="clip", out=rows)
     x_w, p_w, dtheta = _wigner_axes(grid)
     half_shift = np.exp(1j * np.pi * (np.arange(n) - n // 2) / n)
+    signs, scale = _alt_signs(n), dtheta / (2.0 * np.pi)
+    work, spares = np.empty((2, _block_rows(n), n), dtype=complex)
     out = np.empty((2 * n, n))
     residue = 0.0
     for start, bra, ket, valid in _center_blocks(n):
-        rows = n * ifft_bridge(block(bra, ket, valid), axis=1) * (dtheta / (2.0 * np.pi))
+        rows, spare = work[:len(bra)], spares[:len(bra)]
+        gather(rows, spare, bra, ket)
+        np.copyto(rows, 0.0, where=~valid)
+        # n ifft_bridge(rows) dtheta / 2 pi, each factor applied in place
+        np.multiply(signs, rows, out=rows)
+        _pocketfft_umath.ifft(rows, 1.0 / n, out=rows)
+        np.multiply(signs, rows, out=rows)
+        np.multiply(rows, n, out=rows)
+        np.multiply(rows, scale, out=rows)
         rows[1::2] *= half_shift
-        residue = np.maximum(residue, np.max(np.abs(rows.imag)))  # keeps NaN
+        imag = np.abs(rows.imag, out=spare.real)
+        residue = np.maximum(residue, np.max(imag))  # keeps NaN
         out[start:start + len(rows)] = rows.real
-        del rows  # so the next block gathers without this one's rows
     if not residue <= 1e-8:  # also refuses a NaN residue
         raise HermiticityError(
             f"Wigner transform imaginary residue {residue:.3e} exceeds 1e-8"

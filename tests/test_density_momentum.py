@@ -9,7 +9,7 @@ with it to rounding on pure, thermal and random (also non-hermitian) rho.
 import numpy as np
 import pytest
 
-from dynkit.grids import fft_bridge, ifft_bridge, make_grid
+from dynkit.grids import _alt_signs, fft_bridge, ifft_bridge, make_grid
 from dynkit.open_systems import (
     DensityMatrix,
     gibbs_density,
@@ -75,16 +75,25 @@ def reference_diagonal_sums(values: np.ndarray) -> np.ndarray:
     return values[idx, (idx - idx.T) % n].sum(axis=0)
 
 
+def whole_skew_index(n: int) -> np.ndarray:
+    """Flat index l n + (l - d) mod n of rho[l, (l - d) mod n] at [l, d]."""
+    idx = np.arange(n)[:, None]
+    return idx * n + (idx - idx.T) % n
+
+
 @pytest.mark.parametrize("n", [4, 64, 256, 1024])
 def test_skew_index_gather_matches_the_per_call_gather(n):
-    from dynkit.open_systems import _skew_index
-
+    # the library builds the index a block of columns at a time; its sums
+    # and so its weights are those of one whole-matrix gather, bit for bit
+    grid = make_grid(8.0, n, hbar=0.9)
     values = _random(n, False, n)
-    got = np.take(values, _skew_index(n)).sum(axis=0)
-    assert got.tobytes() == reference_diagonal_sums(values).tobytes()
-    # a transposed (Fortran-ordered) matrix is gathered in C order as well
-    got = np.take(values.T, _skew_index(n)).sum(axis=0)
-    assert got.tobytes() == reference_diagonal_sums(values.T).tobytes()
+    for matrix in (values, values.T):  # C and Fortran order
+        got = np.take(matrix, whole_skew_index(n)).sum(axis=0)
+        assert got.tobytes() == reference_diagonal_sums(matrix).tobytes()
+        weights = np.fft.fft(_alt_signs(n) * got).real \
+            * (grid.dx ** 2 / (2.0 * np.pi * grid.hbar))
+        assert (momentum_distribution(DensityMatrix(matrix, grid)).tobytes()
+                == weights.tobytes())
 
 
 def test_momentum_distribution_keeps_grid_sizes_apart():
@@ -97,13 +106,3 @@ def test_momentum_distribution_keeps_grid_sizes_apart():
             new = momentum_distribution(rho)
             assert new.shape == (g.n,)
             assert np.max(np.abs(new - ref)) <= 1e-15 * np.max(np.abs(ref))
-
-
-def test_skew_index_is_shared_and_read_only():
-    from dynkit.open_systems import _skew_index
-
-    index = _skew_index(8)
-    assert _skew_index(8) is index
-    assert index.shape == (8, 8)
-    with pytest.raises(ValueError, match="read-only"):
-        index[0, 0] = 0

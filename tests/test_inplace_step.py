@@ -87,6 +87,10 @@ def test_in_place_step_is_the_out_of_place_step_bit_for_bit(n, spec, order,
     grid, values = _packet(n)
     mask = cosine_absorbing_mask(grid) if absorber else None
     engine, ref = SplitStepEngine(grid, spec, mask), SplitStepEngine(grid, spec, mask)
+    if order == 4 and dt.imag:  # the triple jump refuses imaginary time
+        with pytest.raises(ValueError, match="order 4 needs a real dt"):
+            engine.step(values, 0.3, dt, order)
+        return
     got = list(engine.run(values, 0.3, dt, 6, order, stride=2))
     expected = list(reference_run(ref, values, 0.3, dt, 6, order, stride=2))
     assert [m for m, _ in got] == [m for m, _ in expected] == [2, 4, 6]

@@ -1,11 +1,13 @@
 """Memory-lean paths against the paths they replace, bit for bit.
 
 A wave function goes into ``wigner_from_density`` without its n x n density
-matrix, ``momentum_distribution`` gathers its skew sums in column blocks,
-and the output sink writes and hashes a field from the array's own buffer.
-Each must give the bytes of the whole-matrix or copying original and hold
-less memory, measured with tracemalloc.  The CLI's Lindblad runner must let
-each n x n matrix go once it is spent, watched through weak references.
+matrix, ``momentum_distribution`` gathers its skew sums in column blocks
+through an index built per block, and the output sink writes and hashes a
+field from the array's own buffer.  Each must give the bytes of the
+whole-matrix or copying original and hold less memory, measured with
+tracemalloc.  ``run_density`` holds four n x n arrays, and the CLI's
+Lindblad runner must let each n x n matrix go once it is spent, watched
+through weak references.
 """
 
 import hashlib
@@ -18,17 +20,19 @@ import numpy as np
 import pytest
 
 from dynkit import open_systems
-from dynkit.cli import _OutputSink, _run_lindblad, _walk
+from dynkit.cli import _OutputSink, _run_eigen, _run_lindblad, _walk
 from dynkit.errors import HermiticityError
 from dynkit.grids import _alt_signs, make_grid
 from dynkit.open_systems import (
     DensityMatrix,
-    _skew_index,
+    coupling_factor,
     momentum_distribution,
     pure_state_density,
+    run_density,
 )
-from dynkit.tdse import WaveFunction, gaussian_packet
-from dynkit.wigner import wigner_from_density
+from dynkit.stationary import HamiltonianSpec
+from dynkit.tdse import SplitStepEngine, WaveFunction, gaussian_packet
+from dynkit.wigner import _BLOCK_AMPLITUDES, wigner_from_density
 
 SIZES = (4, 64, 256, 1024)
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -85,6 +89,19 @@ def test_pure_state_transform_holds_no_density_matrix():
     assert direct < matrix <= via_rho
 
 
+def test_pure_state_transform_reuses_its_work_blocks():
+    n = 1024
+    psi = packet(n)
+    output = 2 * n * n * 8  # the (2n, n) float64 result
+    # one work block and one spare of complex amplitudes, and the bra and ket
+    # indices of a block (1.5 MiB in all); numpy's iteration buffers for the
+    # broadcast products come on top, a few 128 KiB each
+    blocks = 2 * _BLOCK_AMPLITUDES * 16 + 2 * _BLOCK_AMPLITUDES * 8
+    # with fresh arrays for every block of 2**17 amplitudes, the transform
+    # held 8.3 MiB beyond its output
+    assert traced_peak(lambda: wigner_from_density(psi)) < output + blocks + 2 ** 20
+
+
 @pytest.mark.parametrize("n, entry", [(64, 9), (768, 0), (768, 767)],
                          ids=("one-block", "first", "last"))
 def test_pure_state_transform_refuses_a_nan_entry(n, entry):
@@ -102,10 +119,11 @@ def test_pure_state_transform_refuses_a_nan_entry(n, entry):
 
 def whole_matrix_momentum(rho: DensityMatrix) -> np.ndarray:
     """momentum_distribution with the skew sums from one n x n gather."""
-    grid = rho.grid
-    s = np.take(rho.values, _skew_index(grid.n)).sum(axis=0)
-    p = np.fft.fft(_alt_signs(grid.n) * s).real
-    return p * (grid.dx ** 2 / (2.0 * np.pi * grid.hbar))
+    n = rho.grid.n
+    idx = np.arange(n)[:, None]
+    s = np.take(rho.values, idx * n + (idx - idx.T) % n).sum(axis=0)
+    p = np.fft.fft(_alt_signs(n) * s).real
+    return p * (rho.grid.dx ** 2 / (2.0 * np.pi * rho.grid.hbar))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -122,13 +140,46 @@ def test_blocked_gather_is_the_whole_matrix_gather_bit_for_bit(n):
 def test_blocked_gather_makes_no_matrix_sized_temporary():
     n = 512
     rho = pure_state_density(packet(n))
-    momentum_distribution(rho)  # builds the cached index outside the measurement
     assert traced_peak(lambda: momentum_distribution(rho)) < n * n * 16 // 4
 
 
+def test_blocked_gather_holds_under_a_mebibyte_and_caches_nothing():
+    n = 2048
+    rho = pure_state_density(packet(n))
+    _alt_signs(n)  # the transforms' shared sign vector, cached by the grids
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        momentum_distribution(rho)  # the first call at this size
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # a whole-matrix index cached per n kept 32 MiB at this size
+    assert peak < 2 ** 20
+    assert held < 4096
+
+
 # ---------------------------------------------------------------------------
-# the Lindblad runner
+# the Lindblad loop and runner
 # ---------------------------------------------------------------------------
+
+
+def test_density_loop_holds_four_matrices():
+    n = 512
+    grid = make_grid(16.0, n)
+    rho = pure_state_density(gaussian_packet(grid, x0=1.0, sigma=0.7))
+    spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
+                           potential=lambda t, x: x ** 2 / 2,
+                           time_independent=True)
+    engine = SplitStepEngine(grid, spec)
+
+    def ten_recorded_steps():
+        g = coupling_factor(grid, lambda x: 0.3 * x, 0.01)
+        for _, values in run_density(engine, rho.values, 0.0, 0.01, 10, g):
+            del values  # each record is read and let go, as the CLI does
+
+    # G, the state, the merged factor and one record; an n x n Kpp made five
+    assert traced_peak(ten_recorded_steps) < 4.5 * n * n * 16
 
 
 def test_lindblad_runner_lets_each_spent_matrix_go(monkeypatch, tmp_path):
@@ -160,6 +211,24 @@ def test_lindblad_runner_lets_each_spent_matrix_go(monkeypatch, tmp_path):
     _run_lindblad(cfg, Sink(str(tmp_path)))
     assert freed_at_yield == [True] * 10
     assert freed_at_write == [True]
+
+
+# ---------------------------------------------------------------------------
+# triangular eigen runs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", ["forward", "backward"])
+def test_triangular_eigen_run_builds_no_matrix(tmp_path, method):
+    n = 2048
+    with open(os.path.join(CONFIGS, "eigen_central_fd.json")) as fh:
+        raw = json.load(fh)
+    raw["grid"]["n"], raw["eigen"]["method"] = n, method
+    cfg = _walk(raw)[1]
+    sink = _OutputSink(str(tmp_path))
+    _run_eigen(cfg, sink)  # imports outside the measurement
+    # the stencil matrix alone is n * n * 8 = 32 MiB
+    assert traced_peak(lambda: _run_eigen(cfg, sink)) < 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from dynkit.tdse import (
     energy_expectation,
     gaussian_packet,
     propagate,
+    split_op_step_o4,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -81,8 +82,12 @@ def test_engine_matches_per_step_reference(spec, order, absorber, stride, dt):
     psi0 = gaussian_packet(grid, x0=1.5, p0=2.0, sigma=0.8)
     mask = cosine_absorbing_mask(grid, fraction=0.3) if absorber else None
     n_steps = 40
-    expected = reference_run(psi0, 0.1, dt, n_steps, spec, order, stride, mask)
     engine = SplitStepEngine(grid, spec, mask)
+    if order == 4 and dt.imag:  # the triple jump refuses imaginary time
+        with pytest.raises(ValueError, match="order 4 needs a real dt"):
+            next(engine.run(psi0.values, 0.1, dt, n_steps, order, stride))
+        return
+    expected = reference_run(psi0, 0.1, dt, n_steps, spec, order, stride, mask)
     got = dict(engine.run(psi0.values, 0.1, dt, n_steps, order, stride))
     assert sorted(got) == sorted(expected)
     for m, values in expected.items():
@@ -151,6 +156,40 @@ def test_time_independent_callables_evaluated_once():
     assert counting.calls == {"U": 1, "K": 1}
 
 
+HARMONIC = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
+                           potential=lambda t, x: x ** 2 / 2,
+                           time_independent=True)
+
+
+@pytest.mark.parametrize("dt", [-0.01j, 0.01 - 0.01j], ids=["imaginary", "complex"])
+def test_order_four_refuses_a_non_real_step(dt):
+    # the triple jump's middle substep has length (1 - 2s) dt = -0.70 dt, so at
+    # dt = -0.01j it multiplies momentum p by exp(0.70 * 0.01 p^2 / 2): on this
+    # grid (p up to 402) the step overflowed to NaN before it was refused
+    grid = make_grid(16.0, 4096)
+    psi = gaussian_packet(grid)
+    engine = SplitStepEngine(grid, HARMONIC)
+    for call in (lambda: engine.step(psi.values, 0.0, dt, 4),
+                 lambda: next(engine.run(psi.values, 0.0, dt, 3, 4)),
+                 lambda: split_op_step_o4(psi, 0.0, dt, HARMONIC)):
+        with pytest.raises(ValueError, match="order 4 needs a real dt"):
+            call()
+
+
+def test_order_two_imaginary_and_order_four_real_steps_still_run():
+    grid = make_grid(16.0, 4096)
+    psi = gaussian_packet(grid)
+    engine = SplitStepEngine(grid, HARMONIC)
+    cooled = engine.step(psi.values, 0.0, -0.01j, 2)
+    _, first = next(engine.run(psi.values, 0.0, -0.01j, 3, 2))
+    assert cooled.tobytes() == first.tobytes()
+    assert np.max(np.abs(cooled - reference_step(psi, 0.0, -0.01j,
+                                                 HARMONIC).values)) <= 1e-12
+    moved = split_op_step_o4(psi, 0.0, 0.01, HARMONIC)
+    assert np.max(np.abs(moved.values - reference_step_o4(psi, 0.0, 0.01,
+                                                         HARMONIC).values)) <= 1e-12
+
+
 def _data_checksums(directory):
     return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
             for name in sorted(os.listdir(directory)) if name != "manifest"}
@@ -207,6 +246,13 @@ def test_step_is_the_first_yield_of_run_bit_for_bit(spec, order, absorber, dt):
     grid = make_grid(8.0, 128)
     values = gaussian_packet(grid, x0=1.5, p0=2.0, sigma=0.8).values
     mask = cosine_absorbing_mask(grid, fraction=0.3) if absorber else None
+    if order == 4 and dt.imag:  # the triple jump refuses imaginary time
+        engine = SplitStepEngine(grid, spec, mask)
+        with pytest.raises(ValueError, match="order 4 needs a real dt"):
+            engine.step(values, 0.1, dt, order)
+        with pytest.raises(ValueError, match="order 4 needs a real dt"):
+            next(engine.run(values, 0.1, dt, 5, order))
+        return
     for t in (0.1, 0.7):
         engine = SplitStepEngine(grid, spec, mask)
         stepped = engine.step(values, t, dt, order)
@@ -225,7 +271,8 @@ def test_step_makes_no_generator(monkeypatch):
         raise AssertionError("step started run")
 
     monkeypatch.setattr(engine, "run", refuse)
-    engine.step(gaussian_packet(grid).values, 0.0, -0.05j, 4)
+    engine.step(gaussian_packet(grid).values, 0.0, -0.05j, 2)
+    engine.step(gaussian_packet(grid).values, 0.0, 0.05, 4)
 
 
 @pytest.mark.parametrize("dt,order,match", [(np.nan, 2, "finite"),

@@ -14,6 +14,7 @@ from dynkit.stationary import (
     eigenvalues,
     find_spectral_peaks,
     spectrum_via_propagation,
+    triangular_fd_energies,
 )
 from dynkit.tdse import gaussian_packet
 
@@ -65,6 +66,25 @@ class TestFiniteDifference:
         g = make_grid(5.0, 32)
         with pytest.raises(ValueError):
             build_fd_hamiltonian(g, lambda x: x, "upwind")
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("scheme", ["forward", "backward"])
+    @pytest.mark.parametrize("mass", [1.0, 0.7])
+    def test_triangular_energies_are_the_sorted_stencil_diagonal(self, scheme,
+                                                                 n, mass):
+        g = make_grid(5.0, n, hbar=0.9)
+        u = lambda x: np.cos(x) + 0.1 * x ** 2
+        expected = np.sort(np.diag(build_fd_hamiltonian(g, u, scheme, mass)))
+        got = triangular_fd_energies(g, u, scheme, mass)
+        assert got.tobytes() == expected.tobytes()
+        # a potential given as grid values gives the same bits
+        assert triangular_fd_energies(g, u(g.x), scheme, mass).tobytes() \
+            == expected.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["central", "upwind"])
+    def test_triangular_energies_refuse_other_schemes(self, scheme):
+        with pytest.raises(ValueError, match="triangular|scheme"):
+            triangular_fd_energies(make_grid(5.0, 32), lambda x: x, scheme)
 
 
 class TestSpectralHamiltonian:

@@ -236,6 +236,15 @@ def test_forward_transform_matches_per_center_reference(kind, n):
     assert np.array_equal(back.values, reference_density_from_wigner(ref).values)
 
 
+@pytest.mark.parametrize("n", [64, 768])
+def test_forward_transform_reads_a_fortran_ordered_matrix(n):
+    rho = make_density("random", n)
+    fortran = DensityMatrix(np.asfortranarray(rho.values), rho.grid)
+    assert not fortran.values.flags.c_contiguous
+    assert (wigner_from_density(fortran).values.tobytes()
+            == reference_wigner_from_density(rho).values.tobytes())
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_inverse_transform_of_arbitrary_real_array(n):
     grid = make_grid(8.0, n)
