@@ -11,7 +11,7 @@ Names are imported on first use (PEP 562): ``import dynkit`` loads no
 submodule and no numpy, so ``dynkit validate`` starts without them.
 """
 
-import importlib
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
@@ -55,10 +55,10 @@ __all__ = sorted(_HOME)
 
 def __getattr__(name):
     if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
+        return _importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    value = getattr(_importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
     globals()[name] = value
     return value
 

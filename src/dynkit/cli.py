@@ -84,7 +84,7 @@ def _block(fields, default=_REQUIRED, **options):
 
 
 #: Elements a valid config may make a run keep because of any one of its keys
-#: (the table ``_KEPT``).  2**22 complex128 values take 64 MiB.
+#: (the ``kept`` of each task record).  2**22 complex128 values take 64 MiB.
 MAX_ARRAY_ELEMENTS = 2 ** 22
 
 #: Columns of every ``trace.csv``.
@@ -162,106 +162,6 @@ _STRIDE = _integer(1, minimum=1)
 _SEED = _integer(minimum=0)
 _TOL = _number(1e-12, above=0.0)
 
-# task -> its top-level blocks.  An absent task block reads as {}, so each of
-# its required keys is reported by name.
-_SCHEMA = {
-    "eigen": {
-        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
-        "eigen": _block({
-            "n_states": _integer(minimum=1),
-            "method": _choice("central", "forward", "backward", "spectral",
-                              default="spectral"),
-        }, default={}),
-    },
-    "bands": {
-        "hamiltonian": _HAMILTONIAN,
-        "bands": _block({
-            "lattice_constant": _POSITIVE,
-            "n_cell": _integer(minimum=2),
-            "n_bands": _integer(minimum=1),
-            "n_k": _integer(minimum=1),
-        }, default={}, rule=_bands_rule),
-    },
-    "propagate": {
-        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
-        "propagate": _block({
-            "dt": _POSITIVE, "t_max": _POSITIVE,
-            "order": _integer(2, choices=(2, 4)),
-            "stride": _STRIDE,
-            "initial": _INITIAL,
-            "absorber": _block({"fraction": _number(0.2, above=0.0,
-                                                    maximum=0.49),
-                                "power": _number(0.125, above=0.0)},
-                               default=None),
-        }, default={}, rule=_whole_steps("t_max", "dt")),
-    },
-    "imagtime": {
-        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
-        "imagtime": _block({"dtau": _POSITIVE, "tol": _TOL,
-                            "n_states": _integer(1, minimum=1)}, default={}),
-    },
-    "gap": {
-        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
-        "gap": _block({
-            "dtau": _POSITIVE, "tau_max": _POSITIVE,
-            "observable": _choice("x", "x2", default="x"),
-            "initial": _block(_GAUSSIAN, default={"p0": 1.0},
-                              empty_default=True),
-        }, default={}, rule=_whole_steps("tau_max", "dtau", minimum=8)),
-    },
-    "classical": {
-        "classical": _block({
-            "dt": _POSITIVE,
-            "n_steps": _integer(minimum=1),
-            "n_particles": _integer(minimum=1),
-            "seed": _SEED,
-            "stride": _STRIDE,
-            "cloud": _block({"x0": _number(1.0), "p0": _number(0.0),
-                             "sigma_x": _number(0.2, minimum=0.0),
-                             "sigma_p": _number(0.2, minimum=0.0)},
-                            default={}),
-            "forces": _block(_POTENTIAL_FIELDS, default={"name": "harmonic"}),
-            "drive": _block({"amplitude": _number(0.0),
-                             "omega": _number(1.0)}, default=None),
-        }, default={}),
-    },
-    "lindblad": {
-        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
-        "lindblad": _block({
-            "dt": _POSITIVE, "t_max": _POSITIVE,
-            "stride": _STRIDE,
-            "coupling": _block({"name": _choice("linear", "constant"),
-                                "strength": _number(0.1)},
-                               default={"name": "linear"}),
-            "initial": _INITIAL,
-        }, default={}, rule=_whole_steps("t_max", "dt")),
-    },
-    "mcwf": {
-        "mcwf": _block({
-            "dt": _POSITIVE, "t_max": _POSITIVE,
-            "n_traj": _integer(minimum=1),
-            "seed": _SEED,
-            "stride": _STRIDE,
-            "decay_rate": _number(1.0, minimum=0.0),
-            "rabi": _number(0.0),
-        }, default={}, rule=_whole_steps("t_max", "dt")),
-    },
-    "wigner": {
-        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
-        "wigner": _block({"initial": _INITIAL}, default={}),
-    },
-    "expm-bench": {
-        "expm_bench": _block({
-            "dim": _integer(minimum=2),
-            "norms": _Field("numbers", above=0.0),
-            "seed": _SEED,
-            "tol": _TOL,
-        }, default={}),
-    },
-}
-TASKS = tuple(_SCHEMA)
-
-
 def _series(cfg, name, span_key, width, dt_key=None):
     """(key, elements) of the rows a run records and keeps until it writes them.
 
@@ -271,35 +171,6 @@ def _series(cfg, name, span_key, width, dt_key=None):
     block = cfg[name]
     steps = step_count(block[span_key], block[dt_key]) if dt_key else block[span_key]
     return f"{name}.{span_key}", width * (1 + -(-steps // block.get("stride", 1)))
-
-
-# task -> [(config key, elements the run keeps because of it)], read from a
-# config that is otherwise valid: the n x n matrices of eigen, lindblad, bands
-# cells and expm-bench, the (2n, n) Wigner field, the length-n grids, the
-# imagtime states and the particle and trajectory vectors.  A recorded row
-# keeps the 5 values of a trace.csv row, a gap sample's tau and ln|<[H, O]>|,
-# or re and im of an MCWF 2 x 2 density.
-_KEPT = {
-    "eigen": lambda c: [("grid.n", c["grid"]["n"] ** 2)],
-    "bands": lambda c: [("bands.n_cell", c["bands"]["n_cell"] ** 2),
-                        ("bands.n_k", c["bands"]["n_k"] * c["bands"]["n_bands"])],
-    "propagate": lambda c: [("grid.n", c["grid"]["n"]),
-                            _series(c, "propagate", "t_max", 5, "dt")],
-    "imagtime": lambda c: [
-        ("grid.n", c["grid"]["n"]),
-        ("imagtime.n_states", c["imagtime"]["n_states"] * c["grid"]["n"])],
-    "gap": lambda c: [("grid.n", c["grid"]["n"]),
-                      _series(c, "gap", "tau_max", 2, "dtau")],
-    "classical": lambda c: [
-        ("classical.n_particles", c["classical"]["n_particles"]),
-        _series(c, "classical", "n_steps", 5)],
-    "lindblad": lambda c: [("grid.n", c["grid"]["n"] ** 2),
-                           _series(c, "lindblad", "t_max", 5, "dt")],
-    "mcwf": lambda c: [("mcwf.n_traj", c["mcwf"]["n_traj"]),
-                       _series(c, "mcwf", "t_max", 8, "dt")],
-    "wigner": lambda c: [("grid.n", 2 * c["grid"]["n"] ** 2)],
-    "expm-bench": lambda c: [("expm_bench.dim", c["expm_bench"]["dim"] ** 2)],
-}
 
 
 def _problem(field, value):
@@ -378,23 +249,23 @@ def _walk(cfg):
     if not isinstance(cfg, dict):
         return ["config: top level must be a mapping"], None
     task = cfg.get("task")
-    if not isinstance(task, str) or task not in _SCHEMA:
+    if not isinstance(task, str) or task not in _TASKS:
         return [f"task: must be one of {list(TASKS)}"], None
-    blocks = _SCHEMA[task]
+    record = _TASKS[task]
     problems = [f"{key}: unknown key" for key in cfg
-                if key != "task" and key not in blocks]
+                if key != "task" and key not in record.blocks]
     resolved = {"task": task}
-    for name, field in blocks.items():
+    for name, field in record.blocks.items():
         if field.default is _REQUIRED and name not in cfg:
             problems.append(f"{name}: missing required block")
         else:
             resolved[name] = _resolve(field, cfg.get(name, _ABSENT), name,
                                       problems)
-    if task == "eigen":
-        _fd_kinetic_rule(resolved, problems)
+    if record.rule:  # runs beside the block problems, so both are reported
+        record.rule(resolved, problems)
     if not problems:  # sizes are read only from an otherwise valid config
         problems = [f"{key}: keeps {count} elements, over MAX_ARRAY_ELEMENTS = "
-                    f"{MAX_ARRAY_ELEMENTS}" for key, count in _KEPT[task](resolved)
+                    f"{MAX_ARRAY_ELEMENTS}" for key, count in record.kept(resolved)
                     if count > MAX_ARRAY_ELEMENTS]
     return problems, None if problems else resolved
 
@@ -556,19 +427,20 @@ class _OutputSink:
 # ---------------------------------------------------------------------------
 
 
-def _grid_from_config(cfg):
+def _grid_and_spec(cfg):
+    """(grid, HamiltonianSpec) of a config's ``grid`` and ``hamiltonian`` blocks."""
     from .grids import make_grid
 
-    return make_grid(cfg["L"], cfg["n"], cfg["hbar"])
+    grid = make_grid(cfg["grid"]["L"], cfg["grid"]["n"], cfg["grid"]["hbar"])
+    return grid, _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
 
 
 def _run_eigen(cfg, sink):
     from . import stationary as st
 
-    grid = _grid_from_config(cfg["grid"])
+    grid, spec = _grid_and_spec(cfg)
     block = cfg["eigen"]
     method = block["method"]
-    spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
     if method == "spectral":
         h = st.build_spectral_hamiltonian(grid, spec)
         energies = st.eigenvalues(h)
@@ -603,9 +475,8 @@ def _run_bands(cfg, sink):
 def _run_propagate(cfg, sink):
     from . import tdse
 
-    grid = _grid_from_config(cfg["grid"])
+    grid, spec = _grid_and_spec(cfg)
     block = cfg["propagate"]
-    spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
     psi0 = tdse.gaussian_packet(grid, **block["initial"])
     mask = None
     if block["absorber"] is not None:
@@ -621,9 +492,8 @@ def _run_propagate(cfg, sink):
 def _run_imagtime(cfg, sink):
     from . import tdse
 
-    grid = _grid_from_config(cfg["grid"])
+    grid, spec = _grid_and_spec(cfg)
     block = cfg["imagtime"]
-    spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
     dtau, tol = block["dtau"], block["tol"]
     energies = []
     states = []
@@ -642,9 +512,8 @@ def _run_imagtime(cfg, sink):
 def _run_gap(cfg, sink):
     from . import tdse
 
-    grid = _grid_from_config(cfg["grid"])
+    grid, spec = _grid_and_spec(cfg)
     block = cfg["gap"]
-    spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
     psi0 = tdse.gaussian_packet(grid, **block["initial"])
     observable = grid.x if block["observable"] == "x" else grid.x ** 2
     gap = tdse.spectral_gap_estimate(psi0, observable, block["dtau"],
@@ -688,9 +557,8 @@ def _run_lindblad(cfg, sink):
     from . import open_systems as osys
     from .tdse import SplitStepEngine, gaussian_packet
 
-    grid = _grid_from_config(cfg["grid"])
+    grid, spec = _grid_and_spec(cfg)
     block = cfg["lindblad"]
-    spec = _hamiltonian_spec(cfg["hamiltonian"], grid.hbar)
     strength = block["coupling"]["strength"]
     if block["coupling"]["name"] == "linear":
         coupling = lambda x: strength * x
@@ -752,10 +620,11 @@ def _run_mcwf(cfg, sink):
 
 
 def _run_wigner(cfg, sink):
+    from .grids import make_grid
     from .tdse import gaussian_packet
     from .wigner import wigner_from_density
 
-    grid = _grid_from_config(cfg["grid"])
+    grid = make_grid(cfg["grid"]["L"], cfg["grid"]["n"], cfg["grid"]["hbar"])
     w = wigner_from_density(gaussian_packet(grid, **cfg["wigner"]["initial"]))
     sink.field("field_wigner", w.values, axes={"x": w.x, "p": w.p},
                notes="Wigner function W[x, p]")
@@ -781,18 +650,146 @@ def _run_expm_bench(cfg, sink):
                notes="columns: norm, taylor_mults, pade_mults, pade_squarings")
 
 
-_RUNNERS = {
-    "eigen": _run_eigen,
-    "bands": _run_bands,
-    "propagate": _run_propagate,
-    "imagtime": _run_imagtime,
-    "gap": _run_gap,
-    "classical": _run_classical,
-    "lindblad": _run_lindblad,
-    "mcwf": _run_mcwf,
-    "wigner": _run_wigner,
-    "expm-bench": _run_expm_bench,
+# ---------------------------------------------------------------------------
+# task table: one record per task
+# ---------------------------------------------------------------------------
+
+
+class _Task(NamedTuple):
+    """What a task's config holds, what its run keeps and how it runs.
+
+    ``blocks`` maps each top-level key to its field; an absent task block
+    reads as {}, so each of its required keys is reported by name.  ``kept``
+    maps a config that is otherwise valid to ``[(config key, elements the run
+    keeps because of it)]``.  ``run(cfg, sink)`` executes a resolved config.
+    ``rule(cfg, problems)`` checks across blocks; it runs even when a block
+    has problems, so it reads the resolved config with ``.get``.
+    """
+
+    blocks: dict
+    kept: object
+    run: object
+    rule: object = None
+
+
+# Kept elements: the n x n matrices of eigen, lindblad, bands cells and
+# expm-bench, the (2n, n) Wigner field, the length-n grids (a triangular eigen
+# stencil keeps only its diagonal), the imagtime states and the particle and
+# trajectory vectors.  A recorded row keeps the 5 values of a trace.csv row, a
+# gap sample's tau and ln|<[H, O]>|, or re and im of an MCWF 2 x 2 density.
+_TASKS = {
+    "eigen": _Task({
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "eigen": _block({
+            "n_states": _integer(minimum=1),
+            "method": _choice("central", "forward", "backward", "spectral",
+                              default="spectral"),
+        }, default={}),
+    }, lambda c: [("grid.n", c["grid"]["n"] ** (
+        1 if c["eigen"]["method"] in ("forward", "backward") else 2))],
+        _run_eigen, rule=_fd_kinetic_rule),
+    "bands": _Task({
+        "hamiltonian": _HAMILTONIAN,
+        "bands": _block({
+            "lattice_constant": _POSITIVE,
+            "n_cell": _integer(minimum=2),
+            "n_bands": _integer(minimum=1),
+            "n_k": _integer(minimum=1),
+        }, default={}, rule=_bands_rule),
+    }, lambda c: [("bands.n_cell", c["bands"]["n_cell"] ** 2),
+                  ("bands.n_k", c["bands"]["n_k"] * c["bands"]["n_bands"])],
+        _run_bands),
+    "propagate": _Task({
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "propagate": _block({
+            "dt": _POSITIVE, "t_max": _POSITIVE,
+            "order": _integer(2, choices=(2, 4)),
+            "stride": _STRIDE,
+            "initial": _INITIAL,
+            "absorber": _block({"fraction": _number(0.2, above=0.0,
+                                                    maximum=0.49),
+                                "power": _number(0.125, above=0.0)},
+                               default=None),
+        }, default={}, rule=_whole_steps("t_max", "dt")),
+    }, lambda c: [("grid.n", c["grid"]["n"]),
+                  _series(c, "propagate", "t_max", 5, "dt")],
+        _run_propagate),
+    "imagtime": _Task({
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "imagtime": _block({"dtau": _POSITIVE, "tol": _TOL,
+                            "n_states": _integer(1, minimum=1)}, default={}),
+    }, lambda c: [("grid.n", c["grid"]["n"]),
+                  ("imagtime.n_states", c["imagtime"]["n_states"] * c["grid"]["n"])],
+        _run_imagtime),
+    "gap": _Task({
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "gap": _block({
+            "dtau": _POSITIVE, "tau_max": _POSITIVE,
+            "observable": _choice("x", "x2", default="x"),
+            "initial": _block(_GAUSSIAN, default={"p0": 1.0},
+                              empty_default=True),
+        }, default={}, rule=_whole_steps("tau_max", "dtau", minimum=8)),
+    }, lambda c: [("grid.n", c["grid"]["n"]),
+                  _series(c, "gap", "tau_max", 2, "dtau")],
+        _run_gap),
+    "classical": _Task({
+        "classical": _block({
+            "dt": _POSITIVE,
+            "n_steps": _integer(minimum=1),
+            "n_particles": _integer(minimum=1),
+            "seed": _SEED,
+            "stride": _STRIDE,
+            "cloud": _block({"x0": _number(1.0), "p0": _number(0.0),
+                             "sigma_x": _number(0.2, minimum=0.0),
+                             "sigma_p": _number(0.2, minimum=0.0)},
+                            default={}),
+            "forces": _block(_POTENTIAL_FIELDS, default={"name": "harmonic"}),
+            "drive": _block({"amplitude": _number(0.0),
+                             "omega": _number(1.0)}, default=None),
+        }, default={}),
+    }, lambda c: [("classical.n_particles", c["classical"]["n_particles"]),
+                  _series(c, "classical", "n_steps", 5)],
+        _run_classical),
+    "lindblad": _Task({
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "lindblad": _block({
+            "dt": _POSITIVE, "t_max": _POSITIVE,
+            "stride": _STRIDE,
+            "coupling": _block({"name": _choice("linear", "constant"),
+                                "strength": _number(0.1)},
+                               default={"name": "linear"}),
+            "initial": _INITIAL,
+        }, default={}, rule=_whole_steps("t_max", "dt")),
+    }, lambda c: [("grid.n", c["grid"]["n"] ** 2),
+                  _series(c, "lindblad", "t_max", 5, "dt")],
+        _run_lindblad),
+    "mcwf": _Task({
+        "mcwf": _block({
+            "dt": _POSITIVE, "t_max": _POSITIVE,
+            "n_traj": _integer(minimum=1),
+            "seed": _SEED,
+            "stride": _STRIDE,
+            "decay_rate": _number(1.0, minimum=0.0),
+            "rabi": _number(0.0),
+        }, default={}, rule=_whole_steps("t_max", "dt")),
+    }, lambda c: [("mcwf.n_traj", c["mcwf"]["n_traj"]),
+                  _series(c, "mcwf", "t_max", 8, "dt")],
+        _run_mcwf),
+    "wigner": _Task({
+        "grid": _GRID, "hamiltonian": _HAMILTONIAN,
+        "wigner": _block({"initial": _INITIAL}, default={}),
+    }, lambda c: [("grid.n", 2 * c["grid"]["n"] ** 2)], _run_wigner),
+    "expm-bench": _Task({
+        "expm_bench": _block({
+            "dim": _integer(minimum=2),
+            "norms": _Field("numbers", above=0.0),
+            "seed": _SEED,
+            "tol": _TOL,
+        }, default={}),
+    }, lambda c: [("expm_bench.dim", c["expm_bench"]["dim"] ** 2)],
+        _run_expm_bench),
 }
+TASKS = tuple(_TASKS)
 
 
 def _load(config_path, stream, prefix):
@@ -854,7 +851,7 @@ def run(config_path: str, out_dir: str, threads: int | None = None) -> int:
         # overflow, 0/0 and x/0 in numpy raise FloatingPointError instead of
         # warning and carrying inf or nan into the outputs
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            diagnostics = _RUNNERS[cfg["task"]](resolved, sink)
+            diagnostics = _TASKS[cfg["task"]].run(resolved, sink)
     except (ConvergenceError, ArithmeticError, ValueError) as exc:
         # ValueError covers HermiticityError and numpy's LinAlgError;
         # ArithmeticError covers overflow, zero division and floating point

@@ -166,8 +166,11 @@ def frft(x: np.ndarray, alpha: float) -> np.ndarray:
     Evaluated in O(n log n) by the chirp (Bluestein) factorization
     kl = (k^2 + l^2 - (k-l)^2)/2, i.e. a pre-chirp, a convolution with the
     conjugate chirp, and a post-chirp, zero-padded to the next power of two
-    >= 2n - 1.  For alpha = 1/n this is the plain DFT.
+    >= 2n - 1.  For alpha = 1/n this is the plain DFT.  A non-finite alpha
+    raises ValueError.
     """
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     x = np.asarray(x, dtype=complex)
     n = x.size
     if n == 0:

@@ -121,7 +121,10 @@ def build_spectral_hamiltonian(grid: UniformGrid, spec: HamiltonianSpec,
     grid momenta pair into exact negatives; where K gives each pair the same
     bits (p^2/2m does, as does an even polynomial evaluated by Horner's
     rule), c is real and so is H (float64).  Otherwise H is complex and
-    hermitian to rounding.
+    hermitian to rounding, and its solve costs about three times as much.
+    numpy's ``**`` above the square breaks the evenness: ``p**4`` differs
+    between p and -p in the last bits, so write such a kinetic by Horner's
+    rule or as products, ``(p * p) * (p * p)``.
     """
     grid.require_fft_bridge()
     n = grid.n

@@ -166,6 +166,19 @@ def test_bundled_configs_validate(name):
     assert validate(os.path.join(CONFIG_DIR, name)) == 0
 
 
+def test_every_task_has_a_shipped_config():
+    # CI runs every shipped config twice, so this puts every task's runner
+    # under its byte-identical rerun check
+    from dynkit.cli import TASKS
+
+    tasks = set()
+    for name in os.listdir(CONFIG_DIR):
+        if name.endswith(".json"):
+            with open(os.path.join(CONFIG_DIR, name)) as fh:
+                tasks.add(json.load(fh)["task"])
+    assert tasks == set(TASKS)
+
+
 def _data_checksums(directory):
     out = {}
     for name in sorted(os.listdir(directory)):
@@ -477,34 +490,51 @@ def test_validate_config_total_on_mutated_shipped_configs():
 HUGE = 4_000_000_000_000
 OVER = " elements, over MAX_ARRAY_ELEMENTS = 4194304"
 
+
+def _eigen_fd(method, n):
+    """``eigen_central_fd.json`` with another stencil or method and grid size."""
+    cfg = _shipped_with("eigen_central_fd.json", "eigen", "method", method)
+    cfg["grid"]["n"] = n
+    return cfg
+
+
 OVER_BUDGET = {
-    "eigen_n": (("eigen_oscillator.json", "grid", "n", HUGE),
+    "eigen_n": (_shipped_with("eigen_oscillator.json", "grid", "n", HUGE),
                 "grid.n: keeps 16000000000000000000000000" + OVER),
-    "lindblad_n": (("lindblad_dephasing.json", "grid", "n", 2052),
+    # the dense methods keep the n x n Hamiltonian, the triangular stencils
+    # only length-n arrays
+    "eigen_central_n": (_eigen_fd("central", 4096),
+                        "grid.n: keeps 16777216" + OVER),
+    "eigen_spectral_n": (_eigen_fd("spectral", 4096),
+                         "grid.n: keeps 16777216" + OVER),
+    "eigen_forward_n": (_eigen_fd("forward", 2 ** 22 + 4),
+                        "grid.n: keeps 4194308" + OVER),
+    "lindblad_n": (_shipped_with("lindblad_dephasing.json", "grid", "n", 2052),
                    "grid.n: keeps 4210704" + OVER),
-    "wigner_n": (("wigner_ground.json", "grid", "n", 1452),
+    "wigner_n": (_shipped_with("wigner_ground.json", "grid", "n", 1452),
                  "grid.n: keeps 4216608" + OVER),
-    "propagate_n": (("propagate_coherent.json", "grid", "n", 2 ** 22 + 4),
+    "propagate_n": (_shipped_with("propagate_coherent.json", "grid", "n",
+                                  2 ** 22 + 4),
                     "grid.n: keeps 4194308" + OVER),
-    "bands_n_cell": (("bands_cosine.json", "bands", "n_cell", 2049),
+    "bands_n_cell": (_shipped_with("bands_cosine.json", "bands", "n_cell", 2049),
                      "bands.n_cell: keeps 4198401" + OVER),
-    "bands_n_k": (("bands_cosine.json", "bands", "n_k", HUGE),
+    "bands_n_k": (_shipped_with("bands_cosine.json", "bands", "n_k", HUGE),
                   "bands.n_k: keeps 12000000000000" + OVER),
-    "expm_dim": (("expm_bench.json", "expm_bench", "dim", 2049),
+    "expm_dim": (_shipped_with("expm_bench.json", "expm_bench", "dim", 2049),
                  "expm_bench.dim: keeps 4198401" + OVER),
-    "classical_n_particles": (("classical_driven.json", "classical",
-                               "n_particles", HUGE),
+    "classical_n_particles": (_shipped_with("classical_driven.json",
+                                            "classical", "n_particles", HUGE),
                               "classical.n_particles: keeps 4000000000000"
                               + OVER),
-    "mcwf_n_traj": (("mcwf_decay.json", "mcwf", "n_traj", HUGE),
+    "mcwf_n_traj": (_shipped_with("mcwf_decay.json", "mcwf", "n_traj", HUGE),
                     "mcwf.n_traj: keeps 4000000000000" + OVER),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OVER_BUDGET))
 def test_over_budget_sizes_rejected_at_validation(tmp_path, capsys, name):
-    mutation, message = OVER_BUDGET[name]
-    path = write_config(tmp_path, _shipped_with(*mutation))
+    cfg, message = OVER_BUDGET[name]
+    path = write_config(tmp_path, cfg)
     assert validate(path) == 2
     assert capsys.readouterr().out == message + "\n"
 
@@ -513,13 +543,26 @@ def test_budget_edges_stay_valid():
     from dynkit.cli import MAX_ARRAY_ELEMENTS
 
     assert MAX_ARRAY_ELEMENTS == 2 ** 22
-    for mutation in [("eigen_oscillator.json", "grid", "n", 2048),
-                     ("lindblad_dephasing.json", "grid", "n", 2048),
-                     ("wigner_ground.json", "grid", "n", 1448),
-                     ("expm_bench.json", "expm_bench", "dim", 2048),
-                     ("classical_driven.json", "classical", "n_particles",
-                      2 ** 22)]:
-        assert validate_config(_shipped_with(*mutation)) == []
+    for cfg in [_shipped_with("eigen_oscillator.json", "grid", "n", 2048),
+                _shipped_with("lindblad_dephasing.json", "grid", "n", 2048),
+                _shipped_with("wigner_ground.json", "grid", "n", 1448),
+                _shipped_with("expm_bench.json", "expm_bench", "dim", 2048),
+                _shipped_with("classical_driven.json", "classical",
+                              "n_particles", 2 ** 22),
+                _eigen_fd("forward", 4096), _eigen_fd("backward", 4096),
+                _eigen_fd("forward", 2 ** 22), _eigen_fd("backward", 2 ** 22)]:
+        assert validate_config(cfg) == []
+
+
+@pytest.mark.parametrize("method", ["forward", "backward"])
+def test_triangular_eigen_runs_above_the_dense_edge(tmp_path, capsys, method):
+    # n = 4096 keeps 4096 elements here, where a dense method keeps 16777216
+    path = write_config(tmp_path, _eigen_fd(method, 4096))
+    assert validate(path) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert run(path, str(tmp_path / "out")) == 0
+    _, rows = read_csv(tmp_path / "out" / "energies.csv")
+    assert len(rows) == 4 and np.all(np.diff(rows[:, 1]) >= 0)
 
 
 def test_imagtime_budget_counts_every_kept_state(tmp_path, capsys):
@@ -556,7 +599,8 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     def exhausted(cfg, sink):
         raise MemoryError("Unable to allocate 119. TiB")
 
-    monkeypatch.setitem(cli._RUNNERS, "eigen", exhausted)
+    monkeypatch.setitem(cli._TASKS, "eigen",
+                        cli._TASKS["eigen"]._replace(run=exhausted))
     path = write_config(tmp_path, minimal_eigen_config())
     assert run(path, str(tmp_path / "out")) == 3
     assert capsys.readouterr().err == (
@@ -783,7 +827,7 @@ def _workload_configs(workload, seed, out):
 
 
 def test_eigen_energies_match_the_full_eigensolve(tmp_path):
-    from dynkit.cli import _grid_from_config, _hamiltonian_spec, _walk
+    from dynkit.cli import _grid_and_spec, _walk
     from dynkit.stationary import (build_fd_hamiltonian,
                                    build_spectral_hamiltonian, eigensolve)
 
@@ -800,8 +844,7 @@ def test_eigen_energies_match_the_full_eigensolve(tmp_path):
         _, rows = read_csv(out / "energies.csv")
         problems, resolved = _walk(cfg)
         assert problems == []
-        grid = _grid_from_config(resolved["grid"])
-        spec = _hamiltonian_spec(resolved["hamiltonian"], grid.hbar)
+        grid, spec = _grid_and_spec(resolved)
         method = resolved["eigen"]["method"]
         methods.add(method)
         if method == "spectral":
@@ -833,7 +876,7 @@ def test_every_shipped_manifest_matches_the_files_on_disk(tmp_path, name):
 @pytest.mark.parametrize("method", ["forward", "backward"])
 @pytest.mark.parametrize("n", [64, 128, 512])
 def test_triangular_stencil_energies_equal_the_general_eigensolve(tmp_path, method, n):
-    from dynkit.cli import _grid_from_config, _walk, potential_from_config
+    from dynkit.cli import _grid_and_spec, _walk, potential_from_config
     from dynkit.stationary import build_fd_hamiltonian
 
     cfg = minimal_eigen_config()
@@ -845,7 +888,7 @@ def test_triangular_stencil_energies_equal_the_general_eigensolve(tmp_path, meth
     _, rows = read_csv(out / "energies.csv")
     resolved = _walk(cfg)[1]
     u, _ = potential_from_config(resolved["hamiltonian"]["potential"])
-    h = build_fd_hamiltonian(_grid_from_config(resolved["grid"]), u, method)
+    h = build_fd_hamiltonian(_grid_and_spec(resolved)[0], u, method)
     reference = np.sort(np.linalg.eigvals(h).real)
     assert rows[:, 1].tobytes() == reference.tobytes()
 

@@ -171,6 +171,12 @@ class TestFrft:
             np.testing.assert_allclose(frft(x, alpha), direct_frft(x, alpha),
                                        atol=1e-10, rtol=0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        # a NaN or infinite chirp made every output NaN without an error
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            frft(np.ones(16), alpha)
+
 
 class TestCftForwardCustom:
     def test_agrees_with_method_one_at_native_spacing(self):

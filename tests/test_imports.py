@@ -7,6 +7,7 @@ The footprint tests run ``python -m dynkit.cli`` in a fresh interpreter
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -123,6 +124,10 @@ def test_all_and_dir_list_every_exported_name():
     assert sorted(dynkit.__all__) == sorted(name for _, name in NAMES)
     assert {name for _, name in NAMES} <= set(dir(dynkit))
     assert {"cli", "tdse", "wigner", "__version__"} <= set(dir(dynkit))
+    # every other public name of the package is one of its submodules
+    submodules = {m.name for m in pkgutil.iter_modules(dynkit.__path__)}
+    public = {name for name in dir(dynkit) if not name.startswith("_")}
+    assert public - set(dynkit.__all__) - submodules == set()
 
 
 def test_submodules_resolve_as_attributes():
