@@ -465,11 +465,9 @@ def _run_bands(cfg, sink):
     spec = _hamiltonian_spec(cfg["hamiltonian"], 1.0)
     ks = np.linspace(-np.pi / a, np.pi / a, block["n_k"])
     bands = st.band_structure(spec, a, block["n_cell"], ks, block["n_bands"])
-    rows = []
-    for i, k in enumerate(ks):
-        for n in range(bands.shape[1]):
-            rows.append((k, n, bands[i, n]))
-    sink.csv("bands.csv", ("k", "n", "E"), rows)
+    nb = bands.shape[1]
+    sink.csv("bands.csv", ("k", "n", "E"),
+             zip(np.repeat(ks, nb), np.tile(range(nb), len(ks)), bands.ravel()))
 
 
 def _run_propagate(cfg, sink):
@@ -499,11 +497,7 @@ def _run_imagtime(cfg, sink):
     states = []
     for n in range(block["n_states"]):
         guess = tdse.gaussian_packet(grid, x0=0.3 * n, sigma=1.0 / (1.0 + 0.3 * n))
-        if n == 0:
-            e, psi = tdse.imaginary_time_ground(guess, dtau, spec, tol)
-        else:
-            e, psi = tdse.imaginary_time_excited(n, states, guess, dtau, spec,
-                                                 tol)
+        e, psi = tdse.imaginary_time_excited(n, states, guess, dtau, spec, tol)
         energies.append(e)
         states.append(psi)
     sink.csv("energies.csv", ("index", "E"), list(enumerate(energies)))
@@ -676,7 +670,8 @@ class _Task(NamedTuple):
 # expm-bench, the (2n, n) Wigner field, the length-n grids (a triangular eigen
 # stencil keeps only its diagonal), the imagtime states and the particle and
 # trajectory vectors.  A recorded row keeps the 5 values of a trace.csv row, a
-# gap sample's tau and ln|<[H, O]>|, or re and im of an MCWF 2 x 2 density.
+# gap sample's tau and ln|<[H, O]>|, an eigen row's index and energy, or re and
+# im of an MCWF 2 x 2 density.
 _TASKS = {
     "eigen": _Task({
         "grid": _GRID, "hamiltonian": _HAMILTONIAN,
@@ -686,7 +681,8 @@ _TASKS = {
                               default="spectral"),
         }, default={}),
     }, lambda c: [("grid.n", c["grid"]["n"] ** (
-        1 if c["eigen"]["method"] in ("forward", "backward") else 2))],
+        1 if c["eigen"]["method"] in ("forward", "backward") else 2)),
+                  ("eigen.n_states", 2 * min(c["eigen"]["n_states"], c["grid"]["n"]))],
         _run_eigen, rule=_fd_kinetic_rule),
     "bands": _Task({
         "hamiltonian": _HAMILTONIAN,

@@ -103,34 +103,40 @@ def _alt_signs(n: int) -> np.ndarray:
     return s
 
 
-def _signs_along(shape, axis):
-    s = _alt_signs(shape[axis])
-    expand = [None] * len(shape)
-    expand[axis] = slice(None)
-    return s[tuple(expand)]
+def _gufuncs():
+    """numpy's pocketfft (fft, ifft) gufuncs: ``np.fft.fft``/``ifft`` without
+    their Python wrapper, imported on first use so that importing dynkit
+    loads no numpy.fft."""
+    from numpy.fft import _pocketfft_umath
+    return _pocketfft_umath.fft, _pocketfft_umath.ifft
 
 
-def _bridge(transform, values, axis):
-    """(-1)^k transform[(-1)^l f_l] along ``axis``, whose length n % 4 == 0."""
-    values = np.asarray(values, dtype=complex)
-    n = values.shape[axis]
+def _bridge(w, axis, inverse=False):
+    """(-1)^k FFT[(-1)^l w_l] along ``axis``, or the inverse, in place in the
+    complex array ``w``, whose length n along ``axis`` has n % 4 == 0."""
+    n = w.shape[axis]
     if n % 4 != 0:
         raise ValueError(f"axis length {n} must be divisible by 4 for the FFT bridge")
-    s = _signs_along(values.shape, axis)
-    return s * transform(s * values, axis=axis)
+    # (-1)^k along axis, broadcast over the axes after it
+    s = _alt_signs(n)[(slice(None),) + (None,) * (w.ndim - 1 - axis % w.ndim)]
+    transform = _gufuncs()[inverse]
+    np.multiply(s, w, out=w)
+    transform(w, 1.0 / n if inverse else 1.0, axes=[(axis,), (), (axis,)], out=w)
+    return np.multiply(s, w, out=w)
 
 
 def fft_bridge(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Kernel sum_l f_l exp(-2 pi i (k - n/2)(l - n/2)/n) via one FFT.
 
     Equals (-1)^k FFT[(-1)^l f_l] for n divisible by 4; no measure factor.
+    Returns a fresh array; ``values`` is not changed.
     """
-    return _bridge(np.fft.fft, values, axis)
+    return _bridge(np.array(values, dtype=complex), axis)
 
 
 def ifft_bridge(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Exact inverse of :func:`fft_bridge` (includes the 1/n of the iFFT)."""
-    return _bridge(np.fft.ifft, values, axis)
+    return _bridge(np.array(values, dtype=complex), axis, inverse=True)
 
 
 def cft_forward(signal: SpectralSignal, normalized: bool = False) -> SpectralSignal:

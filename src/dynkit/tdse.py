@@ -17,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .grids import UniformGrid, _alt_signs, fft_bridge, ifft_bridge
+from .grids import UniformGrid, _alt_signs, _gufuncs, fft_bridge, ifft_bridge
 from .stationary import HamiltonianSpec
 from .steps import require_step, step_count
 
@@ -183,10 +183,7 @@ class SplitStepEngine:
     def __init__(self, grid: UniformGrid, spec: HamiltonianSpec,
                  mask: np.ndarray | None = None):
         grid.require_fft_bridge()
-        # numpy's pocketfft gufuncs, bound here so that importing dynkit.tdse
-        # loads no numpy.fft
-        from numpy.fft import _pocketfft_umath
-        self._fft, self._ifft = _pocketfft_umath.fft, _pocketfft_umath.ifft
+        self._fft, self._ifft = _gufuncs()
         self.grid, self.spec = grid, spec
         self.signs = _alt_signs(grid.n)
         self.mask = None if mask is None else _checked_mask(mask, grid.n)
@@ -213,6 +210,10 @@ class SplitStepEngine:
             u, k = self.terms(t + start * dt + h / 2.0)
             halves.append(np.exp(-0.5j * h * u / self.spec.hbar))
             kins.append(np.exp(-1j * h * k / self.spec.hbar))
+        for name, factors in (("U", halves), ("K", kins)):
+            if not all(np.isfinite(f).all() for f in factors):
+                raise ValueError(f"the {name} phase factor of a step of dt = {dt!r} "
+                                 f"is not finite; {name} must be finite on the grid")
         tail = halves[-1] if self.mask is None else halves[-1] * self.mask
         phases = _StepPhases(kins, [a * b for a, b in zip(halves, halves[1:])],
                              halves[0], tail, self.signs * halves[0],
@@ -235,9 +236,8 @@ class SplitStepEngine:
     def _substeps(self, cur: _StepPhases, w: np.ndarray) -> np.ndarray:
         """Step ``w``, which carries ``cur.lead``, in place to one step later, before ``cur.out``.
 
-        The gufuncs are the calls and the normalization of ``np.fft.fft`` and
-        ``np.fft.ifft`` without their Python wrapper, which costs about as
-        much as the transform itself at n = 256.
+        The gufuncs of ``grids._gufuncs`` skip the ``np.fft`` wrapper, which
+        costs about as much as the transform itself at n = 256.
         """
         fft, ifft, inv_n = self._fft, self._ifft, 1.0 / self.grid.n
         for kick, kin in zip([None, *cur.inner], cur.kins):
@@ -288,8 +288,7 @@ class SplitStepEngine:
     def apply_hamiltonian(self, values: np.ndarray, t: float = 0.0) -> np.ndarray:
         """H psi = F^-1[K(t,p) F[psi]] + U(t,x) psi as raw amplitudes."""
         u, k = self.terms(t)
-        return self.signs * np.fft.ifft(k * np.fft.fft(self.signs * values)) \
-            + u * values
+        return ifft_bridge(k * fft_bridge(values)) + u * values
 
     def commutator(self, values: np.ndarray, observable: np.ndarray,
                    t: float = 0.0) -> complex:

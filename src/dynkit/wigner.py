@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HermiticityError
-from .grids import UniformGrid, _alt_signs, fft_bridge, ifft_bridge
+from .grids import UniformGrid, _bridge, fft_bridge, ifft_bridge
 from .open_systems import DensityMatrix
 from .tdse import WaveFunction, _two_level_rotation
 
@@ -154,10 +154,6 @@ def wigner_from_density(rho: DensityMatrix | WaveFunction) -> WignerFunction:
     transform is taken there in place, so besides the result the transform
     holds two blocks of ``_BLOCK_AMPLITUDES`` amplitudes.
     """
-    # numpy's pocketfft gufunc, imported here so that importing dynkit.wigner
-    # loads no numpy.fft
-    from numpy.fft import _pocketfft_umath
-
     if rho.grid is None:
         raise ValueError("wigner_from_density needs a grid density matrix")
     grid = rho.grid
@@ -183,7 +179,7 @@ def wigner_from_density(rho: DensityMatrix | WaveFunction) -> WignerFunction:
             np.take(flat, at, mode="clip", out=rows)
     x_w, p_w, dtheta = _wigner_axes(grid)
     half_shift = np.exp(1j * np.pi * (np.arange(n) - n // 2) / n)
-    signs, scale = _alt_signs(n), dtheta / (2.0 * np.pi)
+    scale = dtheta / (2.0 * np.pi)
     work, spares = np.empty((2, _block_rows(n), n), dtype=complex)
     out = np.empty((2 * n, n))
     residue = 0.0
@@ -192,9 +188,7 @@ def wigner_from_density(rho: DensityMatrix | WaveFunction) -> WignerFunction:
         gather(rows, spare, bra, ket)
         np.copyto(rows, 0.0, where=~valid)
         # n ifft_bridge(rows) dtheta / 2 pi, each factor applied in place
-        np.multiply(signs, rows, out=rows)
-        _pocketfft_umath.ifft(rows, 1.0 / n, out=rows)
-        np.multiply(signs, rows, out=rows)
+        _bridge(rows, 1, inverse=True)
         np.multiply(rows, n, out=rows)
         np.multiply(rows, scale, out=rows)
         rows[1::2] *= half_shift
@@ -223,7 +217,7 @@ def density_from_wigner(w: WignerFunction,
     for start, bra, ket, valid in _center_blocks(n):
         rows = w.values[start:start + len(bra)].astype(complex)
         rows[1::2] *= half_shift
-        f = fft_bridge(rows, axis=1) * dp
+        f = _bridge(rows, 1) * dp
         rho[bra[valid], ket[valid]] = f[valid]
     return DensityMatrix(rho, grid)
 

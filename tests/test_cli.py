@@ -554,6 +554,27 @@ def test_budget_edges_stay_valid():
         assert validate_config(cfg) == []
 
 
+def test_eigen_budget_counts_the_written_rows(tmp_path, capsys):
+    # each energies.csv row keeps its index and energy, 2 values: at n = 2**22
+    # with a triangular stencil 2**21 rows fit and one more does not
+    cfg = _eigen_fd("forward", 2 ** 22)
+    cfg["eigen"]["n_states"] = 2 ** 21
+    assert validate_config(cfg) == []
+    cfg["eigen"]["n_states"] += 1
+    assert validate(write_config(tmp_path, cfg)) == 2
+    assert capsys.readouterr().out == "eigen.n_states: keeps 4194306" + OVER + "\n"
+    # at most n rows are written, however many states are asked for
+    cfg = _eigen_fd("backward", 4096)
+    cfg["eigen"]["n_states"] = HUGE
+    assert validate_config(cfg) == []
+    # a dense config already over budget in grid.n also reports its rows
+    cfg = _eigen_fd("central", 2 ** 22)
+    cfg["eigen"]["n_states"] = 2 ** 21 + 1
+    assert validate(write_config(tmp_path, cfg)) == 2
+    assert capsys.readouterr().out == ("grid.n: keeps 17592186044416" + OVER + "\n"
+                                       "eigen.n_states: keeps 4194306" + OVER + "\n")
+
+
 @pytest.mark.parametrize("method", ["forward", "backward"])
 def test_triangular_eigen_runs_above_the_dense_edge(tmp_path, capsys, method):
     # n = 4096 keeps 4096 elements here, where a dense method keeps 16777216

@@ -9,7 +9,9 @@ from dynkit.grids import (
     cft_forward,
     cft_forward_custom,
     cft_inverse,
+    fft_bridge,
     frft,
+    ifft_bridge,
     make_grid,
 )
 
@@ -148,6 +150,26 @@ def test_bridge_signs_cached_read_only():
     assert _alt_signs(12) is signs
     assert not signs.flags.writeable
     assert np.array_equal(signs, (-1.0) ** np.arange(12))
+
+
+@pytest.mark.parametrize("bridge,transform", [(fft_bridge, np.fft.fft),
+                                               (ifft_bridge, np.fft.ifft)],
+                         ids=["fft", "ifft"])
+def test_bridges_leave_their_input_and_return_a_fresh_array(bridge, transform):
+    rng = np.random.default_rng(5)
+    writable = rng.normal(size=(8, 12)) + 1j * rng.normal(size=(8, 12))
+    read_only = writable.copy()
+    read_only.setflags(write=False)
+    for values in (writable, read_only, writable.real.copy()):
+        before = values.copy()
+        for axis in (0, 1, -1):
+            out = bridge(values, axis=axis)
+            assert not np.shares_memory(out, values)
+            assert values.tobytes() == before.tobytes()
+            # (-1)^k transform[(-1)^l f_l] through the np.fft wrapper, bit for bit
+            s = _alt_signs(8)[:, None] if axis == 0 else _alt_signs(12)
+            expected = s * transform(s * values, axis=axis)
+            assert out.tobytes() == expected.tobytes()
 
 
 class TestFrft:

@@ -16,6 +16,12 @@ import pytest
 
 from dynkit.cli import run, validate
 from dynkit.grids import fft_bridge, ifft_bridge, make_grid
+from dynkit.open_systems import (
+    lindblad_x_step,
+    mcwf_ensemble,
+    pure_state_density,
+    run_density,
+)
 from dynkit.stationary import HamiltonianSpec
 from dynkit.tdse import (
     TRIPLE_JUMP_S,
@@ -25,6 +31,7 @@ from dynkit.tdse import (
     energy_expectation,
     gaussian_packet,
     propagate,
+    split_op_step,
     split_op_step_o4,
 )
 
@@ -286,3 +293,36 @@ def test_step_rejects_what_run_rejects(dt, order, match):
         engine.step(values, 0.0, dt, order)
     with pytest.raises(ValueError, match=match):
         next(engine.run(values, 0.0, dt, 3, order))
+
+
+def _spec_with(term, bad, time_independent):
+    """x^2/2 + p^2/2, with ``term`` ("U" or "K") equal to ``bad`` where |q| < 0.2."""
+    good = lambda t, q: q ** 2 / 2
+    spoiled = lambda t, q: np.where(np.abs(q) < 0.2, bad, q ** 2 / 2)
+    return HamiltonianSpec(kinetic=spoiled if term == "K" else good,
+                           potential=spoiled if term == "U" else good,
+                           time_independent=time_independent)
+
+
+@pytest.mark.parametrize("time_independent", [True, False], ids=["static", "driven"])
+@pytest.mark.parametrize("term,bad", [("U", np.nan), ("U", np.inf), ("U", -1j * np.inf),
+                                      ("K", np.nan), ("K", np.inf)],
+                         ids=["U-nan", "U-inf", "U-absorber-inf", "K-nan", "K-inf"])
+def test_non_finite_phases_are_refused(term, bad, time_independent):
+    # each of these made every amplitude NaN without a warning (or, for +inf,
+    # with only numpy's "invalid value" warning)
+    grid = make_grid(5.0, 64)
+    spec = _spec_with(term, bad, time_independent)
+    psi = gaussian_packet(grid)
+    engine = SplitStepEngine(grid, spec)
+    rho = pure_state_density(psi)
+    calls = [lambda: split_op_step(psi, 0.0, 0.01, spec),
+             lambda: split_op_step_o4(psi, 0.0, 0.01, spec),
+             lambda: next(engine.run(psi.values, 0.0, -0.01j, 3)),
+             lambda: next(run_density(engine, rho.values, 0.0, 0.01, 3)),
+             lambda: lindblad_x_step(rho, 0.0, 0.01, spec, lambda x: 0.3 * x),
+             lambda: mcwf_ensemble(psi, spec, [lambda x: 0.3 * x], 0.01, 0.03, 2, 1)]
+    with np.errstate(invalid="ignore"):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"the {term} phase factor .* is not finite"):
+                call()
