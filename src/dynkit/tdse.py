@@ -155,6 +155,13 @@ _SUBSTEPS = {2: ((0.0, 1.0),),
                  (1.0 - TRIPLE_JUMP_S, TRIPLE_JUMP_S))}
 
 
+def _require_finite_phases(dt, **factors):
+    for name, arrays in factors.items():
+        if not all(np.isfinite(f).all() for f in arrays):
+            raise ValueError(f"the {name} phase factor of a step of dt = {dt!r} "
+                             f"is not finite; {name} must be finite on the grid")
+
+
 class _StepPhases(NamedTuple):
     """x- and p-space factors of one step, per substep of length h."""
 
@@ -210,10 +217,7 @@ class SplitStepEngine:
             u, k = self.terms(t + start * dt + h / 2.0)
             halves.append(np.exp(-0.5j * h * u / self.spec.hbar))
             kins.append(np.exp(-1j * h * k / self.spec.hbar))
-        for name, factors in (("U", halves), ("K", kins)):
-            if not all(np.isfinite(f).all() for f in factors):
-                raise ValueError(f"the {name} phase factor of a step of dt = {dt!r} "
-                                 f"is not finite; {name} must be finite on the grid")
+        _require_finite_phases(dt, U=halves, K=kins)
         tail = halves[-1] if self.mask is None else halves[-1] * self.mask
         phases = _StepPhases(kins, [a * b for a, b in zip(halves, halves[1:])],
                              halves[0], tail, self.signs * halves[0],
@@ -561,14 +565,18 @@ def _two_level_rotation(c1, c2, c3, dt, hbar):
     return ((c - 1j * z, -1j * x - y), (-1j * x + y, c + 1j * z))
 
 
-def _pauli_apply(dt, hbar, coeffs, up, down):
-    """exp[-(i dt/hbar) sum_j c_j sigma_j] acting on (up, down) columns.
+def _pauli_factors(dt, hbar, coeffs):
+    """exp[-(i dt/hbar) sum_j c_j sigma_j] as [phase, t11, t12, t21, t22].
 
     The identity part c_0 is the scalar phase exp(-i dt c_0/hbar).
     """
     c0, c1, c2, c3 = coeffs
     (t11, t12), (t21, t22) = _two_level_rotation(c1, c2, c3, dt, hbar)
-    phase = np.exp(-1j * dt * c0 / hbar)
+    return [np.exp(-1j * dt * c0 / hbar), t11, t12, t21, t22]
+
+
+def _pauli_apply(factors, up, down):
+    phase, t11, t12, t21, t22 = factors
     return phase * (t11 * up + t12 * down), phase * (t21 * up + t22 * down)
 
 
@@ -595,13 +603,14 @@ def pauli_split_op_step(spinor: SpinorWaveFunction, t: float, dt: float,
     grid.require_fft_bridge()
     hbar = spec.hbar
     tm = t + dt / 2.0
-    ux = _pauli_coeffs(spec.potential, tm, grid.x)
-    kp = _pauli_coeffs(spec.kinetic, tm, grid.p_fft)
-    up, down = _pauli_apply(dt / 2.0, hbar, ux, spinor.up, spinor.down)
+    half = _pauli_factors(dt / 2.0, hbar, _pauli_coeffs(spec.potential, tm, grid.x))
+    kin = _pauli_factors(dt, hbar, _pauli_coeffs(spec.kinetic, tm, grid.p_fft))
+    _require_finite_phases(dt, U=half, K=kin)
+    up, down = _pauli_apply(half, spinor.up, spinor.down)
     up, down = fft_bridge(up), fft_bridge(down)
-    up, down = _pauli_apply(dt, hbar, kp, up, down)
+    up, down = _pauli_apply(kin, up, down)
     up, down = ifft_bridge(up), ifft_bridge(down)
-    up, down = _pauli_apply(dt / 2.0, hbar, ux, up, down)
+    up, down = _pauli_apply(half, up, down)
     return SpinorWaveFunction(up, down, grid)
 
 

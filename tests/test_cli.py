@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -988,3 +989,92 @@ def test_threads_above_the_cpu_count_are_refused_before_numpy_loads(
     assert all(os.environ[key] == "7" for key in BLAS_THREAD_VARS)
     assert main(["run", path, "--out", str(tmp_path / "o"), "--threads", "2"]) == 0
     assert started == [2]
+
+
+# ---------------------------------------------------------------------------
+# the process entry: `python -m dynkit.cli` and the installed `dynkit` script
+# freeze the heap once main returns; in-process callers see no difference
+# ---------------------------------------------------------------------------
+
+# runs the CLI as ``python -m dynkit.cli ARGS`` does, then prints its exit
+# code and the collector's state as the last line of standard output
+_CLI_THEN_GC = """
+import gc, json, runpy, sys
+sys.argv[0] = "dynkit"
+try:
+    runpy.run_module("dynkit.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, gc.get_freeze_count(), gc.isenabled()]))
+"""
+
+
+def _process(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_installed_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(os.path.join(CONFIG_DIR, "..", "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"dynkit": "dynkit.cli:entry"}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_process_entry_freezes_the_heap_on_exit(tmp_path, command):
+    args = [command, os.path.join(CONFIG_DIR, "propagate_coherent.json")]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    proc = _process("-c", _CLI_THEN_GC, *args)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, frozen, enabled = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and frozen > 0 and enabled
+
+
+def test_in_process_calls_leave_the_collector_alone(tmp_path, capsys):
+    config = os.path.join(CONFIG_DIR, "propagate_coherent.json")
+    assert main(["validate", config]) == 0
+    assert main(["run", config, "--out", str(tmp_path / "main")]) == 0
+    assert validate(config) == 0
+    assert run(config, str(tmp_path / "run")) == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+
+@pytest.mark.parametrize("name", ["propagate_coherent.json", "wigner_ground.json"])
+def test_process_run_writes_the_in_process_bytes(tmp_path, name):
+    config = os.path.join(CONFIG_DIR, name)
+    proc = _process("-m", "dynkit.cli", "run", config, "--out", str(tmp_path / "process"))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert main(["run", config, "--out", str(tmp_path / "in_process")]) == 0
+    assert _data_checksums(tmp_path / "process") == _data_checksums(tmp_path / "in_process")
+
+
+def test_process_exits_print_the_in_process_messages(tmp_path, capsys):
+    bad_schema = minimal_eigen_config()
+    bad_schema["eigen"]["method"] = "sideways"
+    # the exact ground state leaves the gap fit no decay window (exit 3)
+    no_gap = {"task": "gap", "grid": {"L": 10.0, "n": 128},
+              "hamiltonian": {"potential": {"name": "harmonic", "omega": 1.0}},
+              "gap": {"dtau": 0.05, "tau_max": 8.0, "observable": "x",
+                      "initial": {"x0": 0.0, "p0": 0.0,
+                                  "sigma": 0.7071067811865476}}}
+    schema = write_config(tmp_path, bad_schema, "schema.json")
+    gap = write_config(tmp_path, no_gap, "gap.json")
+    missing = str(tmp_path / "missing.json")
+    cases = [(2, ["validate", schema]), (2, ["run", schema, "--out", str(tmp_path / "a")]),
+             (2, ["run", schema, "--out", str(tmp_path / "b"), "--threads", "0"]),
+             (2, ["run", schema]),  # argparse: --out is required
+             (3, ["run", gap, "--out", str(tmp_path / "c")]),
+             (4, ["validate", missing]), (4, ["run", missing, "--out", str(tmp_path / "d")])]
+    for code, args in cases:
+        try:
+            in_process = main(args)
+        except SystemExit as exc:
+            in_process = exc.code
+        expected = capsys.readouterr()
+        proc = _process("-m", "dynkit.cli", *args)
+        assert in_process == proc.returncode == code, args
+        assert (proc.stdout, proc.stderr) == (expected.out, expected.err), args
+        assert expected.out or expected.err, args

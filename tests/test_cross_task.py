@@ -14,6 +14,10 @@ which tests of one route and rerun checksums cannot see:
   takes omega / sqrt(m) and carries p / m.
 - ``eigen`` with the central stencil, the one method that reads the spec's
   mass, agrees with the spectral method to the stencil's O(dx^2) error.
+- ``eigen`` (spectral), ``imagtime`` and ``gap`` on the shipped configs
+  find the oscillator's levels n + 1/2 and their spacing 1, in units of
+  omega / sqrt(m), so a mass or an omega lost on the way to the spec moves
+  all three.
 
 Each tolerance is about ten times the largest difference measured when the
 test was written, which is stated beside it.
@@ -105,3 +109,22 @@ def test_central_stencil_reads_the_mass_the_spectral_method_does(tmp_path):
     assert np.max(np.abs(energies["spectral"] - np.arange(4) - 0.5)) <= 1e-10
     # the stencil's error, measured 4.8e-3 at the fourth level (dx = 0.039)
     assert np.max(np.abs(energies["central"] - energies["spectral"])) <= 5e-2
+
+
+@pytest.mark.parametrize("hamiltonian", sorted(HAMILTONIANS))
+def test_eigen_imagtime_and_gap_find_the_oscillator_spacing(tmp_path, hamiltonian):
+    mass, omega, _ = HAMILTONIANS[hamiltonian]
+    energies = {}
+    for name in ("eigen_oscillator", "imagtime_ladder", "gap_oscillator"):
+        with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
+            cfg = json.load(fh)
+        cfg["hamiltonian"] = {"potential": {"name": "harmonic", "omega": omega},
+                              "kinetic": {"name": "free", "mass": mass}}
+        energies[cfg["task"]] = _run(tmp_path, name, cfg, "energies.csv")[:, 1]
+    levels = np.arange(8) + 0.5
+    assert energies["eigen"].shape == (8,) and energies["imagtime"].shape == (2,)
+    assert np.max(np.abs(energies["eigen"] - levels)) <= 2e-12  # measured 1.3e-13
+    assert np.max(np.abs(energies["imagtime"] - levels[:2])) <= 2e-9  # measured 1.7e-10
+    # the gap fits the decay of <x> over tau_max = 8, measured 0.99997 and 0.99998
+    assert energies["gap"].shape == (1,)
+    assert abs(energies["gap"][0] - 1.0) <= 3e-4

@@ -467,3 +467,25 @@ def test_pauli_split_op_step_rejects_non_finite_step(dt):
     spinor = SpinorWaveFunction(np.exp(-g.x ** 2), 0.5 * np.exp(-g.x ** 2), g)
     with pytest.raises(ValueError, match="finite"):
         pauli_split_op_step(spinor, 0.0, dt, spec)
+
+
+def _nan_inside(t, x):
+    return np.where(np.abs(x) < 0.2, np.nan, x ** 2 / 2)
+
+
+@pytest.mark.parametrize("term, kinetic, potential", [
+    # the identity potential NaN for |x| < 0.2 once gave 64 of 64 NaN
+    # amplitudes in both components, with no warning
+    ("U", (lambda t, p: p ** 2 / 2, None, None, None), (_nan_inside, None, None, None)),
+    ("U", (None, None, None, None), (None, None, None, _nan_inside)),
+    ("K", (None, lambda t, p: np.where(p > 1.0, np.inf, 0.1), None, None),
+     (None, None, None, None)),
+])
+def test_pauli_split_op_step_rejects_non_finite_phases(term, kinetic, potential):
+    g = make_grid(8.0, 64)
+    spec = PauliHamiltonianSpec(kinetic=kinetic, potential=potential)
+    spinor = SpinorWaveFunction(np.exp(-g.x ** 2), 0.5 * np.exp(-g.x ** 2), g)
+    # cos and sinc of an infinite |c| warn "invalid value" on their way to NaN
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match=f"the {term} phase factor .* is not finite"):
+        pauli_split_op_step(spinor, 0.0, 0.05, spec)
