@@ -110,7 +110,7 @@ def expm_taylor(a: np.ndarray, tol: float = 1e-14) -> ExpmReport:
     this route only serves as a cross-check oracle.
     """
     a = _check_square(a)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = a.shape[0]
     norm = _finite_norm(a)

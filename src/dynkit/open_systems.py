@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DegenerateJumpError, HermiticityError
-from .grids import UniformGrid, _alt_signs
+from .grids import UniformGrid, _alt_signs, _fft
 from .matfunc import (_hermitian_solve, _hermiticity_defect, expm_pade,
                       func_of_hermitian)
 from .stationary import HamiltonianSpec
@@ -118,7 +118,7 @@ def momentum_distribution(rho: DensityMatrix) -> np.ndarray:
     for d in range(0, n, width):
         columns = windows[d:d + n][::-1, :n - d]
         sums.append(np.take(flat, rows + columns).sum(axis=0))
-    p = np.fft.fft(_alt_signs(n) * np.concatenate(sums)).real
+    p = _fft(_alt_signs(n) * np.concatenate(sums)).real
     return p * (grid.dx ** 2 / (2.0 * np.pi * grid.hbar))
 
 
@@ -161,10 +161,12 @@ def coupling_factor(grid: UniformGrid, coupling: Callable,
     """G = exp[(dt/2)(A(x) A(x')* - |A(x')|^2/2 - |A(x)|^2/2)] for a coupling A(x).
 
     The diagonal of G is one, so a step G o (.) o G keeps the trace; a
-    constant coupling gives G = 1.
+    constant coupling gives G = 1.  A(x) must be finite on the grid.
     """
     require_step(dt)
     a = np.asarray(coupling(grid.x), dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("coupling A(x) is not finite on the grid")
     abs2 = np.abs(a) ** 2
     return np.exp(0.5 * dt * (_outer(a) - 0.5 * abs2[None, :] - 0.5 * abs2[:, None]))
 
@@ -194,7 +196,6 @@ def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
     require_step(dt)
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    fft, ifft = np.fft.fft, np.fft.ifft
     cur = engine._step_phases(t0, dt, 2)
     w = _outer(cur.lead)
     np.multiply(w, g, out=w)
@@ -203,12 +204,12 @@ def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
     across = None
     for m in range(1, n_steps + 1):
         kin = cur.kins[0]
-        ifft(w, axis=1, out=w)
+        _fft(w, inverse=True)
         np.multiply(w, np.conj(kin), out=w)
-        fft(w, axis=0, out=w)
+        _fft(w, axis=0)
         np.multiply(w, kin[:, None], out=w)
-        ifft(w, axis=0, out=w)
-        fft(w, axis=1, out=w)
+        _fft(w, axis=0, inverse=True)
+        _fft(w)
         if m % stride == 0 or m == n_steps:
             out = _outer(cur.out)
             np.multiply(out, g, out=out)

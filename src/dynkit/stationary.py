@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import UniformGrid, _alt_signs
+from .grids import UniformGrid, _alt_signs, _fft
 from .matfunc import _hermitian_solve
 from .steps import step_count
 
@@ -112,6 +112,17 @@ def triangular_fd_energies(grid: UniformGrid, potential, scheme: str,
     return np.sort(-c + u)
 
 
+def _circulant(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The n x n matrix c[(i - j) mod n] + diag(u), of c's dtype."""
+    n = len(c)
+    # row i is window n - 1 - i of the reversed c written twice
+    rev = c[::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rev, rev[:-1]]), n)
+    m = windows[::-1].copy()
+    m[np.arange(n), np.arange(n)] += u
+    return m
+
+
 def build_spectral_hamiltonian(grid: UniformGrid, spec: HamiltonianSpec,
                                t: float = 0.0) -> np.ndarray:
     """Dense H = F^-1 diag(K(t, p)) F + diag(U(t, x)) via the sign-alternation bridge.
@@ -130,17 +141,12 @@ def build_spectral_hamiltonian(grid: UniformGrid, spec: HamiltonianSpec,
     n = grid.n
     kdiag = np.asarray(spec.kinetic(t, grid.p_fft), dtype=float)
     u = np.asarray(spec.potential(t, grid.x), dtype=float)
-    c = np.fft.ifft(kdiag)
+    c = _fft(kdiag.astype(complex), inverse=True)
     # p_fft[k] = -p_fft[n - k], so a K even to the bit makes c real
     if np.array_equal(kdiag[1:], kdiag[:0:-1]):
         c = c.real
     c *= _alt_signs(n)
-    # row i of H is window n - 1 - i of the reversed c written twice
-    rev = c[::-1]
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rev, rev[:-1]]), n)
-    m = windows[::-1].copy()
-    m[np.arange(n), np.arange(n)] += u
-    return m
+    return _circulant(c, u)
 
 
 def eigensolve(h: np.ndarray, dx: float = 1.0) -> SpectrumResult:
@@ -165,8 +171,11 @@ def band_structure(cell_spec: HamiltonianSpec, lattice_constant: float,
     For each quasimomentum k the operator H(x, p + hbar k) is diagonalized on
     a single cell with periodic boundary conditions, using the cell's FFT
     momentum grid p_j = 2 pi hbar j / a directly (no sign alternation is
-    needed for a genuinely periodic boundary).  Returns an array of shape
-    (len(quasimomenta), n_bands) with the lowest bands in ascending order.
+    needed for a genuinely periodic boundary).  The kinetic block
+    F^-1 diag(K) F is the circulant c[(i - j) mod n] with c = ifft(K), built
+    from one length-n transform per k as in ``build_spectral_hamiltonian``.
+    Returns an array of shape (len(quasimomenta), n_bands) with the lowest
+    bands in ascending order.
     """
     if not 0 < lattice_constant < np.inf:
         raise ValueError("lattice_constant must be positive and finite, "
@@ -181,12 +190,10 @@ def band_structure(cell_spec: HamiltonianSpec, lattice_constant: float,
     x = np.arange(n) * (a / n)
     p = 2.0 * np.pi * hbar * np.fft.fftfreq(n, d=a / n)
     u = np.asarray(cell_spec.potential(0.0, x), dtype=float)
-    fw = np.fft.fft(np.eye(n, dtype=complex), axis=0)
     bands = np.empty((len(quasimomenta), n_bands))
     for i, k in enumerate(quasimomenta):
         kdiag = np.asarray(cell_spec.kinetic(0.0, p + hbar * k), dtype=float)
-        h = np.fft.ifft(kdiag[:, None] * fw, axis=0)
-        h[np.arange(n), np.arange(n)] += u
+        h = _circulant(_fft(kdiag.astype(complex), inverse=True), u)
         bands[i, :] = _hermitian_solve(h, vectors=False, tol=1e-10)[:n_bands]
     return bands
 
@@ -219,7 +226,7 @@ def spectrum_via_propagation(psi0, spec: HamiltonianSpec, duration: float,
     total = n_steps * dt
     k = np.arange(n_steps)
     energies = (k - n_steps // 2) * (2.0 * np.pi * hbar / total)
-    density = np.abs(n_steps * np.fft.ifft(_alt_signs(n_steps) * auto))
+    density = np.abs(n_steps * _fft(_alt_signs(n_steps) * auto, inverse=True))
     density = density * dt / np.sqrt(2.0 * np.pi * hbar)
     return energies, density
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .grids import UniformGrid, _alt_signs, _gufuncs, fft_bridge, ifft_bridge
+from .grids import UniformGrid, _alt_signs, _fft, fft_bridge, ifft_bridge
 from .stationary import HamiltonianSpec
 from .steps import require_step, step_count
 
@@ -121,6 +121,8 @@ def gaussian_packet(grid: UniformGrid, x0: float = 0.0, p0: float = 0.0,
     """Normalized Gaussian with position spread sigma, centered at (x0, p0)."""
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not (np.isfinite(x0) and np.isfinite(p0)):
+        raise ValueError(f"x0 and p0 must be finite, got {x0} and {p0}")
     psi = np.exp(-(grid.x - x0) ** 2 / (4.0 * sigma ** 2)
                  + 1j * p0 * grid.x / grid.hbar)
     out = WaveFunction(psi, grid)
@@ -143,7 +145,7 @@ def _checked_mask(mask, n: int) -> np.ndarray:
     mask = np.asarray(mask, dtype=float)
     if mask.shape != (n,):
         raise ValueError("mask length must match the grid")
-    if np.any(mask < 0.0) or np.any(mask > 1.0):
+    if not np.all((mask >= 0.0) & (mask <= 1.0)):  # NaN fails both
         raise ValueError("mask values must lie in [0, 1]")
     return mask
 
@@ -190,7 +192,6 @@ class SplitStepEngine:
     def __init__(self, grid: UniformGrid, spec: HamiltonianSpec,
                  mask: np.ndarray | None = None):
         grid.require_fft_bridge()
-        self._fft, self._ifft = _gufuncs()
         self.grid, self.spec = grid, spec
         self.signs = _alt_signs(grid.n)
         self.mask = None if mask is None else _checked_mask(mask, grid.n)
@@ -238,18 +239,13 @@ class SplitStepEngine:
         return self._step_phases(t0, dt, order)
 
     def _substeps(self, cur: _StepPhases, w: np.ndarray) -> np.ndarray:
-        """Step ``w``, which carries ``cur.lead``, in place to one step later, before ``cur.out``.
-
-        The gufuncs of ``grids._gufuncs`` skip the ``np.fft`` wrapper, which
-        costs about as much as the transform itself at n = 256.
-        """
-        fft, ifft, inv_n = self._fft, self._ifft, 1.0 / self.grid.n
+        """Step ``w``, which carries ``cur.lead``, in place to one step later, before ``cur.out``."""
         for kick, kin in zip([None, *cur.inner], cur.kins):
             if kick is not None:
                 np.multiply(kick, w, out=w)
-            fft(w, 1.0, out=w)
+            _fft(w)
             np.multiply(kin, w, out=w)
-            ifft(w, inv_n, out=w)
+            _fft(w, inverse=True)
         return w
 
     def run(self, values: np.ndarray, t0: float, dt: complex, n_steps: int,
@@ -320,7 +316,7 @@ def _observables(engine: SplitStepEngine, times, rows: np.ndarray):
     grid = engine.grid
     prob = rows.real ** 2 + rows.imag ** 2
     total = np.sum(prob, axis=1)
-    amplitudes = np.fft.fft(engine.signs * rows, axis=1)
+    amplitudes = _fft(np.multiply(engine.signs, rows, dtype=complex))
     weights = amplitudes.real ** 2 + amplitudes.imag ** 2
     wsum = np.sum(weights, axis=1)
     if engine.spec.time_independent:
@@ -405,6 +401,8 @@ def cosine_absorbing_mask(grid: UniformGrid, fraction: float = 0.2,
     """
     if not 0.0 < fraction < 0.5:
         raise ValueError("fraction must lie in (0, 0.5)")
+    if not 0.0 < power < np.inf:
+        raise ValueError(f"power must be positive and finite, got {power}")
     width = fraction * 2.0 * grid.half_width
     mask = np.ones(grid.n)
     left = grid.x < grid.x[0] + width

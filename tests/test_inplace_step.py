@@ -1,7 +1,8 @@
 """The in-place split step against the out-of-place step it replaced.
 
 ``SplitStepEngine`` steps an array it owns in place and transforms it with
-numpy's pocketfft gufuncs, bound when the engine is built.  The reference
+``grids._fft``, numpy's pocketfft gufuncs without the ``np.fft`` wrapper,
+the one place dynkit calls numpy's FFT.  The reference
 below is the earlier substep body and loop kept verbatim: ``ifft(kin *
 fft(w))`` through ``np.fft``, with a new array for every product.  Below
 2**14 points numpy multiplies ``kin * fft(w)`` as written, so the two agree
@@ -9,14 +10,17 @@ bit for bit; from 2**14 points on, numpy multiplies that temporary in place
 with the operands swapped, which rounds differently.
 """
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from dynkit.grids import make_grid
+import dynkit
+from dynkit.grids import _fft, make_grid
 from dynkit.stationary import HamiltonianSpec
 from dynkit.tdse import SplitStepEngine, cosine_absorbing_mask, gaussian_packet
 
@@ -62,19 +66,16 @@ def _packet(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 255, 256, 1024, 4096, 2 ** 14 + 1])
 def test_bound_transforms_are_numpys_bit_for_bit(n):
-    engine = SplitStepEngine(make_grid(8.0, 64), STATIC)
     rng = np.random.default_rng(n)
-    x = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-    for bound, public, fct in ((engine._fft, np.fft.fft, 1.0),
-                               (engine._ifft, np.fft.ifft, 1.0 / n)):
-        expected = public(x).tobytes()
-        out = np.empty_like(x)
-        assert bound(x, fct, out=out) is out
-        assert out.tobytes() == expected
+    x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    for inverse, public in ((False, np.fft.fft), (True, np.fft.ifft)):
+        for axis in (0, 1, -1):
+            w = x.copy()
+            assert _fft(w, axis, inverse) is w
+            assert w.tobytes() == public(x, axis=axis).tobytes()
         w = x.copy()
-        bound(w, fct, out=w)
-        assert w.tobytes() == expected
-        assert bound(x[1], fct, out=w[0]).tobytes() == public(x[1]).tobytes()
+        assert _fft(w[1], inverse=inverse).tobytes() == public(x[1]).tobytes()
+        assert w[0].tobytes() == x[0].tobytes()  # a row view transforms alone
 
 
 @pytest.mark.parametrize("n", [256, 1024, 4096])
@@ -154,10 +155,58 @@ def test_importing_the_engine_loads_no_numpy_fft():
         "from dynkit.grids import make_grid\n"
         "from dynkit.stationary import HamiltonianSpec\n"
         "spec = HamiltonianSpec(kinetic=lambda t, p: p, potential=lambda t, x: x)\n"
-        "dynkit.tdse.SplitStepEngine(make_grid(8.0, 16), spec)\n"
+        "engine = dynkit.tdse.SplitStepEngine(make_grid(8.0, 16), spec)\n"
+        "assert 'numpy.fft' not in sys.modules, 'numpy.fft loaded by the build'\n"
+        "engine.step(engine.grid.x.astype(complex), 0.0, 0.1)\n"
         "assert 'numpy.fft' in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+#: numpy.fft names that transform nothing and may be called anywhere
+_FFT_HELPERS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift"}
+
+
+def _named(node):
+    """The names a Name, Attribute or import node mentions."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+    return []
+
+
+def fft_uses_outside_grids(package: pathlib.Path):
+    """(module, line, what) for each numpy FFT transform, import of numpy.fft
+    or mention of its pocketfft module in a module of ``package`` but grids."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "grids":
+            continue
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            names = _named(node)
+            if any("_pocketfft" in name for name in names):
+                found.append((path.stem, node.lineno, "_pocketfft"))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    name.startswith("numpy.fft") or name == "fft" for name in names):
+                found.append((path.stem, node.lineno, "import of numpy.fft"))
+            if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")):
+                parent = parents[node]
+                name = parent.attr if isinstance(parent, ast.Attribute) else ""
+                if name not in _FFT_HELPERS:
+                    found.append((path.stem, node.lineno, f"np.fft.{name}"))
+    return found
+
+
+def test_only_grids_calls_numpys_fft():
+    assert fft_uses_outside_grids(pathlib.Path(dynkit.__file__).parent) == []

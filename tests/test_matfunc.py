@@ -62,6 +62,12 @@ class TestExpmTaylor:
         with pytest.raises(ConvergenceError):
             expm_taylor(np.array([[800.0]]), tol=1e-14)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-14, np.nan])
+    def test_rejects_bad_tol(self, tol):
+        # a NaN tol used to run every term and then report no convergence
+        with pytest.raises(ValueError, match="tol must be positive"):
+            expm_taylor(np.eye(2), tol=tol)
+
 
 @pytest.mark.parametrize("expm", [expm_pade, expm_taylor])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])

@@ -131,6 +131,15 @@ class TestLindbladXStep:
         sx, sp = density_uncertainty(rho)
         assert sx * sp >= 0.5 - 1e-6
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_coupling(self, bad):
+        # A = NaN on |x| < 1 used to turn every entry of rho into NaN
+        g = make_grid(8.0, 64)
+        rho = pure_state_density(gaussian_packet(g))
+        coupling = lambda x: np.where(np.abs(x) < 1.0, bad, 0.5 * x)
+        with pytest.raises(ValueError, match=r"coupling A\(x\) is not finite"):
+            lindblad_x_step(rho, 0.0, 0.02, OSCILLATOR, coupling)
+
 
 class TestRandomCollision:
     def test_gamma_zero_is_unitary(self):

@@ -208,6 +208,22 @@ class TestAbsorbingBoundary:
         with pytest.raises(ValueError):
             apply_absorbing_boundary(psi, np.full(g.n, -0.1))
 
+    def test_rejects_nan_mask(self):
+        # NaN fails both mask < 0 and mask > 1, and used to give a NaN norm
+        g = make_grid(10.0, 64)
+        psi = gaussian_packet(g)
+        mask = cosine_absorbing_mask(g)
+        mask[:4] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            apply_absorbing_boundary(psi, mask)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            propagate(psi, 0.0, 0.1, 0.01, OSCILLATOR, absorbing_mask=mask)
+
+    @pytest.mark.parametrize("power", [0.0, -0.5, np.nan, np.inf])
+    def test_cosine_mask_rejects_bad_power(self, power):
+        with pytest.raises(ValueError, match="power"):
+            cosine_absorbing_mask(make_grid(10.0, 64), power=power)
+
 
 class TestImaginaryTime:
     def test_oscillator_ground_state(self):
@@ -427,6 +443,13 @@ class TestUncertainty:
 def test_gaussian_packet_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError, match="sigma"):
         gaussian_packet(make_grid(8.0, 64), sigma=sigma)
+
+
+@pytest.mark.parametrize("center", [{"x0": np.nan}, {"x0": np.inf},
+                                    {"p0": np.nan}, {"p0": -np.inf}])
+def test_gaussian_packet_rejects_non_finite_center(center):
+    with pytest.raises(ValueError, match="x0 and p0 must be finite"):
+        gaussian_packet(make_grid(8.0, 64), **center)
 
 
 @pytest.mark.parametrize("span, dt", [
