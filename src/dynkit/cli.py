@@ -370,14 +370,23 @@ class _OutputSink:
         self.directory = directory
         self.files: list[dict] = []
 
-    def _write(self, name, data):
-        """Write the bytes ``data`` to ``name`` and list it with their sha256 and size."""
+    def _write(self, name, chunks):
+        """Write the byte buffers ``chunks`` to ``name``; list it with their sha256 and size.
+
+        The first buffer is drawn before the file is opened, so a refusal of
+        it leaves no file; a later one leaves a partial file, never listed.
+        """
         import hashlib
 
+        chunks = iter(chunks)
+        first = next(chunks, b"")
+        digest, size = hashlib.sha256(), 0
         with open(os.path.join(self.directory, name), "wb") as fh:
-            fh.write(data)
-        self.files.append({"name": name, "sha256": hashlib.sha256(data).hexdigest(),
-                           "bytes": len(data)})
+            for chunk in chain([first], chunks):
+                fh.write(chunk)
+                digest.update(chunk)
+                size += len(chunk)
+        self.files.append({"name": name, "sha256": digest.hexdigest(), "bytes": size})
 
     @staticmethod
     def _require_finite(name, values):
@@ -395,21 +404,39 @@ class _OutputSink:
         # %.17g formats each value as a float, with the 17 digits that round-trip it
         line = ",".join(["%.17g"] * len(header)) + "\n"
         text = ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)
-        self._write(name, text.encode())
+        self._write(name, [text.encode()])
 
-    def field(self, name, array, axes=None, notes=None):
+    def field(self, name, blocks, axes=None, notes=None):
+        """Write a float64 field given as blocks that join along axis 0.
+
+        ``blocks`` is an iterable of arrays; an array alone is one block.
+        Each block is checked, written and hashed in turn, from its own
+        buffer when it is C-order float64, so the field is never held whole.
+        """
         import numpy as np
 
-        array = np.ascontiguousarray(array, dtype="<f8")
-        self._require_finite(name, array)
-        # the array's own buffer is written and hashed: no copy of the field
-        self._write(name + ".f64", memoryview(array).cast("B"))
+        shape = []
+
+        def chunks():
+            for block in [blocks] if isinstance(blocks, np.ndarray) else blocks:
+                block = np.ascontiguousarray(block, dtype="<f8")
+                self._require_finite(name, block)
+                if not shape:
+                    shape.extend(block.shape)
+                elif list(block.shape[1:]) == shape[1:]:
+                    shape[0] += len(block)
+                else:
+                    raise ValueError(f"{name}: a block of shape {block.shape} "
+                                     f"does not join {tuple(shape)}")
+                yield memoryview(block).cast("B")
+
+        self._write(name + ".f64", chunks())
         sidecar = {
             "file": name + ".f64",
             "dtype": "float64",
             "byte_order": "little",
             "order": "C",
-            "shape": list(array.shape),
+            "shape": shape,
         }
         if axes:
             sidecar["axes"] = {key: [float(v) for v in values]
@@ -417,7 +444,7 @@ class _OutputSink:
         if notes:
             sidecar["notes"] = notes
         self._write(name + ".meta.json",
-                    (json.dumps(sidecar, indent=1, sort_keys=True) + "\n").encode())
+                    [(json.dumps(sidecar, indent=1, sort_keys=True) + "\n").encode()])
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +615,7 @@ def _run_lindblad(cfg, sink):
             del rho, values
     del g
     sink.csv("trace.csv", _TRACE_COLUMNS, rows)
-    stacked = np.stack([rho.values.real, rho.values.imag])
-    sink.field("field_rho", stacked,
+    sink.field("field_rho", (rho.values.real[None], rho.values.imag[None]),
                axes={"x": grid.x},
                notes="final density matrix; leading axis = (re, im)")
     return {"steps": n_steps,
@@ -609,19 +635,20 @@ def _run_mcwf(cfg, sink):
     times, rhos = osys.mcwf_ensemble(psi0, h, ops, block["dt"], block["t_max"],
                                      block["n_traj"], base_seed=block["seed"],
                                      stride=block["stride"])
-    stacked = np.stack([rhos.real, rhos.imag])
-    sink.field("field_rho", stacked, axes={"t": times},
+    sink.field("field_rho", (rhos.real[None], rhos.imag[None]), axes={"t": times},
                notes="two-level ensemble density; axes (re/im, t, row, col)")
 
 
 def _run_wigner(cfg, sink):
     from .grids import make_grid
     from .tdse import gaussian_packet
-    from .wigner import wigner_from_density
+    from .wigner import _wigner_axes, _wigner_rows
 
     grid = make_grid(cfg["grid"]["L"], cfg["grid"]["n"], cfg["grid"]["hbar"])
-    w = wigner_from_density(gaussian_packet(grid, **cfg["wigner"]["initial"]))
-    sink.field("field_wigner", w.values, axes={"x": w.x, "p": w.p},
+    psi = gaussian_packet(grid, **cfg["wigner"]["initial"])
+    x, p, _ = _wigner_axes(grid)
+    # the field goes to disk block by block as the transform yields it
+    sink.field("field_wigner", _wigner_rows(psi), axes={"x": x, "p": p},
                notes="Wigner function W[x, p]")
 
 

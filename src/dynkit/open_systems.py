@@ -156,6 +156,23 @@ def _outer(v: np.ndarray) -> np.ndarray:
     return v[:, None] * np.conj(v)[None, :]
 
 
+#: Amplitudes per block of rows in ``_times_outer``: 32 rows at n = 512.
+_OUTER_BLOCK_AMPLITUDES = 2 ** 14
+
+
+def _times_outer(a: np.ndarray, v: np.ndarray) -> None:
+    """a *= _outer(v) in place, one block of rows at a time, bit for bit.
+
+    Each entry is a_ij (v_i conj(v_j)) with the phase product formed first,
+    as with ``_outer``, but no n x n temporary is made.
+    """
+    cv = np.conj(v)
+    rows = max(1, _OUTER_BLOCK_AMPLITUDES // len(v))
+    for start in range(0, len(v), rows):
+        block = a[start:start + rows]
+        block *= v[start:start + rows, None] * cv
+
+
 def coupling_factor(grid: UniformGrid, coupling: Callable,
                     dt: float) -> np.ndarray:
     """G = exp[(dt/2)(A(x) A(x')* - |A(x')|^2/2 - |A(x)|^2/2)] for a coupling A(x).
@@ -165,9 +182,11 @@ def coupling_factor(grid: UniformGrid, coupling: Callable,
     """
     require_step(dt)
     a = np.asarray(coupling(grid.x), dtype=complex)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("coupling A(x) is not finite on the grid")
-    abs2 = np.abs(a) ** 2
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        abs2 = np.abs(a) ** 2
+    if not np.all(np.isfinite(abs2)):  # also a NaN or inf in A(x)
+        raise ValueError("coupling A(x) is not finite on the grid, "
+                         "or |A(x)|^2 overflows")
     return np.exp(0.5 * dt * (_outer(a) - 0.5 * abs2[None, :] - 0.5 * abs2[:, None]))
 
 
@@ -190,8 +209,11 @@ def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
     and leading factors merge into G^2 o outer(tail * head), as
     ``SplitStepEngine.run`` merges half-kicks; for a ``time_independent``
     spec it is built once per run.  The FFT passes and the factors write
-    into the loop's own arrays (``out=``), so the loop holds G, the state,
-    the merged factor and the yielded rho: four n x n arrays.
+    into the loop's own arrays (``out=``).  The merged factor is dropped
+    before a record is built and rebuilt into a new array once the caller
+    resumes the loop, so the loop holds three n x n arrays: G, the state and
+    the merged factor or the yielded rho.  The rebuild costs about two
+    elementwise passes per record.
     """
     require_step(dt)
     if stride < 1:
@@ -211,6 +233,7 @@ def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
         _fft(w, axis=0, inverse=True)
         _fft(w)
         if m % stride == 0 or m == n_steps:
+            across = None  # rebuilt below, once the record is let go
             out = _outer(cur.out)
             np.multiply(out, g, out=out)
             np.multiply(out, w, out=out)
@@ -219,8 +242,10 @@ def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
         if m < n_steps:
             nxt = engine._step_phases(t0 + m * dt, dt, 2)
             if across is None or nxt is not cur:
-                across = np.multiply(g, g, out=across)
-                across *= _outer(cur.tail * nxt.head)
+                if across is None:
+                    across = np.empty_like(w)  # g may be the scalar 1
+                np.multiply(g, g, out=across)
+                _times_outer(across, cur.tail * nxt.head)
             w *= across
             cur = nxt
 

@@ -141,21 +141,12 @@ def _center_blocks(n: int):
         yield start, bra, ket, valid
 
 
-def wigner_from_density(rho: DensityMatrix | WaveFunction) -> WignerFunction:
-    """W(x, p) = (1/2 pi) int <x - h t/2| rho |x + h t/2> exp(i p t) dt.
+def _wigner_rows(rho: DensityMatrix | WaveFunction):
+    """Yield the real rows of W, one block of centers at a time, in center order.
 
-    Returns a (2n, n) real array on the half-spaced position axis and the
-    transform-conjugate momentum axis (spacing pi hbar / 2L).  A hermiticity
-    violation (imaginary residue above 1e-8) is an error; smaller residues
-    are discarded.  A wave function psi is read as rho = |psi><psi| without
-    forming that n x n matrix: each block multiplies psi[bra] by
-    conj(psi)[ket], the entries of ``pure_state_density(psi)`` bit for bit.
-    Each block of centers is gathered into one work block, and its bridged
-    transform is taken there in place, so besides the result the transform
-    holds two blocks of ``_BLOCK_AMPLITUDES`` amplitudes.
+    Each block is a view into a work block that the next block overwrites.
+    A hermiticity violation raises ``HermiticityError`` after the last block.
     """
-    if rho.grid is None:
-        raise ValueError("wigner_from_density needs a grid density matrix")
     grid = rho.grid
     grid.require_fft_bridge()
     n = grid.n
@@ -177,13 +168,12 @@ def wigner_from_density(rho: DensityMatrix | WaveFunction) -> WignerFunction:
             np.multiply(bra, n, out=at)
             at += ket
             np.take(flat, at, mode="clip", out=rows)
-    x_w, p_w, dtheta = _wigner_axes(grid)
+    dtheta = _wigner_axes(grid)[2]
     half_shift = np.exp(1j * np.pi * (np.arange(n) - n // 2) / n)
     scale = dtheta / (2.0 * np.pi)
     work, spares = np.empty((2, _block_rows(n), n), dtype=complex)
-    out = np.empty((2 * n, n))
     residue = 0.0
-    for start, bra, ket, valid in _center_blocks(n):
+    for _, bra, ket, valid in _center_blocks(n):
         rows, spare = work[:len(bra)], spares[:len(bra)]
         gather(rows, spare, bra, ket)
         np.copyto(rows, 0.0, where=~valid)
@@ -194,11 +184,35 @@ def wigner_from_density(rho: DensityMatrix | WaveFunction) -> WignerFunction:
         rows[1::2] *= half_shift
         imag = np.abs(rows.imag, out=spare.real)
         residue = np.maximum(residue, np.max(imag))  # keeps NaN
-        out[start:start + len(rows)] = rows.real
+        yield rows.real
     if not residue <= 1e-8:  # also refuses a NaN residue
         raise HermiticityError(
             f"Wigner transform imaginary residue {residue:.3e} exceeds 1e-8"
         )
+
+
+def wigner_from_density(rho: DensityMatrix | WaveFunction) -> WignerFunction:
+    """W(x, p) = (1/2 pi) int <x - h t/2| rho |x + h t/2> exp(i p t) dt.
+
+    Returns a (2n, n) real array on the half-spaced position axis and the
+    transform-conjugate momentum axis (spacing pi hbar / 2L).  A hermiticity
+    violation (imaginary residue above 1e-8) is an error; smaller residues
+    are discarded.  A wave function psi is read as rho = |psi><psi| without
+    forming that n x n matrix: each block multiplies psi[bra] by
+    conj(psi)[ket], the entries of ``pure_state_density(psi)`` bit for bit.
+    Each block of centers is gathered into one work block, and its bridged
+    transform is taken there in place, so besides the result the transform
+    holds two blocks of ``_BLOCK_AMPLITUDES`` amplitudes.
+    """
+    if rho.grid is None:
+        raise ValueError("wigner_from_density needs a grid density matrix")
+    grid = rho.grid
+    out = np.empty((2 * grid.n, grid.n))
+    start = 0
+    for rows in _wigner_rows(rho):
+        out[start:start + len(rows)] = rows
+        start += len(rows)
+    x_w, p_w, _ = _wigner_axes(grid)
     return WignerFunction(out, x_w, p_w, grid.hbar, grid=grid)
 
 

@@ -5,9 +5,10 @@ matrix, ``momentum_distribution`` gathers its skew sums in column blocks
 through an index built per block, and the output sink writes and hashes a
 field from the array's own buffer.  Each must give the bytes of the
 whole-matrix or copying original and hold less memory, measured with
-tracemalloc.  ``run_density`` holds four n x n arrays, and the CLI's
+tracemalloc.  ``run_density`` holds three n x n arrays, and the CLI's
 Lindblad runner must let each n x n matrix go once it is spent, watched
-through weak references.
+through weak references.  A field written block by block must give the
+bytes of the whole-array write, and the ``wigner`` task streams its field.
 """
 
 import hashlib
@@ -20,11 +21,14 @@ import numpy as np
 import pytest
 
 from dynkit import open_systems
-from dynkit.cli import _OutputSink, _run_eigen, _run_lindblad, _walk
+from dynkit import wigner
+from dynkit.cli import _OutputSink, _run_eigen, _run_lindblad, _run_wigner, _walk, run
 from dynkit.errors import HermiticityError
 from dynkit.grids import _alt_signs, make_grid
 from dynkit.open_systems import (
     DensityMatrix,
+    _outer,
+    _times_outer,
     coupling_factor,
     momentum_distribution,
     pure_state_density,
@@ -182,6 +186,47 @@ def test_density_loop_holds_four_matrices():
     assert traced_peak(ten_recorded_steps) < 4.5 * n * n * 16
 
 
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("driven", [False, True], ids=("static", "driven"))
+def test_density_loop_holds_three_matrices(stride, driven):
+    n = 512
+    grid = make_grid(16.0, n)
+    rho = pure_state_density(gaussian_packet(grid, x0=1.0, sigma=0.7))
+    if driven:
+        spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
+                               potential=lambda t, x: x ** 2 / 2 + 0.2 * np.cos(t) * x)
+    else:
+        spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
+                               potential=lambda t, x: x ** 2 / 2,
+                               time_independent=True)
+    engine = SplitStepEngine(grid, spec)
+
+    def ten_steps():
+        g = coupling_factor(grid, lambda x: 0.3 * x, 0.01)
+        for _, values in run_density(engine, rho.values, 0.0, 0.01, 10, g, stride):
+            del values  # each record is read and let go, as the CLI does
+
+    # G, the state and the merged factor or one record (measured 3.13-3.15);
+    # the merged factor kept across a record made four, and a driven step's
+    # n x n outer product of phases a fourth too
+    assert traced_peak(ten_steps) < 3.5 * n * n * 16
+
+
+@pytest.mark.parametrize("n", [4, 64, 1024])
+def test_row_blocked_outer_multiply_is_the_whole_outer_product_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    # the loop's in-place product a *= _outer(v); the expression
+    # a * _outer(v) is not a reference, since above 256 KiB numpy may reuse
+    # the temporary and compute _outer(v) * a, which rounds differently
+    expected = a.copy()
+    expected *= _outer(v)
+    blocked = a.copy()
+    _times_outer(blocked, v)
+    assert blocked.tobytes() == expected.tobytes()
+
+
 def test_lindblad_runner_lets_each_spent_matrix_go(monkeypatch, tmp_path):
     # run_density is wrapped so that every state it reads or yields is
     # watched; by each new yield, all earlier ones and the initial state must
@@ -282,3 +327,92 @@ def test_sink_refuses_each_non_finite_value(tmp_path, bad):
     with pytest.raises(FloatingPointError, match="non-finite"):
         sink.csv("rows.csv", ("a", "b"), [(1.0, 2.0), (bad, 1.0)])
     assert sink.files == [] and os.listdir(tmp_path) == []
+
+
+def written_field(directory, blocks, **kw):
+    """(data, sidecar, manifest entries) of a field written from ``blocks``."""
+    sink = _OutputSink(str(directory))
+    sink.field("field_s", blocks, **kw)
+    return ((directory / "field_s.f64").read_bytes(),
+            (directory / "field_s.meta.json").read_bytes(), sink.files)
+
+
+@pytest.mark.parametrize("cut", [[], [1000], list(range(32, 2048, 32))],
+                         ids=("1-block", "2-blocks", "64-blocks"))
+def test_streamed_field_is_the_whole_array_write(tmp_path, cut):
+    array = np.random.default_rng(2).normal(size=(2048, 24))
+    axes = {"x": np.arange(3.0)}
+    blocks = np.split(array, cut)
+    # a Fortran-order block is written in C order like any other
+    blocks[-1] = np.asfortranarray(blocks[-1])
+    (tmp_path / "whole").mkdir()
+    (tmp_path / "streamed").mkdir()
+    expected = written_field(tmp_path / "whole", array, axes=axes, notes="n")
+    streamed = written_field(tmp_path / "streamed", iter(blocks), axes=axes, notes="n")
+    assert streamed == expected
+    data, sidecar, files = streamed
+    assert json.loads(sidecar)["shape"] == [2048, 24]
+    for entry in files:
+        on_disk = (tmp_path / "streamed" / entry["name"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(on_disk).hexdigest()
+        assert entry["bytes"] == len(on_disk)
+
+
+def test_streamed_field_refuses_a_nan_in_its_last_block(tmp_path):
+    blocks = [np.ones((4, 3)) for _ in range(5)]
+    blocks[-1][3, 2] = np.nan
+    sink = _OutputSink(str(tmp_path))
+    with pytest.raises(FloatingPointError, match="field_late has non-finite"):
+        sink.field("field_late", blocks)
+    # the blocks before it may be on disk, but nothing is listed
+    assert sink.files == []
+
+
+def test_streamed_field_refuses_blocks_that_do_not_join(tmp_path):
+    sink = _OutputSink(str(tmp_path))
+    with pytest.raises(ValueError, match="does not join"):
+        sink.field("field_j", [np.ones((2, 3)), np.ones((2, 4))])
+    assert sink.files == []
+
+
+def test_wigner_run_with_a_nan_in_the_last_block_exits_3(tmp_path, monkeypatch, capsys):
+    real = wigner._wigner_rows
+
+    def spoiled(psi):
+        blocks = list(real(psi))  # views of the last block's work rows
+        blocks[-1][-1, -1] = np.nan
+        yield from blocks
+
+    monkeypatch.setattr(wigner, "_wigner_rows", spoiled)
+    out = tmp_path / "out"
+    assert run(os.path.join(CONFIGS, "wigner_ground.json"), str(out)) == 3
+    assert "field_wigner has non-finite values" in capsys.readouterr().err
+    assert not (out / "manifest").exists()
+
+
+def test_wigner_rows_refuse_a_residue_after_the_last_block():
+    n = 64
+    rho = pure_state_density(packet(n))
+    values = rho.values.copy()
+    values[3, 5] += 1e-3j  # no longer hermitian
+    blocks = wigner._wigner_rows(DensityMatrix(values, rho.grid))
+    drawn = 0
+    with pytest.raises(HermiticityError, match="residue"):
+        for rows in blocks:
+            drawn += len(rows)
+    assert drawn == 2 * n
+
+
+def test_wigner_run_streams_its_field(tmp_path):
+    n = 1024
+    with open(os.path.join(CONFIGS, "wigner_ground.json")) as fh:
+        raw = json.load(fh)
+    raw["grid"].update(L=16.0, n=n)
+    cfg = _walk(raw)[1]
+    _run_wigner(cfg, _OutputSink(str(tmp_path)))  # imports and caches first
+    # the (2n, n) field alone is 16 MiB; the transform's blocks, one C-order
+    # copy of a block and the axes take about 2.5 MiB
+    assert traced_peak(lambda: _run_wigner(cfg, _OutputSink(str(tmp_path)))) < 4 * 2 ** 20
+    data = (tmp_path / "field_wigner.f64").read_bytes()
+    psi = gaussian_packet(make_grid(16.0, n), **cfg["wigner"]["initial"])
+    assert data == wigner_from_density(psi).values.astype("<f8").tobytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from dynkit.open_systems import (
     DensityMatrix,
     JumpOperatorSpec,
     RateMatrix,
+    coupling_factor,
     density_uncertainty,
     dissipator_action,
     dissipator_split,
@@ -139,6 +142,19 @@ class TestLindbladXStep:
         coupling = lambda x: np.where(np.abs(x) < 1.0, bad, 0.5 * x)
         with pytest.raises(ValueError, match=r"coupling A\(x\) is not finite"):
             lindblad_x_step(rho, 0.0, 0.02, OSCILLATOR, coupling)
+
+    def test_rejects_a_coupling_whose_square_overflows(self):
+        # A = 1e200 x is finite, but |A|^2 is not: rho used to come back all
+        # NaN with only a RuntimeWarning
+        g = make_grid(8.0, 64)
+        rho = pure_state_density(gaussian_packet(g))
+        coupling = lambda x: 1e200 * x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\|A\(x\)\|\^2 overflows"):
+                coupling_factor(g, coupling, 0.02)
+            with pytest.raises(ValueError, match=r"\|A\(x\)\|\^2 overflows"):
+                lindblad_x_step(rho, 0.0, 0.02, OSCILLATOR, coupling)
 
 
 class TestRandomCollision:
