@@ -114,7 +114,11 @@ def verlet_step(ensemble: ClassicalEnsemble, dt: float,
 def multi_dim_verlet_step(x: np.ndarray, p: np.ndarray, dt: float,
                           grad_u: Callable, grad_k: Callable
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise Verlet for vector coordinates and momenta."""
+    """Componentwise Verlet for vector coordinates and momenta.
+
+    A step whose x or p is not finite (a gradient that returned NaN or inf)
+    raises ``ValueError``.
+    """
     require_step(dt)
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -122,6 +126,8 @@ def multi_dim_verlet_step(x: np.ndarray, p: np.ndarray, dt: float,
         raise ValueError(f"coordinate shape {x.shape} != momentum shape {p.shape}")
     spec = ClassicalSpec(dk_dp=lambda q, s: grad_k(q), du_dx=lambda q, s: grad_u(q))
     [(x1, p1, _)] = _kick_drift_kick(x, p, 0.0, dt, 1, spec, 1)
+    if not (np.isfinite(x1).all() and np.isfinite(p1).all()):
+        raise ValueError("the Verlet step gave a non-finite x or p")
     return x1, p1
 
 

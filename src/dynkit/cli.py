@@ -375,12 +375,21 @@ class _OutputSink:
 
         The first buffer is drawn before the file is opened, so a refusal of
         it leaves no file; a later one leaves a partial file, never listed.
+        The digest is the interpreter's built-in SHA-256, not ``hashlib``'s,
+        whose import maps OpenSSL's libcrypto (about 3.5 MB resident) into a
+        process that would otherwise never load it.
         """
-        import hashlib
+        try:
+            from _sha2 import sha256  # Python >= 3.12
+        except ImportError:
+            try:
+                from _sha256 import sha256  # Python 3.10 and 3.11
+            except ImportError:
+                from hashlib import sha256  # a build without either module
 
         chunks = iter(chunks)
         first = next(chunks, b"")
-        digest, size = hashlib.sha256(), 0
+        digest, size = sha256(), 0
         with open(os.path.join(self.directory, name), "wb") as fh:
             for chunk in chain([first], chunks):
                 fh.write(chunk)

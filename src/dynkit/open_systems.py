@@ -431,6 +431,8 @@ def dissipator_split(a: np.ndarray) -> tuple[Callable, Callable]:
 def lindblad_superoperator(h: np.ndarray, jump_ops: Sequence[np.ndarray],
                            hbar: float = 1.0) -> np.ndarray:
     """Dense d^2 x d^2 generator acting on row-major vec(rho)."""
+    if hbar == 0 or not np.isfinite(hbar):
+        raise ValueError(f"hbar must be finite and nonzero, got {hbar!r}")
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
     eye = np.eye(d)

@@ -233,8 +233,16 @@ def spectrum_via_propagation(psi0, spec: HamiltonianSpec, duration: float,
 
 def find_spectral_peaks(energies: np.ndarray, density: np.ndarray,
                         rel_threshold: float = 0.05) -> np.ndarray:
-    """Locations of local maxima above ``rel_threshold`` of the global maximum."""
+    """Locations of local maxima above ``rel_threshold`` of the global maximum.
+
+    A non-finite ``density`` value, or a ``rel_threshold`` that is negative
+    or not finite, raises ``ValueError``.
+    """
+    if not (np.isfinite(rel_threshold) and rel_threshold >= 0):
+        raise ValueError(f"rel_threshold must be finite and >= 0, got {rel_threshold!r}")
     d = np.asarray(density)
+    if not np.isfinite(d).all():
+        raise ValueError("density has a non-finite value")
     floor = rel_threshold * d.max()
     interior = np.arange(1, len(d) - 1)
     mask = (d[interior] > d[interior - 1]) & (d[interior] >= d[interior + 1]) \

@@ -378,3 +378,17 @@ def test_multi_dim_verlet_step_rejects_non_finite_step(dt):
     with pytest.raises(ValueError, match="finite"):
         multi_dim_verlet_step(np.ones(2), np.ones(2), dt, lambda q: q,
                               lambda q: q)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["grad_u", "grad_k"])
+def test_multi_dim_verlet_step_rejects_non_finite_result(where, bad):
+    def broken(q):
+        out = np.array(q, dtype=float)
+        out[0] = bad
+        return out
+
+    grads = {"grad_u": lambda q: q, "grad_k": lambda q: q, where: broken}
+    with pytest.raises(ValueError, match="non-finite"):
+        multi_dim_verlet_step(np.ones(2), np.ones(2), 0.1, **grads)

@@ -530,3 +530,10 @@ class TestNonFiniteRates:
         rates = gibbs_rates(np.array([0.0, 0.5, 1.2]), 1.0, 1.0)
         with pytest.raises(ValueError, match="initial populations"):
             pauli_master_solve(rates, np.array(p0), np.array([1.0]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("hbar", [0.0, np.nan, np.inf, -np.inf])
+def test_lindblad_superoperator_rejects_bad_hbar(hbar):
+    with pytest.raises(ValueError, match="hbar"):
+        lindblad_superoperator(np.diag([0.0, 1.0]), [SIGMA_MINUS], hbar=hbar)

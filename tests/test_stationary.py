@@ -325,3 +325,30 @@ def test_eigensolvers_refuse_one_sided_inf(solver):
     h[0, 3] = np.inf
     with pytest.raises(HermiticityError, match="hermitian"):
         solver(h)
+
+
+PEAKED = np.array([0.0, 1.0, 0.2, 0.5, 0.1, 0.01, 0.03, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_find_spectral_peaks_refuses_non_finite_density(bad):
+    density = PEAKED.copy()
+    density[2] = bad
+    with pytest.raises(ValueError, match="density"):
+        find_spectral_peaks(np.arange(8.0), density)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -0.1])
+def test_find_spectral_peaks_refuses_bad_threshold(threshold):
+    with pytest.raises(ValueError, match="rel_threshold"):
+        find_spectral_peaks(np.arange(8.0), PEAKED, rel_threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold, expected", [
+    (0.0, [1.0, 3.0, 6.0]), (0.05, [1.0, 3.0]), (0.6, [1.0]), (1.0, []),
+])
+def test_find_spectral_peaks_on_finite_input(threshold, expected):
+    peaks = find_spectral_peaks(np.arange(8.0), PEAKED, rel_threshold=threshold)
+    np.testing.assert_array_equal(peaks, expected)
