@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .steps import require_step
+from .steps import require, require_step
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,8 @@ def propagate_ensemble(ensemble: ClassicalEnsemble, dt: float, n_steps: int,
     only the sampled states become ``ClassicalEnsemble`` objects.
     """
     require_step(dt)
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps!r}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    require("n_steps", n_steps, minimum=0)
+    require("stride", stride, minimum=1)
     steps = _kick_drift_kick(ensemble.x, ensemble.p, ensemble.s, dt, n_steps,
                              spec, stride)
     return [ensemble, *(ClassicalEnsemble(x, p, ensemble.weights, s)

@@ -25,20 +25,11 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import ConvergenceError
-from .steps import step_count
+from .steps import is_finite_number, step_count
 
 # ---------------------------------------------------------------------------
 # config schema: one table both validates a config and fills its defaults
 # ---------------------------------------------------------------------------
-
-
-def _is_finite_number(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 _REQUIRED = object()  # default of a key the config must give
@@ -183,14 +174,14 @@ def _problem(field, value):
     if field.kind == "numbers":
         low = -math.inf if field.above is None else field.above
         if isinstance(value, list) and value and all(
-                _is_finite_number(v) and v > low for v in value):
+                is_finite_number(v) and v > low for v in value):
             return None
         sign = "" if field.above is None else "positive "
         return f"must be a nonempty list of {sign}finite numbers"
     if field.kind == "integer" and (isinstance(value, bool)
                                     or not isinstance(value, int)):
         return "must be an integer"
-    if field.kind == "number" and not _is_finite_number(value):
+    if field.kind == "number" and not is_finite_number(value):
         return "must be a finite number"
     if field.above is not None and value <= field.above:
         return f"must be > {field.above}"

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .steps import require
+
 POSITION = "position"
 MOMENTUM = "momentum"
 
@@ -55,12 +57,10 @@ def make_grid(half_width: float, n: int, hbar: float = 1.0) -> UniformGrid:
     hbar : float
         Action scale entering the transform kernel exp(-i x p / hbar).
     """
-    if not np.isfinite(half_width) or half_width <= 0:
-        raise ValueError(f"half_width must be positive and finite, got {half_width}")
+    require("half_width", half_width, above=0)
     if n < 4 or n % 2 != 0:
         raise ValueError(f"grid size must be even and >= 4, got n={n}")
-    if not np.isfinite(hbar) or hbar <= 0:
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    require("hbar", hbar, above=0)
     dx = 2.0 * half_width / n
     k = np.arange(n)
     x = (k - n // 2) * dx
@@ -191,8 +191,7 @@ def frft(x: np.ndarray, alpha: float) -> np.ndarray:
     >= 2n - 1.  For alpha = 1/n this is the plain DFT.  A non-finite alpha
     raises ValueError.
     """
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    require("alpha", alpha)
     x = np.asarray(x, dtype=complex)
     n = x.size
     if n == 0:
@@ -220,8 +219,7 @@ def cft_forward_custom(signal: SpectralSignal, dp: float,
     """
     if signal.space != POSITION:
         raise ValueError("cft_forward_custom expects a position-space signal")
-    if dp <= 0:
-        raise ValueError(f"dp must be positive, got {dp}")
+    require("dp", dp, above=0)
     grid = signal.grid
     n = grid.n
     delta = grid.dx * dp / (2.0 * np.pi * grid.hbar)

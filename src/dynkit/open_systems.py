@@ -23,7 +23,7 @@ from .grids import UniformGrid, _alt_signs, _fft
 from .matfunc import (_hermitian_solve, _hermiticity_defect, expm_pade,
                       func_of_hermitian)
 from .stationary import HamiltonianSpec
-from .steps import require_step, step_count
+from .steps import require, require_step, step_count
 from .tdse import SplitStepEngine, WaveFunction, _spreads
 
 
@@ -131,11 +131,12 @@ def density_uncertainty(rho: DensityMatrix) -> tuple[float, float]:
 def gibbs_density(h: np.ndarray, beta: float,
                   grid: UniformGrid | None = None) -> DensityMatrix:
     """Thermal state exp(-beta H) normalized to unit trace."""
-    if not 0 <= beta < np.inf:
-        raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
-    # eigenvalues ascend, so the shift by w[0] avoids overflow
-    out = DensityMatrix(func_of_hermitian(h, lambda w: np.exp(-beta * (w - w[0]))),
-                        grid)
+    require("beta", beta, minimum=0)
+    # eigenvalues ascend, so the shift by w[0] keeps exp from overflowing; a
+    # beta (w - w[0]) that overflows to inf gives exp(-inf) = 0, its beta -> inf limit
+    with np.errstate(over="ignore"):
+        out = DensityMatrix(func_of_hermitian(h, lambda w: np.exp(-beta * (w - w[0]))),
+                            grid)
     return DensityMatrix(out.values / out.trace(), grid)
 
 
@@ -216,8 +217,7 @@ def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
     elementwise passes per record.
     """
     require_step(dt)
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    require("stride", stride, minimum=1)
     cur = engine._step_phases(t0, dt, 2)
     w = _outer(cur.lead)
     np.multiply(w, g, out=w)
@@ -291,8 +291,7 @@ def random_collision_step(rho: DensityMatrix, t: float, dt: float,
     again, with both unitary halves frozen at the midpoint time.
     """
     engine = _grid_engine(rho, spec, "random_collision_step")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    require("gamma", gamma, minimum=0)
     if rho_beta.values.shape != rho.values.shape:
         raise ValueError(f"rho_beta has shape {rho_beta.values.shape}, "
                          f"rho has {rho.values.shape}")
@@ -336,10 +335,10 @@ class RateMatrix:
 
 def _feeding_rates(weights_of, energies, beta, gamma0) -> RateMatrix:
     """gamma[n, j] = gamma0 w[n] for n != j, with w = weights_of(energies)."""
-    for name, value in (("beta", beta), ("gamma0", gamma0)):
-        if not 0 <= value < np.inf:
-            raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
-    w = weights_of(np.asarray(energies, dtype=float))
+    require("beta", beta, minimum=0)
+    require("gamma0", gamma0, minimum=0)
+    with np.errstate(over="ignore"):  # beta E overflowing to inf is the beta -> inf limit
+        w = weights_of(np.asarray(energies, dtype=float))
     g = gamma0 * np.tile(w[:, None], (1, w.size))
     np.fill_diagonal(g, 0.0)
     return RateMatrix(g)
@@ -365,8 +364,7 @@ def fermi_dirac_rates(energies: np.ndarray, beta: float, mu: float,
     gamma[n, j]/gamma[j, n] = (exp(beta(E_j - mu)) + 1)/(exp(beta(E_n - mu)) + 1),
     so the Fermi-Dirac occupation vector is stationary.
     """
-    if not np.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu!r}")
+    require("mu", mu)
     return _feeding_rates(lambda e: 1.0 / (np.exp(beta * (e - mu)) + 1.0),
                           energies, beta, gamma0)
 
@@ -524,8 +522,7 @@ def _mcwf_loop(psi0, spec, jump_ops, dt, t_max, stride):
     n_steps = step_count(t_max, dt)
     if n_steps < 1:
         raise ValueError("t_max must be a positive integer multiple of dt")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    require("stride", stride, minimum=1)
     ops = _unpack_jump_ops(jump_ops)
     if isinstance(psi0, WaveFunction):
         evolve, lambdas, jump, normalize = _grid_mcwf_machinery(psi0.grid, spec, ops)
@@ -643,8 +640,7 @@ def mcwf_ensemble(psi0, spec, jump_ops, dt: float, t_max: float, n_traj: int,
     trajectory i follows the path ``mcwf_trajectory`` gives for seed
     base_seed + i, to rounding.
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
+    require("n_traj", n_traj, minimum=1)
     run = _mcwf_loop(psi0, spec, jump_ops, dt, t_max, stride)
     d = np.size(psi0.values if isinstance(psi0, WaveFunction) else psi0)
     rows = max(1, min(_MCWF_BLOCK_ROWS, _MCWF_BLOCK_AMPLITUDES // d))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grids import UniformGrid, _alt_signs, _fft
 from .matfunc import _hermitian_solve
-from .steps import step_count
+from .steps import require, step_count
 
 FD_SCHEMES = ("forward", "backward", "central")
 
@@ -177,9 +177,7 @@ def band_structure(cell_spec: HamiltonianSpec, lattice_constant: float,
     Returns an array of shape (len(quasimomenta), n_bands) with the lowest
     bands in ascending order.
     """
-    if not 0 < lattice_constant < np.inf:
-        raise ValueError("lattice_constant must be positive and finite, "
-                         f"got {lattice_constant!r}")
+    require("lattice_constant", lattice_constant, above=0)
     if n_bands < 1 or n_cell_grid < 2:
         raise ValueError("need n_bands >= 1 and n_cell_grid >= 2")
     if n_bands > n_cell_grid:
@@ -238,8 +236,7 @@ def find_spectral_peaks(energies: np.ndarray, density: np.ndarray,
     A non-finite ``density`` value, or a ``rel_threshold`` that is negative
     or not finite, raises ``ValueError``.
     """
-    if not (np.isfinite(rel_threshold) and rel_threshold >= 0):
-        raise ValueError(f"rel_threshold must be finite and >= 0, got {rel_threshold!r}")
+    require("rel_threshold", rel_threshold, minimum=0)
     d = np.asarray(density)
     if not np.isfinite(d).all():
         raise ValueError("density has a non-finite value")

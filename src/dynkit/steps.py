@@ -1,13 +1,37 @@
-"""Checks on time steps, shared by the integrators and the CLI schema.
+"""Checks on scalar arguments and time steps, shared by the library and the CLI schema.
 
-The module uses ``math``/``cmath`` only, so the config schema can count
-steps without importing numpy.
+The module uses ``math``/``cmath`` only, so the config schema can check
+numbers and count steps without importing numpy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def is_finite_number(value) -> bool:
+    """True for an int or float, not a bool, that is a finite float."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and _finite(value)
+
+
+def require(name: str, value, above: float | None = None,
+            minimum: float | None = None) -> None:
+    """ValueError unless ``value``, a real scalar (numpy's too), is finite,
+    > ``above`` and >= ``minimum``; e.g. "gamma must be nonnegative and finite, got nan"."""
+    if not (_finite(value) and (above is None or value > above)
+            and (minimum is None or value >= minimum)):
+        rule = [] if above is None else ["positive" if above == 0 else f"> {above}"]
+        if minimum is not None:
+            rule.append("nonnegative" if minimum == 0 else f">= {minimum}")
+        raise ValueError(f"{name} must be {' and '.join(rule + ['finite'])}, got {value!r}")
 
 
 def require_step(dt: complex) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .grids import UniformGrid, _alt_signs, _fft, fft_bridge, ifft_bridge
 from .stationary import HamiltonianSpec
-from .steps import require_step, step_count
+from .steps import require, require_step, step_count
 
 #: Triple-jump substep coefficient, the real root of 2 s^3 + (1 - 2s)^3 = 0.
 TRIPLE_JUMP_S = 2.0 ** (1.0 / 3.0) / 3.0 + 2.0 ** (2.0 / 3.0) / 6.0 + 2.0 / 3.0
@@ -119,8 +119,7 @@ class EvolutionTrace:
 def gaussian_packet(grid: UniformGrid, x0: float = 0.0, p0: float = 0.0,
                     sigma: float = 1.0) -> WaveFunction:
     """Normalized Gaussian with position spread sigma, centered at (x0, p0)."""
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    require("sigma", sigma, above=0)
     if not (np.isfinite(x0) and np.isfinite(p0)):
         raise ValueError(f"x0 and p0 must be finite, got {x0} and {p0}")
     psi = np.exp(-(grid.x - x0) ** 2 / (4.0 * sigma ** 2)
@@ -255,8 +254,7 @@ class SplitStepEngine:
         ``order`` selects Strang (2) or triple-jump (4) steps.  dt may be
         complex (Wick-rotated -i dtau).
         """
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
+        require("stride", stride, minimum=1)
         cur = self._checked_phases(t0, dt, order)
         w = cur.lead * values
         across = None
@@ -401,8 +399,7 @@ def cosine_absorbing_mask(grid: UniformGrid, fraction: float = 0.2,
     """
     if not 0.0 < fraction < 0.5:
         raise ValueError("fraction must lie in (0, 0.5)")
-    if not 0.0 < power < np.inf:
-        raise ValueError(f"power must be positive and finite, got {power}")
+    require("power", power, above=0)
     width = fraction * 2.0 * grid.half_width
     mask = np.ones(grid.n)
     left = grid.x < grid.x[0] + width
@@ -451,8 +448,7 @@ def imaginary_time_excited(n_target: int, known_states: Sequence[WaveFunction],
 
 
 def _imaginary_time(psi_guess, dtau, spec, tol, max_iter, known):
-    if not 0 < dtau < np.inf:
-        raise ValueError(f"dtau must be positive and finite, got {dtau!r}")
+    require("dtau", dtau, above=0)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     grid = psi_guess.grid

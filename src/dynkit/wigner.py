@@ -22,6 +22,7 @@ import numpy as np
 from .errors import HermiticityError
 from .grids import UniformGrid, _bridge, fft_bridge, ifft_bridge
 from .open_systems import DensityMatrix
+from .steps import require
 from .tdse import WaveFunction, _two_level_rotation
 
 
@@ -281,8 +282,7 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
     reflection symmetry that keeps the blocks hermitian, so it is projected
     out after each forward transform.
     """
-    if not np.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt!r}")
+    require("dt", dt)
     hbar = spec.hbar
     n_x, n_p = w2.w_g.shape
     if n_x % 4 or n_p % 4:

@@ -404,3 +404,12 @@ def test_loop_drops_a_yield_the_caller_dropped():
     next(states)
     assert ref() is None
     assert alive == [False, False]
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_run_density_refuses_a_stride_below_one(stride):
+    rho = _state(16, "hermitian")
+    loop = run_density(SplitStepEngine(rho.grid, STATIC), rho.values, T0, DT, 4,
+                       stride=stride)
+    with pytest.raises(ValueError, match="stride must be >= 1"):
+        next(loop)

@@ -228,6 +228,15 @@ class TestCftForwardCustom:
         with pytest.raises(ValueError):
             cft_forward_custom(SpectralSignal(np.zeros(32), g, POSITION), dp=0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dp", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_dp(self, dp):
+        # an infinite dp warned and returned NaN; a NaN one failed inside frft
+        # with a message about alpha
+        g = make_grid(4.0, 32)
+        with pytest.raises(ValueError, match="^dp must be positive and finite"):
+            cft_forward_custom(SpectralSignal(np.ones(32), g, POSITION), dp=dp)
+
     def test_works_with_hbar_not_one(self):
         g = make_grid(16.0, 256, hbar=0.5)
         f = np.exp(-g.x ** 2 / 2)

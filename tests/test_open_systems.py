@@ -174,6 +174,13 @@ class TestRandomCollision:
         assert deviation(0.04) < 1e-5
         assert deviation(0.02) < deviation(0.04) / 6
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_nan_gamma(self):
+        # a NaN gamma gave a NaN relaxation factor and a non-finite rho
+        rho = pure_state_density(gaussian_packet(make_grid(8.0, 32)))
+        with pytest.raises(ValueError, match="^gamma must be nonnegative"):
+            random_collision_step(rho, 0.0, 0.05, OSCILLATOR, np.nan, rho)
+
     def test_rejects_mismatched_rho_beta(self):
         rho = pure_state_density(gaussian_packet(make_grid(8.0, 64)))
         rho_beta = pure_state_density(gaussian_packet(make_grid(8.0, 32)))
@@ -524,6 +531,19 @@ class TestNonFiniteRates:
     def test_fermi_dirac_rates_reject(self, name, kwargs):
         with pytest.raises(ValueError, match=name):
             fermi_dirac_rates(np.array([0.0, 0.5, 1.2]), **kwargs)
+
+    def test_largest_beta_gives_the_zero_temperature_limit_without_warnings(self):
+        # beta (E - E_min) past the float range is the beta -> inf weight 0,
+        # and before it overflowed with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gibbs = gibbs_rates(np.array([0.0, 0.5, 3.0]), 1e308, 1.0).gamma
+            rho = gibbs_density(np.diag([0.0, 0.5, 3.0]), 1e308).values
+            fermi = fermi_dirac_rates(np.array([0.0, 0.5, 1.2]), 1e308, 0.5, 1.0).gamma
+        np.testing.assert_array_equal(gibbs, [[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+        np.testing.assert_array_equal(rho, np.diag([1.0, 0.0, 0.0]))
+        # the level at mu keeps the Fermi factor 1/2
+        np.testing.assert_array_equal(fermi, [[0, 1, 1], [0.5, 0, 0.5], [0, 0, 0]])
 
     @pytest.mark.parametrize("p0", [[np.nan, 0.5, 0.5], [0.5, 0.5, np.inf]])
     def test_pauli_master_solve_rejects_nonfinite_populations(self, p0):

@@ -1,0 +1,173 @@
+"""One contract for scalar arguments: ``steps.require`` and ``steps.is_finite_number``.
+
+Every library argument checked through ``require`` refuses NaN, +inf and
+-inf with a ``ValueError`` whose message starts with the argument's name.
+``CONTRACT`` lists each (function, argument) pair once, with a valid value
+of the argument and a call that is valid apart from it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dynkit.classical import ClassicalEnsemble, ClassicalSpec, propagate_ensemble
+from dynkit.grids import POSITION, SpectralSignal, cft_forward_custom, frft, make_grid
+from dynkit.open_systems import (
+    fermi_dirac_rates,
+    gibbs_density,
+    gibbs_rates,
+    mcwf_ensemble,
+    mcwf_trajectory,
+    pure_state_density,
+    random_collision_step,
+    run_density,
+)
+from dynkit.stationary import (
+    HamiltonianSpec,
+    band_structure,
+    build_spectral_hamiltonian,
+    find_spectral_peaks,
+)
+from dynkit.steps import is_finite_number, require
+from dynkit.tdse import (
+    SplitStepEngine,
+    cosine_absorbing_mask,
+    gaussian_packet,
+    imaginary_time_ground,
+)
+from dynkit.wigner import (
+    MoleculeSpec,
+    TwoStateWigner,
+    moyal_two_state_step,
+    wigner_from_density,
+)
+
+OSCILLATOR = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
+                             potential=lambda t, x: x ** 2 / 2)
+GRID = make_grid(8.0, 16)
+LEVELS = np.array([0.0, 0.5, 1.2])
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+_TWO_LEVEL = (np.array([0.0, 1.0], dtype=complex), np.diag([0.0, 1.0]).astype(complex),
+              [SIGMA_MINUS])
+MOLECULE = MoleculeSpec(kinetic=lambda p: p ** 2 / 2,
+                        v_ground=lambda x: 0.3 * x ** 2,
+                        v_excited=lambda x: 0.2 * x ** 2 + 0.5,
+                        dipole=lambda x: 0.4 + 0.0 * x,
+                        pulse=lambda t: 1.0)
+
+
+def _rho():
+    return pure_state_density(gaussian_packet(GRID, x0=0.5))
+
+
+def _collision(gamma):
+    rho = _rho()
+    return random_collision_step(rho, 0.0, 0.05, OSCILLATOR, gamma, rho)
+
+
+def _two_state(dt):
+    w = wigner_from_density(_rho())
+    w2 = TwoStateWigner(w.values, 0.25 * w.values, (0.3 + 0.1j) * w.values,
+                        w.x, w.p, GRID.hbar)
+    return moyal_two_state_step(w2, 0.0, dt, MOLECULE)
+
+
+def _ensemble(n_steps=2, stride=1):
+    spec = ClassicalSpec(dk_dp=lambda p, s: p, du_dx=lambda x, s: x)
+    ensemble = ClassicalEnsemble(np.array([0.1]), np.array([0.2]), np.array([1.0]))
+    return propagate_ensemble(ensemble, 0.01, n_steps, spec, stride)
+
+
+#: (function, argument, a valid value, the call with the argument as v)
+CONTRACT = [
+    ("make_grid", "half_width", 8.0, lambda v: make_grid(v, 16)),
+    ("make_grid", "hbar", 1.0, lambda v: make_grid(8.0, 16, hbar=v)),
+    ("frft", "alpha", 0.125, lambda v: frft(np.ones(8), v)),
+    ("cft_forward_custom", "dp", 0.2, lambda v: cft_forward_custom(
+        SpectralSignal(np.zeros(16), GRID, POSITION), dp=v)),
+    ("gibbs_density", "beta", 1.0, lambda v: gibbs_density(
+        build_spectral_hamiltonian(GRID, OSCILLATOR), beta=v, grid=GRID)),
+    ("run_density", "stride", 1, lambda v: list(run_density(
+        SplitStepEngine(GRID, OSCILLATOR), _rho().values, 0.0, 0.05, 2, stride=v))),
+    ("random_collision_step", "gamma", 0.5, _collision),
+    ("gibbs_rates", "beta", 1.0, lambda v: gibbs_rates(LEVELS, v, 1.0)),
+    ("gibbs_rates", "gamma0", 1.0, lambda v: gibbs_rates(LEVELS, 1.0, v)),
+    ("fermi_dirac_rates", "beta", 1.0, lambda v: fermi_dirac_rates(LEVELS, v, 0.5, 1.0)),
+    ("fermi_dirac_rates", "mu", 0.5, lambda v: fermi_dirac_rates(LEVELS, 1.0, v, 1.0)),
+    ("fermi_dirac_rates", "gamma0", 1.0,
+     lambda v: fermi_dirac_rates(LEVELS, 1.0, 0.5, v)),
+    ("mcwf_trajectory", "stride", 1, lambda v: mcwf_trajectory(
+        *_TWO_LEVEL, 0.1, 0.2, seed=1, stride=v)),
+    ("mcwf_ensemble", "stride", 1, lambda v: mcwf_ensemble(
+        *_TWO_LEVEL, 0.1, 0.2, 2, base_seed=1, stride=v)),
+    ("mcwf_ensemble", "n_traj", 2, lambda v: mcwf_ensemble(
+        *_TWO_LEVEL, 0.1, 0.2, v, base_seed=1)),
+    ("band_structure", "lattice_constant", 2.0, lambda v: band_structure(
+        OSCILLATOR, v, 8, [0.0], 2)),
+    ("find_spectral_peaks", "rel_threshold", 0.05, lambda v: find_spectral_peaks(
+        np.arange(4.0), np.ones(4), rel_threshold=v)),
+    ("gaussian_packet", "sigma", 1.0, lambda v: gaussian_packet(GRID, sigma=v)),
+    ("SplitStepEngine.run", "stride", 1, lambda v: list(SplitStepEngine(
+        GRID, OSCILLATOR).run(gaussian_packet(GRID).values, 0.0, 0.05, 2, stride=v))),
+    ("cosine_absorbing_mask", "power", 0.125,
+     lambda v: cosine_absorbing_mask(GRID, power=v)),
+    ("imaginary_time_ground", "dtau", 0.05, lambda v: imaginary_time_ground(
+        gaussian_packet(GRID), v, OSCILLATOR, tol=1e-6)),
+    ("propagate_ensemble", "n_steps", 2, lambda v: _ensemble(n_steps=v)),
+    ("propagate_ensemble", "stride", 1, lambda v: _ensemble(stride=v)),
+    ("moyal_two_state_step", "dt", 0.01, _two_state),
+]
+IDS = [f"{function}-{argument}" for function, argument, _, _ in CONTRACT]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("function, argument, valid, call", CONTRACT, ids=IDS)
+def test_non_finite_scalar_refused_by_name(function, argument, valid, call, value):
+    with pytest.raises(ValueError, match=rf"^{argument} must be "):
+        call(value)
+
+
+@pytest.mark.parametrize("function, argument, valid, call", CONTRACT, ids=IDS)
+def test_contract_calls_are_valid_otherwise(function, argument, valid, call):
+    # so each refusal above is the argument's, not another's
+    call(valid)
+
+
+@pytest.mark.parametrize("value", [1, 2.5, np.int64(3), np.float32(0.5),
+                                   np.float64(1e308), np.array(2.0), True])
+def test_require_accepts_finite_real_scalars(value):
+    require("x", value, above=0)
+    require("x", value, minimum=0.5)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({}, "x must be finite, got nan"),
+    ({"above": 0}, "x must be positive and finite, got nan"),
+    ({"minimum": 0}, "x must be nonnegative and finite, got nan"),
+    ({"minimum": 1}, "x must be >= 1 and finite, got nan"),
+    ({"above": -1.5}, "x must be > -1.5 and finite, got nan"),
+])
+def test_require_message_names_the_rule(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        require("x", math.nan, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, value", [
+    ({"above": 0}, 0), ({"above": 0}, -1e-300), ({"minimum": 1}, 0),
+    ({"minimum": 0}, np.float64(-0.5)), ({}, 10 ** 400),
+])
+def test_require_refuses_values_outside_the_bound(kwargs, value):
+    with pytest.raises(ValueError, match="^x must be "):
+        require("x", value, **kwargs)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (1, True), (-2.5, True), (np.float64(3.0), True),
+    (math.nan, False), (math.inf, False), (10 ** 400, False),
+    (True, False), ("1", False), (None, False), ([1.0], False),
+])
+def test_is_finite_number_is_the_schema_number_rule(value, expected):
+    assert is_finite_number(value) is expected

@@ -326,3 +326,12 @@ def test_non_finite_phases_are_refused(term, bad, time_independent):
         for call in calls:
             with pytest.raises(ValueError, match=f"the {term} phase factor .* is not finite"):
                 call()
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_run_refuses_a_stride_below_one(stride):
+    grid = make_grid(8.0, 32)
+    run = SplitStepEngine(grid, STATIC).run(gaussian_packet(grid).values, 0.0,
+                                            0.02, 4, stride=stride)
+    with pytest.raises(ValueError, match="stride must be >= 1"):
+        next(run)

@@ -87,6 +87,16 @@ class TestFiniteDifference:
             triangular_fd_energies(make_grid(5.0, 32), lambda x: x, scheme)
 
 
+@pytest.mark.parametrize("potential, message", [
+    (lambda x: np.zeros(x.size + 1), "potential shape"),
+    (lambda x: np.where(x > 0, np.nan, 0.0), "potential is not finite"),
+    (lambda x: np.full(x.shape, np.inf), "potential is not finite"),
+])
+def test_fd_hamiltonian_refuses_a_bad_potential(potential, message):
+    with pytest.raises(ValueError, match=message):
+        build_fd_hamiltonian(make_grid(5.0, 32), potential, "central")
+
+
 class TestSpectralHamiltonian:
     def test_oscillator_low_spectrum(self):
         g = make_grid(10.0, 256)
@@ -180,6 +190,13 @@ class TestBandStructure:
         with pytest.raises(ValueError, match="n_bands"):
             band_structure(spec, 2.0, 4, [0.0], 5)
 
+    @pytest.mark.parametrize("n_bands, n_cell_grid", [(0, 8), (-1, 8), (1, 1)])
+    def test_rejects_no_bands_or_a_single_cell_point(self, n_bands, n_cell_grid):
+        spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
+                               potential=lambda t, x: 0.0 * x)
+        with pytest.raises(ValueError, match="need n_bands >= 1 and n_cell_grid >= 2"):
+            band_structure(spec, 2.0, n_cell_grid, [0.0], n_bands)
+
     @pytest.mark.parametrize("a", [np.inf, np.nan, 0.0, -1.0])
     def test_rejects_non_finite_or_nonpositive_lattice_constant(self, a):
         spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
@@ -255,6 +272,16 @@ class TestSpectrumViaPropagation:
         for peak in peaks:
             distance = np.min(np.abs(peak - (np.arange(12) + 0.5)))
             assert distance < resolution
+
+    @pytest.mark.parametrize("duration, message", [
+        (0.075, "even"),                   # three steps
+        (0.025, "positive integer multiple"),  # one step
+        (0.0, "positive integer multiple"),
+    ])
+    def test_rejects_an_odd_or_too_short_duration(self, duration, message):
+        psi0 = gaussian_packet(make_grid(8.0, 32))
+        with pytest.raises(ValueError, match=message):
+            spectrum_via_propagation(psi0, OSCILLATOR, duration=duration, dt=0.025)
 
     def test_quartic_peaks_match_eigensolve(self):
         quartic = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,

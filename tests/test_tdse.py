@@ -16,6 +16,7 @@ from dynkit.tdse import (
     WaveFunction,
     absorbing_potential,
     apply_absorbing_boundary,
+    apply_hamiltonian,
     compute_uncertainty,
     cosine_absorbing_mask,
     gaussian_packet,
@@ -224,6 +225,11 @@ class TestAbsorbingBoundary:
         with pytest.raises(ValueError, match="power"):
             cosine_absorbing_mask(make_grid(10.0, 64), power=power)
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, np.nan])
+    def test_cosine_mask_rejects_bad_fraction(self, fraction):
+        with pytest.raises(ValueError, match=r"fraction must lie in \(0, 0.5\)"):
+            cosine_absorbing_mask(make_grid(10.0, 64), fraction=fraction)
+
 
 class TestImaginaryTime:
     def test_oscillator_ground_state(self):
@@ -409,6 +415,16 @@ class TestPauliStep:
             for j, p in enumerate(g.p_fft)], axis=1)
         got = np.stack([fft_bridge(out.up), fft_bridge(out.down)])
         assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("spec, t", [(OSCILLATOR, 0.0), (DRIVEN, 0.7)])
+def test_apply_hamiltonian_matches_the_dense_spectral_hamiltonian(spec, t):
+    g = make_grid(8.0, 64)
+    psi = gaussian_packet(g, x0=0.8, p0=-1.1, sigma=0.9)
+    dense = build_spectral_hamiltonian(g, spec, t) @ psi.values
+    got = apply_hamiltonian(psi, spec, t)
+    assert got.shape == psi.values.shape
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 class TestUncertainty:
