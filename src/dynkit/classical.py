@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .steps import require, require_step
+from .steps import require_count, require_step
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,8 @@ def propagate_ensemble(ensemble: ClassicalEnsemble, dt: float, n_steps: int,
     only the sampled states become ``ClassicalEnsemble`` objects.
     """
     require_step(dt)
-    require("n_steps", n_steps, minimum=0)
-    require("stride", stride, minimum=1)
+    require_count("n_steps", n_steps, 0)
+    require_count("stride", stride, 1)
     steps = _kick_drift_kick(ensemble.x, ensemble.p, ensemble.s, dt, n_steps,
                              spec, stride)
     return [ensemble, *(ClassicalEnsemble(x, p, ensemble.weights, s)

@@ -23,7 +23,7 @@ from .grids import UniformGrid, _alt_signs, _fft
 from .matfunc import (_hermitian_solve, _hermiticity_defect, expm_pade,
                       func_of_hermitian)
 from .stationary import HamiltonianSpec
-from .steps import require, require_step, step_count
+from .steps import require, require_count, require_step, step_count
 from .tdse import SplitStepEngine, WaveFunction, _spreads
 
 
@@ -217,7 +217,7 @@ def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
     elementwise passes per record.
     """
     require_step(dt)
-    require("stride", stride, minimum=1)
+    require_count("stride", stride, 1)
     cur = engine._step_phases(t0, dt, 2)
     w = _outer(cur.lead)
     np.multiply(w, g, out=w)
@@ -522,7 +522,7 @@ def _mcwf_loop(psi0, spec, jump_ops, dt, t_max, stride):
     n_steps = step_count(t_max, dt)
     if n_steps < 1:
         raise ValueError("t_max must be a positive integer multiple of dt")
-    require("stride", stride, minimum=1)
+    require_count("stride", stride, 1)
     ops = _unpack_jump_ops(jump_ops)
     if isinstance(psi0, WaveFunction):
         evolve, lambdas, jump, normalize = _grid_mcwf_machinery(psi0.grid, spec, ops)
@@ -640,7 +640,7 @@ def mcwf_ensemble(psi0, spec, jump_ops, dt: float, t_max: float, n_traj: int,
     trajectory i follows the path ``mcwf_trajectory`` gives for seed
     base_seed + i, to rounding.
     """
-    require("n_traj", n_traj, minimum=1)
+    require_count("n_traj", n_traj, 1)
     run = _mcwf_loop(psi0, spec, jump_ops, dt, t_max, stride)
     d = np.size(psi0.values if isinstance(psi0, WaveFunction) else psi0)
     rows = max(1, min(_MCWF_BLOCK_ROWS, _MCWF_BLOCK_AMPLITUDES // d))

@@ -34,6 +34,14 @@ def require(name: str, value, above: float | None = None,
         raise ValueError(f"{name} must be {' and '.join(rule + ['finite'])}, got {value!r}")
 
 
+def require_count(name: str, value, minimum: int) -> None:
+    """ValueError unless ``value`` is an integer that ``range`` takes (numpy's too), not a
+    bool as in the schema's ``integer``, and >= ``minimum``; e.g. "stride must be >= 1 and
+    an integer, got 1.5"."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < minimum:
+        raise ValueError(f"{name} must be >= {minimum} and an integer, got {value!r}")
+
+
 def require_step(dt: complex) -> None:
     """ValueError unless the step dt is finite and nonzero."""
     if dt == 0 or not cmath.isfinite(dt):

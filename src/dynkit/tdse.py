@@ -17,9 +17,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .grids import UniformGrid, _alt_signs, _fft, fft_bridge, ifft_bridge
+from .grids import UniformGrid, _alt_signs, _bridge, _fft, fft_bridge
 from .stationary import HamiltonianSpec
-from .steps import require, require_step, step_count
+from .steps import require, require_count, require_step, step_count
 
 #: Triple-jump substep coefficient, the real root of 2 s^3 + (1 - 2s)^3 = 0.
 TRIPLE_JUMP_S = 2.0 ** (1.0 / 3.0) / 3.0 + 2.0 ** (2.0 / 3.0) / 6.0 + 2.0 / 3.0
@@ -254,7 +254,7 @@ class SplitStepEngine:
         ``order`` selects Strang (2) or triple-jump (4) steps.  dt may be
         complex (Wick-rotated -i dtau).
         """
-        require("stride", stride, minimum=1)
+        require_count("stride", stride, 1)
         cur = self._checked_phases(t0, dt, order)
         w = cur.lead * values
         across = None
@@ -286,7 +286,7 @@ class SplitStepEngine:
     def apply_hamiltonian(self, values: np.ndarray, t: float = 0.0) -> np.ndarray:
         """H psi = F^-1[K(t,p) F[psi]] + U(t,x) psi as raw amplitudes."""
         u, k = self.terms(t)
-        return ifft_bridge(k * fft_bridge(values)) + u * values
+        return _bridge(k * fft_bridge(values), -1, inverse=True) + u * values
 
     def commutator(self, values: np.ndarray, observable: np.ndarray,
                    t: float = 0.0) -> complex:
@@ -600,12 +600,9 @@ def pauli_split_op_step(spinor: SpinorWaveFunction, t: float, dt: float,
     half = _pauli_factors(dt / 2.0, hbar, _pauli_coeffs(spec.potential, tm, grid.x))
     kin = _pauli_factors(dt, hbar, _pauli_coeffs(spec.kinetic, tm, grid.p_fft))
     _require_finite_phases(dt, U=half, K=kin)
-    up, down = _pauli_apply(half, spinor.up, spinor.down)
-    up, down = fft_bridge(up), fft_bridge(down)
-    up, down = _pauli_apply(kin, up, down)
-    up, down = ifft_bridge(up), ifft_bridge(down)
-    up, down = _pauli_apply(half, up, down)
-    return SpinorWaveFunction(up, down, grid)
+    w = np.array(_pauli_apply(half, spinor.up, spinor.down))  # (2, n): up, down
+    w[0], w[1] = _pauli_apply(kin, *_bridge(w, 1))
+    return SpinorWaveFunction(*_pauli_apply(half, *_bridge(w, 1, inverse=True)), grid)
 
 
 def _spreads(grid: UniformGrid, position_weights: np.ndarray,

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HermiticityError
-from .grids import UniformGrid, _bridge, fft_bridge, ifft_bridge
+from .grids import UniformGrid, _bridge
 from .open_systems import DensityMatrix
 from .steps import require
 from .tdse import WaveFunction, _two_level_rotation
@@ -307,40 +307,35 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
     mean_phase = np.exp((0.5j * dt / hbar)
                         * (vg_plus - vg_minus + ve_plus - ve_minus))
 
-    blocks = ((w2.w_g.astype(complex), w2.w_ge.astype(complex)),
-              (np.conj(w2.w_ge), w2.w_e.astype(complex)))
+    b = np.array([[w2.w_g, w2.w_ge], [np.conj(w2.w_ge), w2.w_e]], dtype=complex)
 
-    def drop_nyquist(b, axis):
-        # b is a fresh transform, so its Nyquist row or column is zeroed in place
-        b[(slice(None),) * axis + (0,)] = 0.0
-        return b
+    # Each factor is the first operand: numpy's complex multiply is not
+    # bitwise commutative, and this order keeps the per-block results.
+    def kinetic(factor):
+        _bridge(b, 2)
+        b[:, :, 0] = 0.0
+        np.multiply(factor, b, out=b)
+        _bridge(b, 2, inverse=True)
 
-    def kinetic(blocks, shear):
-        return tuple(tuple(ifft_bridge(
-            shear * drop_nyquist(fft_bridge(b, axis=0), 0), axis=0)
-            for b in row) for row in blocks)
-
-    def potential(blocks):
-        transformed = tuple(tuple(drop_nyquist(fft_bridge(b, axis=1), 1)
-                                  for b in row) for row in blocks)
+    def potential():
+        _bridge(b, 3)
+        b[..., 0] = 0.0
         tl = _rotation_entries(spec, x_minus, vg_minus, ve_minus, tm, dt)
         tr = _dagger(_rotation_entries(spec, x_plus, vg_plus, ve_plus, tm, dt))
-        sandwiched = _product(_product(tl, transformed), tr)
-        sandwiched = tuple(tuple(mean_phase * b for b in row)
-                           for row in sandwiched)
-        return tuple(tuple(ifft_bridge(b, axis=1) for b in row)
-                     for row in sandwiched)
+        (b[0, 0], b[0, 1]), (b[1, 0], b[1, 1]) = _product(_product(tl, b), tr)
+        np.multiply(mean_phase, b, out=b)
+        _bridge(b, 3, inverse=True)
 
     if symmetrize:
         half_shear = np.exp(0.5 * shear)
-        blocks = kinetic(blocks, half_shear)
-        blocks = potential(blocks)
-        blocks = kinetic(blocks, half_shear)
+        kinetic(half_shear)
+        potential()
+        kinetic(half_shear)
     else:
-        blocks = potential(blocks)
-        blocks = kinetic(blocks, np.exp(shear))
+        potential()
+        kinetic(np.exp(shear))
 
-    (gg, ge), (eg, ee) = blocks
+    (gg, ge), (eg, ee) = b
     residue = np.max([np.max(np.abs(gg.imag)), np.max(np.abs(ee.imag)),
                       np.max(np.abs(eg - np.conj(ge)))])
     if not residue <= 1e-8:  # also refuses a NaN residue

@@ -1,9 +1,12 @@
-"""One contract for scalar arguments: ``steps.require`` and ``steps.is_finite_number``.
+"""One contract for scalar arguments: ``steps.require``, ``steps.require_count``
+and ``steps.is_finite_number``.
 
-Every library argument checked through ``require`` refuses NaN, +inf and
--inf with a ``ValueError`` whose message starts with the argument's name.
-``CONTRACT`` lists each (function, argument) pair once, with a valid value
-of the argument and a call that is valid apart from it.
+Every library argument checked through ``require`` or ``require_count``
+refuses NaN, +inf and -inf with a ``ValueError`` whose message starts with
+the argument's name.  ``CONTRACT`` lists each (function, argument) pair
+once, with a valid value of the argument and a call that is valid apart
+from it.  The counts among them (``COUNTS``) also refuse a float or a bool,
+as the config schema's ``integer`` does.
 """
 
 import math
@@ -29,7 +32,7 @@ from dynkit.stationary import (
     build_spectral_hamiltonian,
     find_spectral_peaks,
 )
-from dynkit.steps import is_finite_number, require
+from dynkit.steps import is_finite_number, require, require_count
 from dynkit.tdse import (
     SplitStepEngine,
     cosine_absorbing_mask,
@@ -119,6 +122,9 @@ CONTRACT = [
     ("moyal_two_state_step", "dt", 0.01, _two_state),
 ]
 IDS = [f"{function}-{argument}" for function, argument, _, _ in CONTRACT]
+#: the rows of CONTRACT whose argument is a count, checked by ``require_count``
+COUNTS = [row for row in CONTRACT if row[1] in ("stride", "n_steps", "n_traj")]
+COUNT_IDS = [f"{function}-{argument}" for function, argument, _, _ in COUNTS]
 
 
 @pytest.mark.filterwarnings("error")
@@ -134,6 +140,46 @@ def test_non_finite_scalar_refused_by_name(function, argument, valid, call, valu
 def test_contract_calls_are_valid_otherwise(function, argument, valid, call):
     # so each refusal above is the argument's, not another's
     call(valid)
+
+
+def test_counts_table_holds_every_count_argument():
+    assert COUNT_IDS == ["run_density-stride", "mcwf_trajectory-stride",
+                         "mcwf_ensemble-stride", "mcwf_ensemble-n_traj",
+                         "SplitStepEngine.run-stride", "propagate_ensemble-n_steps",
+                         "propagate_ensemble-stride"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [2.5, 1.5, 2.0, np.float64(2.0), True],
+                         ids=["2.5", "1.5", "2.0", "float64", "True"])
+@pytest.mark.parametrize("function, argument, valid, call", COUNTS, ids=COUNT_IDS)
+def test_non_integer_count_refused_by_name(function, argument, valid, call, value):
+    # a float stride is refused rather than sampled where m % stride == 0 (m =
+    # 3, 6, 9 for 1.5), and a float n_steps or n_traj by name, not in range()
+    with pytest.raises(ValueError, match=rf"^{argument} must be >= \d and an integer, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("function, argument, valid, call", COUNTS, ids=COUNT_IDS)
+def test_numpy_integer_count_accepted(function, argument, valid, call):
+    call(np.int64(valid))
+    call(np.int32(valid))
+
+
+@pytest.mark.parametrize("value, minimum", [
+    (0, 0), (1, 1), (10 ** 400, 1), (np.int64(3), 1), (np.uint8(2), 2), (np.int32(0), 0),
+])
+def test_require_count_accepts_integers(value, minimum):
+    require_count("k", value, minimum)
+
+
+@pytest.mark.parametrize("value, minimum", [
+    (0, 1), (-1, 0), (np.int64(0), 1), (1.0, 1), (np.float64(3.0), 1), (True, 1),
+    (np.bool_(True), 1), (math.nan, 1), (math.inf, 1), ("3", 1), (None, 0),
+])
+def test_require_count_refuses_non_integers_and_values_below_the_minimum(value, minimum):
+    with pytest.raises(ValueError, match=rf"^k must be >= {minimum} and an integer, got "):
+        require_count("k", value, minimum)
 
 
 @pytest.mark.parametrize("value", [1, 2.5, np.int64(3), np.float32(0.5),
