@@ -356,6 +356,19 @@ def _hamiltonian_spec(cfg, hbar):
 # ---------------------------------------------------------------------------
 
 
+def _builtin_sha256():
+    """The interpreter's own SHA-256 constructor, or None in a build without one.
+
+    No run needs OpenSSL, whose libcrypto ``hashlib`` maps (3.6 MB resident).
+    """
+    for module in ("_sha2", "_sha256"):  # Python >= 3.12, then 3.10 and 3.11
+        try:
+            return __import__(module).sha256
+        except ImportError:
+            pass
+    return None
+
+
 class _OutputSink:
     def __init__(self, directory):
         self.directory = directory
@@ -366,17 +379,11 @@ class _OutputSink:
 
         The first buffer is drawn before the file is opened, so a refusal of
         it leaves no file; a later one leaves a partial file, never listed.
-        The digest is the interpreter's built-in SHA-256, not ``hashlib``'s,
-        whose import maps OpenSSL's libcrypto (about 3.5 MB resident) into a
-        process that would otherwise never load it.
+        The digest is the interpreter's built-in SHA-256 (see _builtin_sha256).
         """
-        try:
-            from _sha2 import sha256  # Python >= 3.12
-        except ImportError:
-            try:
-                from _sha256 import sha256  # Python 3.10 and 3.11
-            except ImportError:
-                from hashlib import sha256  # a build without either module
+        sha256 = _builtin_sha256()
+        if sha256 is None:  # a build without one
+            from hashlib import sha256
 
         chunks = iter(chunks)
         first = next(chunks, b"")
@@ -453,6 +460,26 @@ class _OutputSink:
 # numpy and the library modules it uses itself, so that ``validate`` loads
 # neither and ``run`` loads only what its task needs.
 # ---------------------------------------------------------------------------
+
+
+def _numpy_random():
+    """numpy.random, imported so that it binds the built-in hashes where there are any.
+
+    Its bit generators import ``secrets``, whose ``hmac`` imports ``_hashlib``
+    and so libcrypto.  While ``_hashlib`` is None in ``sys.modules``, ``hmac``
+    and ``hashlib`` fall back to the built-in hashes; the random streams are
+    the same.  The block lasts for this one import, and is not set in a
+    process that loaded ``_hashlib`` already.
+    """
+    block = "_hashlib" not in sys.modules and _builtin_sha256() is not None
+    if block:
+        sys.modules["_hashlib"] = None
+    try:
+        import numpy.random
+    finally:
+        if block:
+            del sys.modules["_hashlib"]
+    return numpy.random
 
 
 def _grid_and_spec(cfg):
@@ -560,7 +587,7 @@ def _run_classical(cfg, sink):
         spec = cl.ClassicalSpec(dk_dp=lambda p, s: dk(p),
                                 du_dx=lambda x, s: du(x))
     cloud = block["cloud"]
-    rng = np.random.default_rng(block["seed"])
+    rng = _numpy_random().default_rng(block["seed"])
     n = block["n_particles"]
     x = rng.normal(cloud["x0"], cloud["sigma_x"], n)
     p = rng.normal(cloud["p0"], cloud["sigma_p"], n)
@@ -627,6 +654,7 @@ def _run_mcwf(cfg, sink):
     import numpy as np
     from . import open_systems as osys
 
+    _numpy_random()  # mcwf_ensemble seeds its generators from it
     block = cfg["mcwf"]
     h = block["rabi"] * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     ops = [np.sqrt(block["decay_rate"])
@@ -657,7 +685,7 @@ def _run_expm_bench(cfg, sink):
     from .matfunc import expm_pade, expm_taylor
 
     block = cfg["expm_bench"]
-    rng = np.random.default_rng(block["seed"])
+    rng = _numpy_random().default_rng(block["seed"])
     dim = block["dim"]
     rows = []
     for norm in block["norms"]:

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, HermiticityError
+from .steps import require
 
 #: Norm bound below which the diagonal Pade approximant is applied directly.
 PADE_NORM_BOUND = 0.5
@@ -110,8 +111,7 @@ def expm_taylor(a: np.ndarray, tol: float = 1e-14) -> ExpmReport:
     this route only serves as a cross-check oracle.
     """
     a = _check_square(a)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    require("tol", tol, above=0)
     n = a.shape[0]
     norm = _finite_norm(a)
     result = np.eye(n, dtype=complex)

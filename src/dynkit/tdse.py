@@ -185,7 +185,8 @@ class SplitStepEngine:
     x.  For a ``time_independent`` spec U and K are evaluated once and the
     phases cached per step length, so a Strang step costs two FFTs and two
     pointwise products; otherwise U and K are evaluated at every substep
-    midpoint.
+    midpoint.  The momenta ``grid.p_fft`` come from ``grid.hbar``, while every
+    phase divides by ``spec.hbar``, so the two must agree; nothing checks it.
     """
 
     def __init__(self, grid: UniformGrid, spec: HamiltonianSpec,
@@ -449,8 +450,7 @@ def imaginary_time_excited(n_target: int, known_states: Sequence[WaveFunction],
 
 def _imaginary_time(psi_guess, dtau, spec, tol, max_iter, known):
     require("dtau", dtau, above=0)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    require("tol", tol, above=0)
     grid = psi_guess.grid
     engine = SplitStepEngine(grid, spec)
     # energies come a block of iterations at a time; the first iteration whose

@@ -62,9 +62,10 @@ class TestExpmTaylor:
         with pytest.raises(ConvergenceError):
             expm_taylor(np.array([[800.0]]), tol=1e-14)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-14, np.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-14, np.nan, np.inf, -np.inf])
     def test_rejects_bad_tol(self, tol):
-        # a NaN tol used to run every term and then report no convergence
+        # a NaN tol used to run every term and then report no convergence,
+        # and an infinite one returned the identity after no multiplication
         with pytest.raises(ValueError, match="tol must be positive"):
             expm_taylor(np.eye(2), tol=tol)
 

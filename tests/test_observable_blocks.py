@@ -579,7 +579,7 @@ def test_imaginary_time_stays_near_the_legacy_loop():
         legacy_known.append(psi_old)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf"), float("-inf")])
 @pytest.mark.parametrize("excited", [False, True])
 def test_imaginary_time_refuses_a_tol_that_cannot_be_met(monkeypatch, tol,
                                                          excited):

@@ -16,6 +16,7 @@ import pytest
 
 from dynkit.classical import ClassicalEnsemble, ClassicalSpec, propagate_ensemble
 from dynkit.grids import POSITION, SpectralSignal, cft_forward_custom, frft, make_grid
+from dynkit.matfunc import expm_taylor
 from dynkit.open_systems import (
     fermi_dirac_rates,
     gibbs_density,
@@ -117,9 +118,12 @@ CONTRACT = [
      lambda v: cosine_absorbing_mask(GRID, power=v)),
     ("imaginary_time_ground", "dtau", 0.05, lambda v: imaginary_time_ground(
         gaussian_packet(GRID), v, OSCILLATOR, tol=1e-6)),
+    ("imaginary_time_ground", "tol", 1e-6, lambda v: imaginary_time_ground(
+        gaussian_packet(GRID), 0.05, OSCILLATOR, tol=v)),
     ("propagate_ensemble", "n_steps", 2, lambda v: _ensemble(n_steps=v)),
     ("propagate_ensemble", "stride", 1, lambda v: _ensemble(stride=v)),
     ("moyal_two_state_step", "dt", 0.01, _two_state),
+    ("expm_taylor", "tol", 1e-14, lambda v: expm_taylor(np.eye(2), tol=v)),
 ]
 IDS = [f"{function}-{argument}" for function, argument, _, _ in CONTRACT]
 #: the rows of CONTRACT whose argument is a count, checked by ``require_count``
