@@ -17,11 +17,12 @@ __version__ = "0.1.0"
 
 #: submodule -> the public names the package re-exports from it
 _EXPORTS = {
-    "grids": ("SpectralSignal", "UniformGrid", "cft_forward",
-              "cft_forward_custom", "cft_inverse", "frft", "make_grid"),
+    "grids": ("HamiltonianSpec", "SpectralSignal", "UniformGrid",
+              "cft_forward", "cft_forward_custom", "cft_inverse", "frft",
+              "make_grid"),
     "matfunc": ("ExpmReport", "expm_pade", "expm_taylor",
                 "func_of_hermitian"),
-    "stationary": ("HamiltonianSpec", "SpectrumResult", "band_structure",
+    "stationary": ("SpectrumResult", "band_structure",
                    "build_fd_hamiltonian", "build_spectral_hamiltonian",
                    "eigensolve", "find_spectral_peaks",
                    "spectrum_via_propagation"),

@@ -167,9 +167,7 @@ def _series(cfg, name, span_key, width, dt_key=None):
 
 def _problem(field, value):
     """Why ``value`` does not fit a non-block field, or None if it does."""
-    if field.kind == "choice":
-        if isinstance(value, str) and value in field.choices:
-            return None
+    if field.kind == "choice" and not isinstance(value, str):
         return f"must be one of {list(field.choices)}"
     if field.kind == "numbers":
         low = -math.inf if field.above is None else field.above
@@ -341,7 +339,7 @@ def kinetic_from_config(cfg):
 
 
 def _hamiltonian_spec(cfg, hbar):
-    from .stationary import HamiltonianSpec
+    from .grids import HamiltonianSpec
 
     u, _ = potential_from_config(cfg["potential"])
     k, _ = kinetic_from_config(cfg["kinetic"])
@@ -577,15 +575,9 @@ def _run_classical(cfg, sink):
     block = cfg["classical"]
     u_fun, du = potential_from_config(block["forces"])
     k_fun, dk = kinetic_from_config(None)
-    drive = block["drive"]
-    if drive is not None:
-        amp, omega = drive["amplitude"], drive["omega"]
-        spec = cl.extend_time_dependent(
-            lambda p, t: dk(p),
-            lambda x, t: du(x) - amp * np.cos(omega * t))
-    else:
-        spec = cl.ClassicalSpec(dk_dp=lambda p, s: dk(p),
-                                du_dx=lambda x, s: du(x))
+    amp, omega = block["drive"]["amplitude"], block["drive"]["omega"]
+    spec = cl.extend_time_dependent(
+        lambda p, t: dk(p), lambda x, t: du(x) - amp * np.cos(omega * t))
     cloud = block["cloud"]
     rng = _numpy_random().default_rng(block["seed"])
     n = block["n_particles"]
@@ -797,7 +789,7 @@ _TASKS = {
                             default={}),
             "forces": _block(_POTENTIAL_FIELDS, default={"name": "harmonic"}),
             "drive": _block({"amplitude": _number(0.0),
-                             "omega": _number(1.0)}, default=None),
+                             "omega": _number(1.0)}, default={}),
         }, default={}),
     }, lambda c: [("classical.n_particles", c["classical"]["n_particles"]),
                   _series(c, "classical", "n_steps", 5)],

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +44,24 @@ class UniformGrid:
                 f"grid size n={self.n} must be divisible by 4 for the "
                 "sign-alternation FFT bridge"
             )
+
+
+@dataclass(frozen=True)
+class HamiltonianSpec:
+    """H = K(t, p) + U(t, x) through two real-valued callables.
+
+    ``mass`` enters through K by convention; it is kept as metadata for
+    diagnostics such as the Ehrenfest check m d<x>/dt = <p>.
+    ``time_independent`` states that K and U ignore t, so split-operator
+    stepping may evaluate them once and reuse their phases; it changes no
+    result beyond rounding.
+    """
+
+    kinetic: Callable[[float, np.ndarray], np.ndarray]
+    potential: Callable[[float, np.ndarray], np.ndarray]
+    hbar: float = 1.0
+    mass: float = 1.0
+    time_independent: bool = False
 
 
 def make_grid(half_width: float, n: int, hbar: float = 1.0) -> UniformGrid:

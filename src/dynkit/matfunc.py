@@ -22,9 +22,6 @@ from .steps import require
 #: Norm bound below which the diagonal Pade approximant is applied directly.
 PADE_NORM_BOUND = 0.5
 
-#: Degree of the diagonal Pade approximant used for exp.
-PADE_DEGREE = 6
-
 
 @dataclass(frozen=True)
 class ExpmReport:
@@ -150,7 +147,7 @@ def _pade_coefficients(m: int) -> np.ndarray:
 def _pade_apply(b: np.ndarray) -> tuple[np.ndarray, int]:
     """Diagonal [6/6] Pade approximant of exp(B); returns (value, mult count)."""
     n = b.shape[0]
-    c = _pade_coefficients(PADE_DEGREE)
+    c = _pade_coefficients(6)
     b2 = b @ b
     b4 = b2 @ b2
     b6 = b2 @ b4

@@ -19,10 +19,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DegenerateJumpError, HermiticityError
-from .grids import UniformGrid, _alt_signs, _fft
+from .grids import HamiltonianSpec, UniformGrid, _alt_signs, _fft
 from .matfunc import (_hermitian_solve, _hermiticity_defect, expm_pade,
                       func_of_hermitian)
-from .stationary import HamiltonianSpec
 from .steps import require, require_count, require_step, step_count
 from .tdse import SplitStepEngine, WaveFunction, _spreads
 

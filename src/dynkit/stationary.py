@@ -11,33 +11,15 @@ autocorrelation of a propagated state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .grids import UniformGrid, _alt_signs, _fft
+from .grids import HamiltonianSpec, UniformGrid, _alt_signs, _fft
 from .matfunc import _hermitian_solve
 from .steps import require, step_count
 
 FD_SCHEMES = ("forward", "backward", "central")
-
-
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """H = K(t, p) + U(t, x) through two real-valued callables.
-
-    ``mass`` enters through K by convention; it is kept as metadata for
-    diagnostics such as the Ehrenfest check m d<x>/dt = <p>.
-    ``time_independent`` states that K and U ignore t, so split-operator
-    stepping may evaluate them once and reuse their phases; it changes no
-    result beyond rounding.
-    """
-
-    kinetic: Callable[[float, np.ndarray], np.ndarray]
-    potential: Callable[[float, np.ndarray], np.ndarray]
-    hbar: float = 1.0
-    mass: float = 1.0
-    time_independent: bool = False
 
 
 @dataclass(frozen=True)
@@ -205,7 +187,7 @@ def spectrum_via_propagation(psi0, spec: HamiltonianSpec, duration: float,
     present in psi0 with weights proportional to |c_n|^2, broadened to sinc
     lobes of width 2 pi hbar / T by the finite window.
     """
-    # local import: tdse depends on this module
+    # local import: eigen and bands runs, which never propagate, load no tdse
     from .tdse import SplitStepEngine
 
     n_steps = step_count(duration, dt)

@@ -17,8 +17,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .grids import UniformGrid, _alt_signs, _bridge, _fft, fft_bridge
-from .stationary import HamiltonianSpec
+from .grids import (HamiltonianSpec, UniformGrid, _alt_signs, _bridge, _fft,
+                    fft_bridge)
 from .steps import require, require_count, require_step, step_count
 
 #: Triple-jump substep coefficient, the real root of 2 s^3 + (1 - 2s)^3 = 0.

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import HermiticityError
 from .grids import UniformGrid, _bridge
-from .open_systems import DensityMatrix
 from .steps import require
 from .tdse import WaveFunction, _two_level_rotation
 
@@ -220,6 +219,9 @@ def wigner_from_density(rho: DensityMatrix | WaveFunction) -> WignerFunction:
 def density_from_wigner(w: WignerFunction,
                         grid: UniformGrid | None = None) -> DensityMatrix:
     """Exact inverse of :func:`wigner_from_density`."""
+    # local import: runs that only build Wigner functions need no open_systems
+    from .open_systems import DensityMatrix
+
     grid = grid if grid is not None else w.grid
     if grid is None:
         raise ValueError("supply the UniformGrid the Wigner function came from")

@@ -4,6 +4,8 @@ The footprint tests run ``python -m dynkit.cli`` in a fresh interpreter
 (through ``runpy``, as ``-m`` does) and list ``sys.modules`` when it exits.
 """
 
+import ast
+import graphlib
 import importlib
 import json
 import os
@@ -21,10 +23,10 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(dynkit.__file__)))
 # the public names the package root imported eagerly before it resolved them
 # on first use, by defining submodule
 EXPORTED = {
-    "grids": "SpectralSignal UniformGrid cft_forward cft_forward_custom "
-             "cft_inverse frft make_grid",
+    "grids": "HamiltonianSpec SpectralSignal UniformGrid cft_forward "
+             "cft_forward_custom cft_inverse frft make_grid",
     "matfunc": "ExpmReport expm_pade expm_taylor func_of_hermitian",
-    "stationary": "HamiltonianSpec SpectrumResult band_structure "
+    "stationary": "SpectrumResult band_structure "
                   "build_fd_hamiltonian build_spectral_hamiltonian eigensolve "
                   "find_spectral_peaks spectrum_via_propagation",
     "tdse": "EvolutionTrace PauliHamiltonianSpec SpinorWaveFunction "
@@ -99,19 +101,69 @@ def test_bare_package_import_loads_no_submodule():
     assert json.loads(proc.stdout) == ["dynkit"]
 
 
-@pytest.mark.parametrize("name, absent", [
-    ("classical_driven.json", ("open_systems", "wigner", "tdse", "stationary",
-                               "grids")),
-    ("eigen_oscillator.json", ("open_systems", "wigner", "tdse")),
-    ("expm_bench.json", ("open_systems", "wigner", "tdse", "stationary",
-                         "grids")),
-])
-def test_run_imports_only_its_task_modules(tmp_path, name, absent):
+# the library modules each shipped config's run loads, besides dynkit.cli,
+# dynkit.errors and dynkit.steps
+TASK_MODULES = {
+    "bands_cosine.json": "stationary grids matfunc",
+    "classical_driven.json": "classical",
+    "eigen_central_fd.json": "stationary grids matfunc",
+    "eigen_oscillator.json": "stationary grids matfunc",
+    "expm_bench.json": "matfunc",
+    "gap_oscillator.json": "tdse grids",
+    "imagtime_ladder.json": "tdse grids",
+    "lindblad_dephasing.json": "open_systems tdse grids matfunc",
+    "mcwf_decay.json": "open_systems tdse grids matfunc",
+    "propagate_coherent.json": "tdse grids",
+    "wigner_ground.json": "wigner tdse grids",
+}
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_run_imports_only_its_task_modules(tmp_path, name):
     code, _, modules = _cli("run", os.path.join(CONFIG_DIR, name),
                             "--out", str(tmp_path / "out"))
     assert code == 0
     assert "numpy" in modules
-    assert sorted(modules & {f"dynkit.{a}" for a in absent}) == []
+    loaded = {m for m in modules if m.startswith("dynkit.")} - {"dynkit.cli"}
+    expected = {"errors", "steps", *TASK_MODULES[name].split()}
+    assert sorted(loaded) == sorted(f"dynkit.{m}" for m in expected)
+
+
+def _internal_imports(path, modules):
+    """The dynkit modules that the source file ``path`` imports, function-local
+    imports included; ``__init__`` stands for the package itself."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    names = []  # every imported name, made absolute
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to dynkit, which has no subpackages
+                base = f"dynkit.{base}".rstrip(".")
+            names += [f"{base}.{a.name}" for a in node.names]
+    found = set()
+    for name in names:
+        top, _, rest = name.partition(".")
+        if top == "dynkit":
+            module = rest.split(".")[0]
+            found.add(module if module in modules else "__init__")
+    return found
+
+
+def test_module_import_graph_has_no_cycle():
+    package = os.path.dirname(dynkit.__file__)
+    modules = {f[:-3] for f in os.listdir(package) if f.endswith(".py")}
+    graph = {m: _internal_imports(os.path.join(package, f"{m}.py"), modules)
+             for m in modules}
+    # function-local imports count: stationary's SplitStepEngine import
+    assert {"grids", "matfunc", "steps", "tdse"} <= graph["stationary"]
+    assert {"__init__", "errors", "steps"} <= graph["cli"]
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
 @pytest.mark.parametrize("module, name", NAMES)
@@ -154,6 +206,14 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "module 'dynkit' has no attribute 'no_such_name'", "[]"]
+
+
+def test_hamiltonian_spec_is_defined_once():
+    from dynkit import grids, open_systems, stationary, tdse
+
+    assert stationary.HamiltonianSpec is grids.HamiltonianSpec
+    assert tdse.HamiltonianSpec is grids.HamiltonianSpec
+    assert open_systems.HamiltonianSpec is grids.HamiltonianSpec
 
 
 def test_step_helpers_are_shared():
