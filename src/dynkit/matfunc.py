@@ -51,21 +51,30 @@ def _finite_norm(a: np.ndarray) -> float:
     return norm
 
 
-#: Elements per row block of ``_hermiticity_defect``.
-_DEFECT_BLOCK = 2 ** 16
+#: Elements per row block of ``_hermiticity_defect`` and ``_hermitian_solve``'s scale.
+_DEFECT_BLOCK = 2 ** 13
+
+
+def _row_blocks(n: int) -> list:
+    """Slices of whole rows of an n x n matrix, about ``_DEFECT_BLOCK`` elements each."""
+    rows = max(1, _DEFECT_BLOCK // max(n, 1))
+    return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
 def _hermiticity_defect(h: np.ndarray) -> float:
     """max |h - h^H| of a square ``h``, NaN if any difference is NaN.
 
-    Taken over blocks of rows, so no n x n temporary is made; each block
-    difference is the whole-matrix one's rows, so the max is the same bits.
+    Taken over blocks of rows, each difference written into the block of
+    h^H it subtracts, so no n x n temporary is made; each block difference
+    is the whole-matrix one's rows, so the max is the same bits.
     """
-    n = h.shape[0]
-    rows = max(1, _DEFECT_BLOCK // max(n, 1))
+    maxima = []
+    for s in _row_blocks(h.shape[0]):
+        d = np.conj(h[:, s].T)  # rows s of h^H
+        np.subtract(h[s], d, out=d)
+        maxima.append(np.max(np.abs(d)))
     # np.max, not max(): the block maxima keep a NaN
-    return float(np.max([np.max(np.abs(h[i:i + rows] - h[:, i:i + rows].conj().T))
-                         for i in range(0, n, rows)]))
+    return float(np.max(maxima))
 
 
 def _hermitian_solve(h: np.ndarray, vectors: bool, tol: float):
@@ -80,7 +89,9 @@ def _hermitian_solve(h: np.ndarray, vectors: bool, tol: float):
     """
     h = np.asarray(h)
     h = h.astype(np.result_type(h.dtype, np.float64), copy=False)
-    scale = np.max(np.abs(h), initial=1.0)  # NaN or inf for a non-finite h
+    # NaN or inf for a non-finite h; taken over row blocks, exact as a whole-matrix max
+    scale = np.max([np.max(np.abs(h[s])) for s in _row_blocks(h.shape[0])],
+                   initial=1.0)
     if not (scale < np.inf and _hermiticity_defect(h) <= tol * scale):
         raise HermiticityError("eigensolve requires a finite hermitian matrix")
     try:

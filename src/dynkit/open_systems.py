@@ -178,7 +178,11 @@ def coupling_factor(grid: UniformGrid, coupling: Callable,
     """G = exp[(dt/2)(A(x) A(x')* - |A(x')|^2/2 - |A(x)|^2/2)] for a coupling A(x).
 
     The diagonal of G is one, so a step G o (.) o G keeps the trace; a
-    constant coupling gives G = 1.  A(x) must be finite on the grid.
+    constant coupling gives G = 1.  A(x) must be finite on the grid.  G is
+    built in complex arithmetic, in place in one n x n array; when no
+    imaginary part of it is nonzero, as for a real coupling and a real dt,
+    its real part is returned as float64 (the same bits, half the bytes,
+    and the same products with a complex state), else the complex128 G.
     """
     require_step(dt)
     a = np.asarray(coupling(grid.x), dtype=complex)
@@ -187,7 +191,12 @@ def coupling_factor(grid: UniformGrid, coupling: Callable,
     if not np.all(np.isfinite(abs2)):  # also a NaN or inf in A(x)
         raise ValueError("coupling A(x) is not finite on the grid, "
                          "or |A(x)|^2 overflows")
-    return np.exp(0.5 * dt * (_outer(a) - 0.5 * abs2[None, :] - 0.5 * abs2[:, None]))
+    g = _outer(a)
+    np.subtract(g, 0.5 * abs2[None, :], out=g)
+    np.subtract(g, 0.5 * abs2[:, None], out=g)
+    np.multiply(0.5 * dt, g, out=g)
+    np.exp(g, out=g)
+    return g if g.imag.any() else g.real.copy()
 
 
 def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
@@ -212,8 +221,9 @@ def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
     into the loop's own arrays (``out=``).  The merged factor is dropped
     before a record is built and rebuilt into a new array once the caller
     resumes the loop, so the loop holds three n x n arrays: G, the state and
-    the merged factor or the yielded rho.  The rebuild costs about two
-    elementwise passes per record.
+    the merged factor or the yielded rho.  The float64 G of a real coupling
+    is half a complex one, and gives the bytes of the complex G.  The rebuild
+    costs about two elementwise passes per record.
     """
     require_step(dt)
     require_count("stride", stride, 1)

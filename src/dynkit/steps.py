@@ -48,6 +48,14 @@ def require_step(dt: complex) -> None:
         raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
 
 
+def require_one_hbar(spec_hbar: float, name: str, hbar: float) -> None:
+    """ValueError unless a spec's hbar equals the ``hbar`` of its state, called ``name``:
+    a stepper divides its phases by one and the state's momenta scale with the other."""
+    if spec_hbar != hbar:
+        raise ValueError(f"spec.hbar = {spec_hbar!r} differs from {name} = {hbar!r}; "
+                         "build the spec and the state with one hbar")
+
+
 def step_count(span: float, dt: float) -> int:
     """span/dt as an integer; ValueError unless it is one to 1e-9 relative."""
     if not (math.isfinite(span) and math.isfinite(dt)) or dt == 0:

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import ConvergenceError
 from .grids import (HamiltonianSpec, UniformGrid, _alt_signs, _bridge, _fft,
                     fft_bridge)
-from .steps import require, require_count, require_step, step_count
+from .steps import (require, require_count, require_one_hbar, require_step,
+                    step_count)
 
 #: Triple-jump substep coefficient, the real root of 2 s^3 + (1 - 2s)^3 = 0.
 TRIPLE_JUMP_S = 2.0 ** (1.0 / 3.0) / 3.0 + 2.0 ** (2.0 / 3.0) / 6.0 + 2.0 / 3.0
@@ -186,12 +187,13 @@ class SplitStepEngine:
     phases cached per step length, so a Strang step costs two FFTs and two
     pointwise products; otherwise U and K are evaluated at every substep
     midpoint.  The momenta ``grid.p_fft`` come from ``grid.hbar``, while every
-    phase divides by ``spec.hbar``, so the two must agree; nothing checks it.
+    phase divides by ``spec.hbar``, so a spec whose hbar differs is refused.
     """
 
     def __init__(self, grid: UniformGrid, spec: HamiltonianSpec,
                  mask: np.ndarray | None = None):
         grid.require_fft_bridge()
+        require_one_hbar(spec.hbar, "grid.hbar", grid.hbar)
         self.grid, self.spec = grid, spec
         self.signs = _alt_signs(grid.n)
         self.mask = None if mask is None else _checked_mask(mask, grid.n)
@@ -595,6 +597,7 @@ def pauli_split_op_step(spinor: SpinorWaveFunction, t: float, dt: float,
     require_step(dt)
     grid = spinor.grid
     grid.require_fft_bridge()
+    require_one_hbar(spec.hbar, "spinor.grid.hbar", grid.hbar)
     hbar = spec.hbar
     tm = t + dt / 2.0
     half = _pauli_factors(dt / 2.0, hbar, _pauli_coeffs(spec.potential, tm, grid.x))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import HermiticityError
 from .grids import UniformGrid, _bridge
-from .steps import require
+from .steps import require, require_one_hbar
 from .tdse import WaveFunction, _two_level_rotation
 
 
@@ -285,6 +285,7 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
     out after each forward transform.
     """
     require("dt", dt)
+    require_one_hbar(spec.hbar, "w2.hbar", w2.hbar)
     hbar = spec.hbar
     n_x, n_p = w2.w_g.shape
     if n_x % 4 or n_p % 4:

@@ -130,8 +130,8 @@ COUPLINGS = {
 T0, DT, GAMMA = 0.3, 0.02, 0.8
 
 
-def _state(n, kind):
-    grid = make_grid(8.0, n)
+def _state(n, kind, hbar=1.0):
+    grid = make_grid(8.0, n, hbar)
     a = pure_state_density(gaussian_packet(grid, x0=-1.0, p0=0.5, sigma=0.7))
     b = pure_state_density(gaussian_packet(grid, x0=1.2, p0=-1.0, sigma=0.9))
     values = 0.6 * a.values + 0.4 * b.values
@@ -167,9 +167,10 @@ STEPS = ["vonneumann", "lindblad-linear", "lindblad-constant",
 @pytest.mark.parametrize("spec_name", sorted(SPECS))
 @pytest.mark.parametrize("step_name", STEPS)
 def test_matches_two_sided_kernel(step_name, spec_name, rho_kind, n, n_steps):
-    rho = _state(n, rho_kind)
+    spec = SPECS[spec_name]
+    rho = _state(n, rho_kind, spec.hbar)
     rho_beta = pure_state_density(gaussian_packet(rho.grid, sigma=0.5))
-    new, ref = _steppers(step_name, SPECS[spec_name], rho_beta)
+    new, ref = _steppers(step_name, spec, rho_beta)
     a = b = rho
     for m in range(n_steps):
         a = new(a, T0 + m * DT, DT)
@@ -202,7 +203,7 @@ def test_loop_matches_two_sided_kernel_over_many_steps(coupling_name, spec_name,
                                                        rho_kind, stride):
     n_steps = 50  # stride 7 leaves a partial last stride of one step
     spec = SPECS[spec_name]
-    rho = _state(64, rho_kind)
+    rho = _state(64, rho_kind, spec.hbar)
     if coupling_name is None:
         g = 1.0
         ref = lambda r, t: reference_vonneumann_step(r, t, DT, spec)
@@ -261,8 +262,9 @@ def test_loop_leaves_the_input_array_alone():
 @pytest.mark.parametrize("step_name", ["vonneumann", "lindblad-linear",
                                        "collision"])
 def test_grid_steps_reject_non_finite_step(step_name, dt):
-    rho = _state(64, "hermitian")
-    new, _ = _steppers(step_name, SPECS[sorted(SPECS)[0]], rho)
+    spec = SPECS[sorted(SPECS)[0]]
+    rho = _state(64, "hermitian", spec.hbar)
+    new, _ = _steppers(step_name, spec, rho)
     with pytest.raises(ValueError, match="finite"):
         new(rho, T0, dt)
 
@@ -329,7 +331,7 @@ def legacy_run_density(engine, values, t0, dt, n_steps, g=1.0, stride=1):
 def _loop_cases(n, spec_name, stride, loop):
     """(new yields as (m, bytes), ``loop``'s yields as (m, array)) over 15 steps."""
     spec = SPECS[spec_name]
-    rho = _state(n, "nonhermitian")
+    rho = _state(n, "nonhermitian", spec.hbar)
     g = coupling_factor(rho.grid, COUPLINGS["complex"], DT)
     n_steps = 15
     expected = list(loop(SplitStepEngine(rho.grid, spec), rho.values, T0, DT,
@@ -395,7 +397,7 @@ def test_loop_drops_a_yield_the_caller_dropped():
         alive.append(ref is not None and ref() is not None)
         return DRIVEN.potential(t, x)
 
-    rho = _state(64, "hermitian")
+    rho = _state(64, "hermitian", DRIVEN.hbar)
     engine = SplitStepEngine(rho.grid, replace(DRIVEN, potential=potential))
     states = run_density(engine, rho.values, T0, DT, 4, stride=2)
     _, values = next(states)

@@ -5,9 +5,12 @@ matrix, ``momentum_distribution`` gathers its skew sums in column blocks
 through an index built per block, and the output sink writes and hashes a
 field from the array's own buffer.  Each must give the bytes of the
 whole-matrix or copying original and hold less memory, measured with
-tracemalloc.  ``run_density`` holds three n x n arrays, and the CLI's
-Lindblad runner must let each n x n matrix go once it is spent, watched
-through weak references.  A field written block by block must give the
+tracemalloc.  ``coupling_factor`` returns a real coupling's G as float64,
+the real part of the complex build to the bit, so ``run_density`` holds two
+complex n x n arrays and G, and gives the bytes it gives with the complex G;
+``_hermitian_solve`` checks its matrix without an n x n temporary.  The
+CLI's Lindblad runner must let each n x n matrix go once it is spent,
+watched through weak references.  A field written block by block must give the
 bytes of the whole-array write, and the ``wigner`` task streams its field.
 """
 
@@ -25,6 +28,7 @@ from dynkit import wigner
 from dynkit.cli import _OutputSink, _run_eigen, _run_lindblad, _run_wigner, _walk, run
 from dynkit.errors import HermiticityError
 from dynkit.grids import _alt_signs, make_grid
+from dynkit.matfunc import _hermitian_solve
 from dynkit.open_systems import (
     DensityMatrix,
     _outer,
@@ -168,14 +172,35 @@ def test_blocked_gather_holds_under_a_mebibyte_and_caches_nothing():
 # ---------------------------------------------------------------------------
 
 
-def test_density_loop_holds_four_matrices():
-    n = 512
+def old_coupling_factor(grid, coupling, dt):
+    """``coupling_factor`` as one whole-array expression, before G was built in place."""
+    a = np.asarray(coupling(grid.x), dtype=complex)
+    abs2 = np.abs(a) ** 2
+    return np.exp(0.5 * dt * (_outer(a) - 0.5 * abs2[None, :] - 0.5 * abs2[:, None]))
+
+
+REAL_COUPLINGS = {
+    "linear": lambda x: 0.3 * x,
+    "constant": lambda x: np.full_like(np.asarray(x, dtype=float), 0.7),
+}
+
+
+def _density_loop_case(n, driven):
     grid = make_grid(16.0, n)
     rho = pure_state_density(gaussian_packet(grid, x0=1.0, sigma=0.7))
-    spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
-                           potential=lambda t, x: x ** 2 / 2,
-                           time_independent=True)
-    engine = SplitStepEngine(grid, spec)
+    if driven:
+        spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
+                               potential=lambda t, x: x ** 2 / 2 + 0.2 * np.cos(t) * x)
+    else:
+        spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
+                               potential=lambda t, x: x ** 2 / 2,
+                               time_independent=True)
+    return grid, rho, SplitStepEngine(grid, spec)
+
+
+def test_density_loop_holds_four_matrices():
+    n = 512
+    grid, rho, engine = _density_loop_case(n, driven=False)
 
     def ten_recorded_steps():
         g = coupling_factor(grid, lambda x: 0.3 * x, 0.01)
@@ -190,26 +215,90 @@ def test_density_loop_holds_four_matrices():
 @pytest.mark.parametrize("driven", [False, True], ids=("static", "driven"))
 def test_density_loop_holds_three_matrices(stride, driven):
     n = 512
-    grid = make_grid(16.0, n)
-    rho = pure_state_density(gaussian_packet(grid, x0=1.0, sigma=0.7))
-    if driven:
-        spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
-                               potential=lambda t, x: x ** 2 / 2 + 0.2 * np.cos(t) * x)
-    else:
-        spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
-                               potential=lambda t, x: x ** 2 / 2,
-                               time_independent=True)
-    engine = SplitStepEngine(grid, spec)
+    grid, rho, engine = _density_loop_case(n, driven)
 
     def ten_steps():
         g = coupling_factor(grid, lambda x: 0.3 * x, 0.01)
         for _, values in run_density(engine, rho.values, 0.0, 0.01, 10, g, stride):
             del values  # each record is read and let go, as the CLI does
 
-    # G, the state and the merged factor or one record (measured 3.13-3.15);
-    # the merged factor kept across a record made four, and a driven step's
-    # n x n outer product of phases a fourth too
+    # G, the state and the merged factor or one record (measured 3.13-3.15
+    # with a complex128 G, 2.63-2.67 with the float64 G of this real
+    # coupling); the merged factor kept across a record made four, and a
+    # driven step's n x n outer product of phases a fourth too
     assert traced_peak(ten_steps) < 3.5 * n * n * 16
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("driven", [False, True], ids=("static", "driven"))
+def test_density_loop_with_a_real_coupling_holds_two_and_a_half_matrices(stride, driven):
+    n = 512
+    grid, rho, engine = _density_loop_case(n, driven)
+
+    def ten_steps():
+        g = coupling_factor(grid, REAL_COUPLINGS["linear"], 0.01)
+        for _, values in run_density(engine, rho.values, 0.0, 0.01, 10, g, stride):
+            del values
+
+    # the state, the merged factor or one record, and the float64 G (measured
+    # 2.63-2.67); a complex128 G made three matrices (3.13-3.15)
+    assert traced_peak(ten_steps) < 2.75 * n * n * 16
+
+
+@pytest.mark.parametrize("n", [4, 64, 512])
+@pytest.mark.parametrize("name", sorted(REAL_COUPLINGS))
+def test_real_coupling_factor_is_the_real_part_of_the_complex_one(name, n):
+    grid = make_grid(16.0, n)
+    g = coupling_factor(grid, REAL_COUPLINGS[name], 0.01)
+    old = old_coupling_factor(grid, REAL_COUPLINGS[name], 0.01)
+    assert g.dtype == np.float64 and not old.imag.any()
+    assert g.tobytes() == old.real.tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("coupling, dt", [
+    (lambda x: (0.3 + 0.2j) * x + 0.1j * np.exp(-x ** 2), 0.01),
+    (REAL_COUPLINGS["linear"], 0.01 - 0.003j),
+], ids=("complex-coupling", "complex-dt"))
+def test_complex_coupling_factor_keeps_the_complex_bytes(coupling, dt, n):
+    grid = make_grid(16.0, n)
+    g = coupling_factor(grid, coupling, dt)
+    assert g.dtype == np.complex128
+    assert g.tobytes() == old_coupling_factor(grid, coupling, dt).tobytes()
+
+
+def test_coupling_factor_of_a_complex_coupling_and_a_complex_dt_keeps_its_bytes():
+    # both complex: above 256 KiB numpy elides the old expression's temporary
+    # and computes T * (0.5 dt) in place, the array first, which rounds
+    # differently from (0.5 dt) * T, so the old bytes depend on n; the
+    # in-place build's do not, and are the old ones below that size
+    grid = make_grid(16.0, 64)
+    coupling = lambda x: (0.3 + 0.2j) * x
+    g = coupling_factor(grid, coupling, 0.01 - 0.003j)
+    assert g.dtype == np.complex128
+    assert g.tobytes() == old_coupling_factor(grid, coupling, 0.01 - 0.003j).tobytes()
+
+
+def test_coupling_factor_builds_g_in_one_complex_matrix():
+    n = 512
+    grid = make_grid(16.0, n)
+    # the complex build and its float64 real part; the whole-array
+    # expression held about three complex matrices
+    assert traced_peak(lambda: coupling_factor(
+        grid, REAL_COUPLINGS["linear"], 0.01)) < 1.6 * n * n * 16
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("driven", [False, True], ids=("static", "driven"))
+@pytest.mark.parametrize("n", [64, 512])
+def test_density_loop_with_the_real_g_is_the_complex_g_loop_bit_for_bit(n, driven, stride):
+    grid, rho, engine = _density_loop_case(n, driven)
+    coupling = REAL_COUPLINGS["linear"]
+    real = run_density(engine, rho.values, 0.0, 0.01, 10,
+                       coupling_factor(grid, coupling, 0.01), stride)
+    complex_g = run_density(engine, rho.values, 0.0, 0.01, 10,
+                            old_coupling_factor(grid, coupling, 0.01), stride)
+    assert [(m, v.tobytes()) for m, v in real] == [(m, v.tobytes()) for m, v in complex_g]
 
 
 @pytest.mark.parametrize("n", [4, 64, 1024])
@@ -259,7 +348,7 @@ def test_lindblad_runner_lets_each_spent_matrix_go(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# triangular eigen runs
+# eigen runs
 # ---------------------------------------------------------------------------
 
 
@@ -274,6 +363,21 @@ def test_triangular_eigen_run_builds_no_matrix(tmp_path, method):
     _run_eigen(cfg, sink)  # imports outside the measurement
     # the stencil matrix alone is n * n * 8 = 32 MiB
     assert traced_peak(lambda: _run_eigen(cfg, sink)) < 2 ** 20
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigensolve_checks_make_no_matrix_sized_temporary(dtype):
+    n = 512
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.normal(size=(n, n))
+    h = (a + a.conj().T) / 2
+    solve = traced_peak(lambda: _hermitian_solve(h, vectors=False, tol=1e-12))
+    eigvalsh = traced_peak(lambda: np.linalg.eigvalsh(h))
+    # the row-blocked max |h| and hermiticity defect (measured 0.10 and 0.19 of
+    # n^2 * 8 bytes); the whole-matrix |h| was n^2 * 8
+    assert solve - eigvalsh < n * n * 8 / 4
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ DRIVEN = PauliHamiltonianSpec(
 
 @pytest.mark.parametrize("n", [64, 1024])
 def test_pauli_step_matches_reference_over_many_steps(n):
-    grid = make_grid(10.0, n)
+    grid = make_grid(10.0, n, DRIVEN.hbar)
     up = np.exp(-(grid.x - 1.0) ** 2 + 0.5j * grid.x)
     down = 0.6 * np.exp(-(grid.x + 0.5) ** 2 / 2)
     new = ref = SpinorWaveFunction(up, down, grid)
@@ -70,7 +70,7 @@ def test_pauli_step_matches_reference_over_many_steps(n):
 
 
 def test_pauli_step_leaves_its_input_unchanged():
-    grid = make_grid(10.0, 64)
+    grid = make_grid(10.0, 64, DRIVEN.hbar)
     up = np.exp(-grid.x ** 2).astype(complex)
     down = 0.5 * up
     spinor = SpinorWaveFunction(up.copy(), down.copy(), grid)

@@ -6,10 +6,14 @@ refuses NaN, +inf and -inf with a ``ValueError`` whose message starts with
 the argument's name.  ``CONTRACT`` lists each (function, argument) pair
 once, with a valid value of the argument and a call that is valid apart
 from it.  The counts among them (``COUNTS``) also refuse a float or a bool,
-as the config schema's ``integer`` does.
+as the config schema's ``integer`` does.  The steppers that divide their
+phases by a spec's hbar (``HBAR_STEPPERS``) refuse one other than their
+state's, naming both.
 """
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,10 +39,13 @@ from dynkit.stationary import (
 )
 from dynkit.steps import is_finite_number, require, require_count
 from dynkit.tdse import (
+    PauliHamiltonianSpec,
+    SpinorWaveFunction,
     SplitStepEngine,
     cosine_absorbing_mask,
     gaussian_packet,
     imaginary_time_ground,
+    pauli_split_op_step,
 )
 from dynkit.wigner import (
     MoleculeSpec,
@@ -70,11 +77,20 @@ def _collision(gamma):
     return random_collision_step(rho, 0.0, 0.05, OSCILLATOR, gamma, rho)
 
 
-def _two_state(dt):
+def _two_state(dt, spec=MOLECULE):
     w = wigner_from_density(_rho())
     w2 = TwoStateWigner(w.values, 0.25 * w.values, (0.3 + 0.1j) * w.values,
                         w.x, w.p, GRID.hbar)
-    return moyal_two_state_step(w2, 0.0, dt, MOLECULE)
+    return moyal_two_state_step(w2, 0.0, dt, spec)
+
+
+def _pauli(hbar):
+    psi = gaussian_packet(GRID, x0=0.5)
+    spec = PauliHamiltonianSpec(kinetic=(lambda t, p: p ** 2 / 2, None, None, None),
+                                potential=(None, lambda t, x: 0.3 * x, None, None),
+                                hbar=hbar)
+    return pauli_split_op_step(SpinorWaveFunction(psi.values, 0.5 * psi.values, GRID),
+                               0.0, 0.05, spec)
 
 
 def _ensemble(n_steps=2, stride=1):
@@ -151,6 +167,33 @@ def test_counts_table_holds_every_count_argument():
                          "mcwf_ensemble-stride", "mcwf_ensemble-n_traj",
                          "SplitStepEngine.run-stride", "propagate_ensemble-n_steps",
                          "propagate_ensemble-stride"]
+
+
+#: (stepper, the state's hbar it compares with spec.hbar, a call with spec.hbar = v);
+#: GRID and the states built on it have hbar = 1
+HBAR_STEPPERS = [
+    ("SplitStepEngine", "grid.hbar",
+     lambda v: SplitStepEngine(GRID, replace(OSCILLATOR, hbar=v))),
+    ("pauli_split_op_step", "spinor.grid.hbar", _pauli),
+    ("moyal_two_state_step", "w2.hbar",
+     lambda v: _two_state(0.01, replace(MOLECULE, hbar=v))),
+]
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, math.nan])
+@pytest.mark.parametrize("stepper, name, call", HBAR_STEPPERS,
+                         ids=[row[0] for row in HBAR_STEPPERS])
+def test_spec_hbar_other_than_the_states_refused_naming_both(stepper, name, call, value):
+    with pytest.raises(ValueError, match=rf"^spec\.hbar = {value!r} differs from "
+                                         rf"{re.escape(name)} = 1\.0; "):
+        call(value)
+
+
+@pytest.mark.parametrize("stepper, name, call", HBAR_STEPPERS,
+                         ids=[row[0] for row in HBAR_STEPPERS])
+def test_spec_hbar_of_the_state_accepted(stepper, name, call):
+    # so each refusal above is the hbar's, not another argument's
+    call(1.0)
 
 
 @pytest.mark.filterwarnings("error")

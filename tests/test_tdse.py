@@ -391,7 +391,7 @@ class TestPauliStep:
         # a uniform potential is the same 2x2 matrix at every momentum, so
         # the Strang step is exp(-i dt/2 U) exp(-i dt K(p)) exp(-i dt/2 U)
         # pointwise in momentum space
-        g = make_grid(8.0, 64)
+        g = make_grid(8.0, 64, hbar=0.8)
         c = (0.4, -0.3, 0.7, 0.25)
         uniform = tuple((lambda t, x, cj=cj: np.full_like(x, cj)) for cj in c)
         spec = PauliHamiltonianSpec(
