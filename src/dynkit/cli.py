@@ -41,10 +41,12 @@ class _Field(NamedTuple):
 
     ``kind`` is ``number`` (a finite float), ``integer``, ``choice`` (one of
     the strings in ``choices``), ``numbers`` (a nonempty list of finite
-    floats) or ``block`` (a mapping whose keys are ``fields``).  An absent
-    block with a default mapping is filled in from it like a given block; a
-    default of None leaves the block off.  ``rule`` runs the cross-field
-    checks of a block once its keys are resolved.
+    floats), ``block`` (a mapping whose keys are ``fields``) or ``named`` (a
+    block whose keys are ``name`` and that name's parameters: ``fields`` maps
+    each name to its (parameter fields, builder)).  An absent block with a
+    default mapping is filled in from it like a given block; a default of
+    None leaves the block off.  ``rule`` runs the cross-field checks of a
+    block once its keys are resolved.
     """
 
     kind: str
@@ -55,7 +57,6 @@ class _Field(NamedTuple):
     choices: tuple = ()
     fields: dict | None = None
     rule: object = None
-    when: tuple | None = None     # (sibling key, value): read only in that case
     empty_default: bool = False   # an empty block also takes the default
 
 
@@ -122,24 +123,59 @@ def _whole_steps(span_key, dt_key, minimum=1):
     return rule
 
 
-POTENTIALS = ("harmonic", "quartic", "softcore", "cosine", "free", "poly")
-KINETICS = ("free", "poly")
+def _poly(np, coeffs):
+    """(P, dP/dz) callables of the power series with ``coeffs``, lowest first."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    deriv = coeffs[1:] * np.arange(1, len(coeffs))
+    return (lambda z: np.polynomial.polynomial.polyval(np.asarray(z), coeffs),
+            lambda z: np.polynomial.polynomial.polyval(np.asarray(z), deriv)
+            if len(deriv) else np.zeros_like(np.asarray(z, dtype=float)))
 
-_POTENTIAL_FIELDS = {
-    "name": _choice(*POTENTIALS),
-    "coeffs": _Field("numbers", when=("name", "poly")),
-    "omega": _number(1.0),
-    "strength": _number(1.0),
-    "depth": _number(1.0),
-    "width": _number(1.0, above=0.0),
-    "amplitude": _number(1.0),
-    "period": _number(2 * math.pi, above=0.0),
-}
-_POTENTIAL = _block(_POTENTIAL_FIELDS)
-_KINETIC = _block({"name": _choice(*KINETICS),
-                   "mass": _number(1.0, above=0.0),
-                   "coeffs": _Field("numbers", when=("name", "poly"))},
-                  default={"name": "free"})
+
+def _cosine(np, amplitude, period):
+    k = 2 * np.pi / period
+    return (lambda x: amplitude * np.cos(k * np.asarray(x)),
+            lambda x: -amplitude * k * np.sin(k * np.asarray(x)))
+
+
+# Each named family maps a name to (its parameter fields, its builder).
+# ``build(np, **parameters)`` makes a potential's (U(x), dU/dx(x)), a kinetic's
+# (K(p), dK/dp(p)) or a Lindblad coupling's A(x); numpy comes in as an
+# argument, so that neither the tables nor ``validate`` load it.
+_POTENTIALS = dict(
+    harmonic=({"omega": _number(1.0)}, lambda np, omega: (
+        lambda x: 0.5 * omega ** 2 * np.asarray(x) ** 2,
+        lambda x: omega ** 2 * np.asarray(x))),
+    # products, not ``x ** 4`` and ``x ** 3``: numpy fast-paths only
+    # ``** 2``, and other integer powers of negative x call libm's pow
+    quartic=({"strength": _number(1.0)}, lambda np, strength: (
+        lambda x: strength * np.square(np.square(x)),
+        lambda x: 4.0 * strength * (np.square(x) * x))),
+    softcore=({"depth": _number(1.0), "width": _number(1.0, above=0.0)},
+              lambda np, depth, width: (
+        lambda x: -depth / np.sqrt(np.asarray(x) ** 2 + width ** 2),
+        lambda x: depth * np.asarray(x)
+        / (np.asarray(x) ** 2 + width ** 2) ** 1.5)),
+    cosine=({"amplitude": _number(1.0),
+             "period": _number(2 * math.pi, above=0.0)}, _cosine),
+    free=({}, lambda np: _poly(np, [0.0])),
+    poly=({"coeffs": _Field("numbers")}, _poly),
+)
+_KINETICS = dict(
+    free=({"mass": _number(1.0, above=0.0)}, lambda np, mass: (
+        lambda p: np.asarray(p) ** 2 / (2.0 * mass),
+        lambda p: np.asarray(p) / mass)),
+    poly=({"coeffs": _Field("numbers")}, _poly),
+)
+_COUPLINGS = dict(
+    linear=({"strength": _number(0.1)},
+            lambda np, strength: lambda x: strength * x),
+    constant=({"strength": _number(0.1)}, lambda np, strength:
+              lambda x: np.full_like(np.asarray(x, dtype=float), strength)),
+)
+_POTENTIAL = _Field("named", fields=_POTENTIALS)
+_KINETIC = _Field("named", {"name": "free"}, fields=_KINETICS)
+_COUPLING = _Field("named", {"name": "linear"}, fields=_COUPLINGS)
 
 
 _GRID = _block({"L": _number(above=0.0),
@@ -199,10 +235,10 @@ def _resolve(field, value, path, problems):
     """
     if field.default is not _REQUIRED and (
             value is _ABSENT or (field.empty_default and value == {})):
-        if field.kind != "block" or field.default is None:
+        if field.fields is None or field.default is None:
             return field.default
         value = field.default
-    if field.kind != "block":
+    if field.fields is None:  # a value, not a block
         problem = _problem(field, value)
         if problem:
             problems.append(f"{path}: {problem}")
@@ -215,20 +251,24 @@ def _resolve(field, value, path, problems):
     if not isinstance(value, dict):
         problems.append(f"{path}: must be a mapping")
         return None
-    problems += [f"{path}.{key}: unknown key" for key in value
-                 if key not in field.fields]
+    fields, foreign = field.fields, "unknown key"
+    if field.kind == "named":  # its name picks its parameters
+        name = _resolve(_choice(*field.fields), value.get("name", _ABSENT),
+                        f"{path}.name", problems)
+        if name is None:
+            return None
+        fields = {"name": _choice(name), **field.fields[name][0]}
+        foreign = f"not a parameter of {name}"
+    problems += [f"{path}.{key}: {foreign}" for key in value
+                 if key not in fields]
     missing = [f"{path}.{key}: missing required key"
-               for key, sub in field.fields.items()
-               if sub.default is _REQUIRED and sub.when is None
-               and key not in value]
+               for key, sub in fields.items()
+               if sub.default is _REQUIRED and key not in value]
     if missing:
         problems += missing
         return None
-    block = {}
-    for key, sub in field.fields.items():
-        if sub.when is None or block[sub.when[0]] == sub.when[1]:
-            block[key] = _resolve(sub, value.get(key, _ABSENT),
-                                  f"{path}.{key}", problems)
+    block = {key: _resolve(sub, value.get(key, _ABSENT), f"{path}.{key}",
+                           problems) for key, sub in fields.items()}
     if field.rule:
         field.rule(block, path, problems)
     return block
@@ -279,63 +319,27 @@ def _filled(field, cfg, path):
 
 
 # ---------------------------------------------------------------------------
-# named potential/kinetic library
+# named families: the callables a potential, kinetic or coupling block builds
 # ---------------------------------------------------------------------------
 
 
-def _poly(coeffs):
-    """(P, dP/dz) callables of the power series with ``coeffs``, lowest first."""
+def _callables(field, cfg, path):
+    """The callables of a named block: its name's builder of its parameters."""
     import numpy as np
 
-    coeffs = np.asarray(coeffs, dtype=float)
-    deriv = coeffs[1:] * np.arange(1, len(coeffs))
-    return (lambda z: np.polynomial.polynomial.polyval(np.asarray(z), coeffs),
-            lambda z: np.polynomial.polynomial.polyval(np.asarray(z), deriv)
-            if len(deriv) else np.zeros_like(np.asarray(z, dtype=float)))
+    parameters = _filled(field, cfg, path)
+    _, build = field.fields[parameters.pop("name")]
+    return build(np, **parameters)
 
 
 def potential_from_config(cfg):
     """(U(x), dU/dx(x)) callables for a named potential block."""
-    import numpy as np
-
-    cfg = _filled(_POTENTIAL, cfg, "potential")
-    name = cfg["name"]
-    if name == "harmonic":
-        omega = cfg["omega"]
-        return (lambda x: 0.5 * omega ** 2 * np.asarray(x) ** 2,
-                lambda x: omega ** 2 * np.asarray(x))
-    if name == "quartic":
-        a = cfg["strength"]
-        # products, not ``x ** 4`` and ``x ** 3``: numpy fast-paths only
-        # ``** 2``, and other integer powers of negative x call libm's pow
-        return (lambda x: a * np.square(np.square(x)),
-                lambda x: 4.0 * a * (np.square(x) * x))
-    if name == "softcore":
-        depth, width = cfg["depth"], cfg["width"]
-        return (lambda x: -depth / np.sqrt(np.asarray(x) ** 2 + width ** 2),
-                lambda x: depth * np.asarray(x)
-                / (np.asarray(x) ** 2 + width ** 2) ** 1.5)
-    if name == "cosine":
-        amp = cfg["amplitude"]
-        k = 2 * np.pi / cfg["period"]
-        return (lambda x: amp * np.cos(k * np.asarray(x)),
-                lambda x: -amp * k * np.sin(k * np.asarray(x)))
-    if name == "free":
-        return (lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-    return _poly(cfg["coeffs"])
+    return _callables(_POTENTIAL, cfg, "potential")
 
 
 def kinetic_from_config(cfg):
     """(K(p), dK/dp(p)) callables; defaults to p^2/2."""
-    import numpy as np
-
-    cfg = _filled(_KINETIC, cfg, "kinetic")
-    if cfg["name"] == "free":
-        mass = cfg["mass"]
-        return (lambda p: np.asarray(p) ** 2 / (2.0 * mass),
-                lambda p: np.asarray(p) / mass)
-    return _poly(cfg["coeffs"])
+    return _callables(_KINETIC, cfg, "kinetic")
 
 
 def _hamiltonian_spec(cfg, hbar):
@@ -343,10 +347,11 @@ def _hamiltonian_spec(cfg, hbar):
 
     u, _ = potential_from_config(cfg["potential"])
     k, _ = kinetic_from_config(cfg["kinetic"])
+    # only a free kinetic has a mass; a poly one keeps the spec's default
+    mass = cfg["kinetic"].get("mass", HamiltonianSpec.mass)
     return HamiltonianSpec(kinetic=lambda t, p: k(p),
                            potential=lambda t, x: u(x),
-                           hbar=hbar, mass=cfg["kinetic"]["mass"],
-                           time_independent=True)
+                           hbar=hbar, mass=mass, time_independent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +605,7 @@ def _run_lindblad(cfg, sink):
 
     grid, spec = _grid_and_spec(cfg)
     block = cfg["lindblad"]
-    strength = block["coupling"]["strength"]
-    if block["coupling"]["name"] == "linear":
-        coupling = lambda x: strength * x
-    else:
-        coupling = lambda x: np.full_like(np.asarray(x, dtype=float), strength)
+    coupling = _callables(_COUPLING, block["coupling"], "lindblad.coupling")
     rho = osys.pure_state_density(gaussian_packet(grid, **block["initial"]))
     dt = block["dt"]
     n_steps = step_count(block["t_max"], dt)
@@ -787,7 +788,7 @@ _TASKS = {
                              "sigma_x": _number(0.2, minimum=0.0),
                              "sigma_p": _number(0.2, minimum=0.0)},
                             default={}),
-            "forces": _block(_POTENTIAL_FIELDS, default={"name": "harmonic"}),
+            "forces": _Field("named", {"name": "harmonic"}, fields=_POTENTIALS),
             "drive": _block({"amplitude": _number(0.0),
                              "omega": _number(1.0)}, default={}),
         }, default={}),
@@ -799,9 +800,7 @@ _TASKS = {
         "lindblad": _block({
             "dt": _POSITIVE, "t_max": _POSITIVE,
             "stride": _STRIDE,
-            "coupling": _block({"name": _choice("linear", "constant"),
-                                "strength": _number(0.1)},
-                               default={"name": "linear"}),
+            "coupling": _COUPLING,
             "initial": _INITIAL,
         }, default={}, rule=_whole_steps("t_max", "dt")),
     }, lambda c: [("grid.n", c["grid"]["n"] ** 2),

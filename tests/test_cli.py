@@ -209,9 +209,8 @@ def test_bundled_config_determinism(tmp_path, name):
 
 GRID = {"L": 5.0, "n": 32}
 GRID_FULL = {"L": 5.0, "n": 32, "hbar": 1.0}
-HARMONIC_FULL = {"name": "harmonic", "omega": 1.0, "strength": 1.0,
-                 "depth": 1.0, "width": 1.0, "amplitude": 1.0,
-                 "period": 2 * np.pi}
+HARMONIC_FULL = {"name": "harmonic", "omega": 1.0}
+COSINE_FULL = {"name": "cosine", "amplitude": 1.0, "period": 2 * np.pi}
 HAMILTONIAN = {"potential": {"name": "harmonic"}}
 HAMILTONIAN_FULL = {"potential": HARMONIC_FULL,
                     "kinetic": {"name": "free", "mass": 1.0}}
@@ -240,7 +239,7 @@ DEFAULTS = {  # name: (config with defaults omitted, written out, exit code)
          "bands": {"lattice_constant": 2 * np.pi, "n_cell": 8, "n_bands": 2,
                    "n_k": 3}},
         {"task": "bands",
-         "hamiltonian": {"potential": dict(HARMONIC_FULL, name="cosine"),
+         "hamiltonian": {"potential": COSINE_FULL,
                          "kinetic": {"name": "free", "mass": 1.0}},
          "bands": {"lattice_constant": 2 * np.pi, "n_cell": 8, "n_bands": 2,
                    "n_k": 3}}, 0),
@@ -768,11 +767,11 @@ def test_poly_builder_values_and_derivatives():
     from dynkit.cli import _poly
 
     z = np.linspace(-2.0, 2.0, 9)
-    value, slope = _poly([1.0, -2.0, 0.5, 0.25])
+    value, slope = _poly(np, [1.0, -2.0, 0.5, 0.25])
     assert np.allclose(value(z), 1.0 - 2.0 * z + 0.5 * z ** 2 + 0.25 * z ** 3,
                        rtol=1e-14, atol=1e-14)
     assert np.allclose(slope(z), -2.0 + z + 0.75 * z ** 2, rtol=1e-14, atol=1e-14)
-    value, slope = _poly([2.5])  # a constant has no derivative coefficients
+    value, slope = _poly(np, [2.5])  # a constant has no derivative coefficients
     assert np.array_equal(value(z), np.full_like(z, 2.5))
     assert np.array_equal(slope(z), np.zeros_like(z))
     assert slope(3).shape == ()
@@ -928,6 +927,61 @@ def test_finite_differences_refuse_a_poly_kinetic(tmp_path, capsys, method):
     cfg["grid"]["n"] = 32
     cfg["eigen"]["method"] = "spectral"
     assert validate(write_config(tmp_path, cfg)) == 0
+
+
+# ---------------------------------------------------------------------------
+# named families: each potential, kinetic and coupling name takes its own
+# parameters only, and a key its builder would not read is refused
+# ---------------------------------------------------------------------------
+
+
+FOREIGN = {  # case: (config, the schema errors it exits 2 with)
+    "harmonic_depth_period": (
+        _shipped_with("propagate_coherent.json", "hamiltonian", "potential",
+                      {"name": "harmonic", "omega": 1.0, "depth": 5.0,
+                       "period": 3.0}),
+        ["hamiltonian.potential.depth: not a parameter of harmonic",
+         "hamiltonian.potential.period: not a parameter of harmonic"]),
+    "harmonic_coeffs": (
+        _shipped_with("propagate_coherent.json", "hamiltonian", "potential",
+                      {"name": "harmonic", "omega": 1.0, "coeffs": [0, 0, 7]}),
+        ["hamiltonian.potential.coeffs: not a parameter of harmonic"]),
+    "forces_strength": (
+        _shipped_with("classical_driven.json", "classical", "forces",
+                      {"name": "harmonic", "omega": 1.0, "strength": 2.0}),
+        ["classical.forces.strength: not a parameter of harmonic"]),
+    "poly_kinetic_mass": (
+        _shipped_with("propagate_coherent.json", "hamiltonian", "kinetic",
+                      {"name": "poly", "coeffs": [0, 0, 0.5], "mass": 2.0}),
+        ["hamiltonian.kinetic.mass: not a parameter of poly"]),
+    "coupling_omega": (
+        _shipped_with("lindblad_dephasing.json", "lindblad", "coupling",
+                      {"name": "constant", "strength": 0.3, "omega": 1.0}),
+        ["lindblad.coupling.omega: not a parameter of constant"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN))
+def test_foreign_parameter_refused_naming_it(tmp_path, capsys, name):
+    cfg, messages = FOREIGN[name]
+    path = write_config(tmp_path, cfg)
+    assert validate(path) == 2
+    assert capsys.readouterr().out == "".join(m + "\n" for m in messages)
+    assert run(path, str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "".join(
+        f"schema error: {m}\n" for m in messages)
+    assert not (tmp_path / "out" / "manifest").exists()
+
+
+@pytest.mark.parametrize("block", [{"name": ["harmonic"]}, {"name": {"a": 1}},
+                                   {"name": 1.0}, {"name": None}, {"omega": 1.0}],
+                         ids=["list", "mapping", "number", "null", "absent"])
+def test_named_block_without_a_known_name_refused(block):
+    cfg = _shipped_with("propagate_coherent.json", "hamiltonian", "potential",
+                        block)
+    assert validate_config(cfg) == [
+        "hamiltonian.potential.name: must be one of ['harmonic', 'quartic', "
+        "'softcore', 'cosine', 'free', 'poly']"]
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

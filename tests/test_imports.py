@@ -93,6 +93,18 @@ def test_validate_imports_no_numpy(name):
     assert _numpy(modules) == []
 
 
+def test_validate_refuses_a_foreign_parameter_without_numpy(tmp_path):
+    with open(os.path.join(CONFIG_DIR, "propagate_coherent.json")) as fh:
+        cfg = json.load(fh)
+    cfg["hamiltonian"]["potential"]["depth"] = 5
+    path = tmp_path / "foreign.json"
+    path.write_text(json.dumps(cfg))
+    code, out, modules = _cli("validate", str(path))
+    assert (code, out) == (
+        2, ["hamiltonian.potential.depth: not a parameter of harmonic"])
+    assert _numpy(modules) == []
+
+
 def test_bare_package_import_loads_no_submodule():
     proc = _python("-c", "import json, sys, dynkit; print(json.dumps(sorted("
                          "m for m in sys.modules if m.split('.')[0] in "
