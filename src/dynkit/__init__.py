@@ -36,13 +36,12 @@ _EXPORTS = {
     "classical": ("ClassicalEnsemble", "ClassicalSpec", "ehrenfest_series",
                   "extend_time_dependent", "multi_dim_verlet_step",
                   "propagate_ensemble", "verlet_step"),
-    "open_systems": ("DensityMatrix", "JumpOperatorSpec", "RateMatrix",
-                     "dissipator_split", "fermi_dirac_rates", "gibbs_density",
-                     "gibbs_rates", "lindblad_propagate",
-                     "lindblad_superoperator", "lindblad_x_step",
-                     "mcwf_ensemble", "mcwf_trajectory", "pauli_master_solve",
-                     "pure_state_density", "random_collision_step",
-                     "vonneumann_step"),
+    "open_systems": ("DensityMatrix", "RateMatrix", "dissipator_split",
+                     "fermi_dirac_rates", "gibbs_density", "gibbs_rates",
+                     "lindblad_propagate", "lindblad_superoperator",
+                     "lindblad_x_step", "mcwf_ensemble", "mcwf_trajectory",
+                     "pauli_master_solve", "pure_state_density",
+                     "random_collision_step", "vonneumann_step"),
     "wigner": ("MoleculeSpec", "TwoStateWigner", "WignerFunction",
                "density_from_wigner", "moyal_two_state_step",
                "wigner_from_density", "wigner_marginals"),

@@ -57,7 +57,6 @@ class _Field(NamedTuple):
     choices: tuple = ()
     fields: dict | None = None
     rule: object = None
-    empty_default: bool = False   # an empty block also takes the default
 
 
 def _number(default=_REQUIRED, **bounds):
@@ -233,8 +232,7 @@ def _resolve(field, value, path, problems):
 
     Each problem is appended to ``problems`` as ``"<dotted path>: <why>"``.
     """
-    if field.default is not _REQUIRED and (
-            value is _ABSENT or (field.empty_default and value == {})):
+    if field.default is not _REQUIRED and value is _ABSENT:
         if field.fields is None or field.default is None:
             return field.default
         value = field.default
@@ -347,11 +345,9 @@ def _hamiltonian_spec(cfg, hbar):
 
     u, _ = potential_from_config(cfg["potential"])
     k, _ = kinetic_from_config(cfg["kinetic"])
-    # only a free kinetic has a mass; a poly one keeps the spec's default
-    mass = cfg["kinetic"].get("mass", HamiltonianSpec.mass)
     return HamiltonianSpec(kinetic=lambda t, p: k(p),
                            potential=lambda t, x: u(x),
-                           hbar=hbar, mass=mass, time_independent=True)
+                           hbar=hbar, time_independent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +500,12 @@ def _run_eigen(cfg, sink):
         energies = st.eigenvalues(h)
     else:
         u, _ = potential_from_config(cfg["hamiltonian"]["potential"])
+        mass = cfg["hamiltonian"]["kinetic"]["mass"]  # free, by _fd_kinetic_rule
         if method == "central":
-            h = st.build_fd_hamiltonian(grid, u, method, mass=spec.mass)
+            h = st.build_fd_hamiltonian(grid, u, method, mass=mass)
             energies = st.eigenvalues(h)
         else:  # triangular: the sorted diagonal, with no matrix built
-            energies = st.triangular_fd_energies(grid, u, method, mass=spec.mass)
+            energies = st.triangular_fd_energies(grid, u, method, mass=mass)
     n_states = min(block["n_states"], grid.n)
     sink.csv("energies.csv", ("index", "E"),
              [(i, energies[i]) for i in range(n_states)])
@@ -771,8 +768,7 @@ _TASKS = {
         "gap": _block({
             "dtau": _POSITIVE, "tau_max": _POSITIVE,
             "observable": _choice("x", "x2", default="x"),
-            "initial": _block(_GAUSSIAN, default={"p0": 1.0},
-                              empty_default=True),
+            "initial": _block({**_GAUSSIAN, "p0": _number(1.0)}, default={}),
         }, default={}, rule=_whole_steps("tau_max", "dtau", minimum=8)),
     }, lambda c: [("grid.n", c["grid"]["n"]),
                   _series(c, "gap", "tau_max", 2, "dtau")],

@@ -10,7 +10,7 @@ restriction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -50,17 +50,15 @@ class UniformGrid:
 class HamiltonianSpec:
     """H = K(t, p) + U(t, x) through two real-valued callables.
 
-    ``mass`` enters through K by convention; it is kept as metadata for
-    diagnostics such as the Ehrenfest check m d<x>/dt = <p>.
-    ``time_independent`` states that K and U ignore t, so split-operator
-    stepping may evaluate them once and reuse their phases; it changes no
-    result beyond rounding.
+    A mass enters through K only.  ``time_independent`` (keyword only)
+    states that K and U ignore t, so split-operator stepping may evaluate
+    them once and reuse their phases; it changes no result beyond rounding.
     """
 
     kinetic: Callable[[float, np.ndarray], np.ndarray]
     potential: Callable[[float, np.ndarray], np.ndarray]
     hbar: float = 1.0
-    mass: float = 1.0
+    _: KW_ONLY
     time_independent: bool = False
 
 

@@ -44,8 +44,10 @@ def _check_square(a: np.ndarray) -> np.ndarray:
 
 
 def _finite_norm(a: np.ndarray) -> float:
-    """||A||_1 of a square A; ValueError if it is NaN or inf, as any NaN or inf entry makes it."""
-    norm = np.linalg.norm(a, 1)
+    """||A||_1 of a square A; ValueError if it is NaN or inf, as any NaN or inf entry makes it
+    and a finite A whose column sums overflow."""
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = np.linalg.norm(a, 1)
     if not norm < np.inf:
         raise ValueError(f"matrix must be finite, got 1-norm {norm}")
     return norm

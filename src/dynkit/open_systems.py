@@ -455,7 +455,10 @@ def lindblad_superoperator(h: np.ndarray, jump_ops: Sequence[np.ndarray],
 def lindblad_propagate(rho0: np.ndarray, h: np.ndarray,
                        jump_ops: Sequence[np.ndarray], times: np.ndarray,
                        hbar: float = 1.0) -> np.ndarray:
-    """Reference master-equation solution via the superoperator exponential."""
+    """Reference master-equation solution via the superoperator exponential;
+    ValueError for a non-finite entry of ``times``, before gen * t is formed."""
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     gen = lindblad_superoperator(h, jump_ops, hbar)
     d = np.asarray(rho0).shape[0]
     vec = np.asarray(rho0, dtype=complex).reshape(-1)
@@ -470,27 +473,11 @@ def lindblad_propagate(rho0: np.ndarray, h: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JumpOperatorSpec:
-    """Jump channels: position-diagonal callables A_k(x) and/or d x d matrices."""
-
-    operators: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "operators", tuple(self.operators))
-
-
 @dataclass
 class McwfTrajectory:
     times: np.ndarray
     states: list
     jumps: list  # (time, channel) pairs
-
-
-def _unpack_jump_ops(jump_ops):
-    if isinstance(jump_ops, JumpOperatorSpec):
-        return list(jump_ops.operators)
-    return list(jump_ops)
 
 
 def mcwf_trajectory(psi0, spec, jump_ops, dt: float, t_max: float, seed: int,
@@ -532,7 +519,7 @@ def _mcwf_loop(psi0, spec, jump_ops, dt, t_max, stride):
     if n_steps < 1:
         raise ValueError("t_max must be a positive integer multiple of dt")
     require_count("stride", stride, 1)
-    ops = _unpack_jump_ops(jump_ops)
+    ops = list(jump_ops)
     if isinstance(psi0, WaveFunction):
         evolve, lambdas, jump, normalize = _grid_mcwf_machinery(psi0.grid, spec, ops)
         state = normalize(psi0.values)

@@ -141,9 +141,11 @@ def apply_hamiltonian(psi: WaveFunction, spec: HamiltonianSpec,
     return SplitStepEngine(psi.grid, spec).apply_hamiltonian(psi.values, t)
 
 
-def _checked_mask(mask, n: int) -> np.ndarray:
+def _checked_mask(mask, n: int | None = None) -> np.ndarray:
+    """``mask`` as floats; ValueError unless its values lie in [0, 1] and, when
+    ``n`` is given, it has the grid's n points."""
     mask = np.asarray(mask, dtype=float)
-    if mask.shape != (n,):
+    if n is not None and mask.shape != (n,):
         raise ValueError("mask length must match the grid")
     if not np.all((mask >= 0.0) & (mask <= 1.0)):  # NaN fails both
         raise ValueError("mask values must lie in [0, 1]")
@@ -387,10 +389,17 @@ def apply_absorbing_boundary(psi: WaveFunction, mask: np.ndarray) -> WaveFunctio
 
 
 def absorbing_potential(mask: np.ndarray, dt: float, hbar: float = 1.0) -> np.ndarray:
-    """Imaginary potential B(x) = -(2 hbar / dt) log w(x) equivalent to the mask."""
-    mask = np.asarray(mask, dtype=float)
+    """Imaginary potential B(x) = -(2 hbar / dt) log w(x) equivalent to the mask.
+
+    ``dt`` and ``hbar`` must be positive and finite and w in [0, 1], so that
+    B >= 0 absorbs (B = inf where w = 0); ValueError otherwise.
+    """
+    require("dt", dt, above=0)
+    require("hbar", hbar, above=0)
+    scale = 2.0 * hbar / dt
+    require("2 hbar / dt", scale)
     with np.errstate(divide="ignore"):
-        return -(2.0 * hbar / dt) * np.log(mask)
+        return -scale * np.log(_checked_mask(mask))
 
 
 def cosine_absorbing_mask(grid: UniformGrid, fraction: float = 0.2,

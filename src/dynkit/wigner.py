@@ -57,7 +57,8 @@ class TwoStateWigner:
     """Wigner matrix of a two-surface system: real diagonals, complex coherence.
 
     The (excited, ground) block is the conjugate of ``w_ge`` by hermiticity,
-    so only one off-diagonal array is stored.
+    so only one off-diagonal array is stored.  The blocks are kept as given,
+    without a copy: those of a ``moyal_two_state_step`` result are views.
     """
 
     w_g: np.ndarray
@@ -283,6 +284,11 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
     frequency has no +max partner); content there cannot respect the
     reflection symmetry that keeps the blocks hermitian, so it is projected
     out after each forward transform.
+
+    The returned ``w_g``, ``w_e`` (real parts) and ``w_ge`` are views into
+    the step's one complex (2, 2, nx, np) array, so each returned state keeps
+    64 bytes per phase-space point alive.  A caller that keeps snapshots
+    should keep copies of the blocks it needs.
     """
     require("dt", dt)
     require_one_hbar(spec.hbar, "w2.hbar", w2.hbar)

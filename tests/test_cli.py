@@ -262,14 +262,14 @@ DEFAULTS = {  # name: (config with defaults omitted, written out, exit code)
         {"task": "imagtime", "grid": GRID_FULL,
          "hamiltonian": HAMILTONIAN_FULL,
          "imagtime": {"dtau": 0.05, "tol": 1e-12, "n_states": 1}}, 0),
-    # absent or empty: boosted to p0 = 1 so the gap commutator is nonzero
+    # the gap's p0 defaults to 1, so the gap commutator is nonzero whether
+    # the initial block is absent, empty or partial
     "gap_initial_absent": (*_gap_pair(None, {"x0": 0.0, "p0": 1.0,
                                              "sigma": 1.0}), 0),
     "gap_initial_empty": (*_gap_pair({}, {"x0": 0.0, "p0": 1.0,
                                           "sigma": 1.0}), 0),
-    # any other block fills in p0 = 0: a real state, no decay window to fit
-    "gap_initial_x0": (*_gap_pair({"x0": 0.4}, {"x0": 0.4, "p0": 0.0,
-                                                 "sigma": 1.0}), 3),
+    "gap_initial_x0": (*_gap_pair({"x0": 0.4}, {"x0": 0.4, "p0": 1.0,
+                                                 "sigma": 1.0}), 0),
     "classical": (
         {"task": "classical",
          "classical": {"dt": 0.05, "n_steps": 20, "n_particles": 8,
@@ -872,7 +872,8 @@ def test_eigen_energies_match_the_full_eigensolve(tmp_path):
             h = build_spectral_hamiltonian(grid, spec)
         else:
             h = build_fd_hamiltonian(grid, lambda x: spec.potential(0.0, x),
-                                     method, mass=spec.mass)
+                                     method,
+                                     mass=resolved["hamiltonian"]["kinetic"]["mass"])
         energies = eigensolve(h, dx=grid.dx).energies
         assert len(rows) == min(resolved["eigen"]["n_states"], grid.n)
         assert np.array_equal(rows[:, 0], np.arange(len(rows)))

@@ -38,7 +38,7 @@ EXPORTED = {
     "classical": "ClassicalEnsemble ClassicalSpec ehrenfest_series "
                  "extend_time_dependent multi_dim_verlet_step "
                  "propagate_ensemble verlet_step",
-    "open_systems": "DensityMatrix JumpOperatorSpec RateMatrix "
+    "open_systems": "DensityMatrix RateMatrix "
                     "dissipator_split fermi_dirac_rates gibbs_density "
                     "gibbs_rates lindblad_propagate lindblad_superoperator "
                     "lindblad_x_step mcwf_ensemble mcwf_trajectory "

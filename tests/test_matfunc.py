@@ -79,6 +79,15 @@ def test_expm_refuses_non_finite_matrices(expm, bad):
         expm(a)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("expm", [expm_pade, expm_taylor])
+def test_expm_refuses_an_overflowing_norm_without_a_warning(expm):
+    # the 1-norm's column sum used to warn "overflow encountered in reduce"
+    # before the refusal
+    with pytest.raises(ValueError, match="^matrix must be finite, got 1-norm inf$"):
+        expm(np.full((3, 3), 1e308))
+
+
 class TestExpmPade:
     def test_zero_matrix(self):
         rep = expm_pade(np.zeros((4, 4)))

@@ -17,10 +17,8 @@ from dynkit.errors import DegenerateJumpError
 from dynkit.grids import make_grid
 from dynkit.matfunc import expm_pade
 from dynkit.open_systems import (
-    JumpOperatorSpec,
     McwfTrajectory,
     _mcwf_loop,
-    _unpack_jump_ops,
     mcwf_ensemble,
     mcwf_trajectory,
 )
@@ -39,7 +37,7 @@ def reference_trajectory(psi0, spec, jump_ops, dt: float, t_max: float, seed: in
     n_steps = int(round(t_max / dt))
     if n_steps < 1 or abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError("t_max must be a positive integer multiple of dt")
-    ops = _unpack_jump_ops(jump_ops)
+    ops = list(jump_ops)
 
     if isinstance(psi0, WaveFunction):
         evolve, lambdas, jump, normalize = _grid_mcwf_machinery(psi0.grid, spec, ops)
@@ -115,7 +113,6 @@ def _grid_mcwf_machinery(grid, spec, ops):
         potential=lambda t, x: np.asarray(base_potential(t, x), dtype=complex)
         - 0.5j * hbar * total_abs2,
         hbar=hbar,
-        mass=spec.mass,
     )
 
     def evolve(values, t, dt_):
@@ -186,7 +183,7 @@ def _grid_dephasing():
     grid = make_grid(8.0, 32)
     coupling = lambda x: np.sqrt(0.4) * x
     return (gaussian_packet(grid, x0=0.5, sigma=0.8), OSCILLATOR,
-            JumpOperatorSpec((coupling,)), 0.01, 0.35, 12)
+            (coupling,), 0.01, 0.35, 12)
 
 
 CASES = {"two_level": _two_level, "two_channel": _two_channel,

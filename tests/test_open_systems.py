@@ -12,7 +12,6 @@ from dynkit.stationary import (
 )
 from dynkit.open_systems import (
     DensityMatrix,
-    JumpOperatorSpec,
     RateMatrix,
     coupling_factor,
     density_uncertainty,
@@ -436,7 +435,7 @@ class TestMcwf:
         psi0 = gaussian_packet(g, sigma=0.8)
         dt, t_max = 0.01, 0.5
         times, rhos = mcwf_ensemble(psi0, OSCILLATOR,
-                                    JumpOperatorSpec((coupling,)), dt, t_max,
+                                    (coupling,), dt, t_max,
                                     n_traj=600, base_seed=11, stride=10)
         rho = pure_state_density(psi0)
         sampled = [rho.values]
@@ -557,3 +556,17 @@ class TestNonFiniteRates:
 def test_lindblad_superoperator_rejects_bad_hbar(hbar):
     with pytest.raises(ValueError, match="hbar"):
         lindblad_superoperator(np.diag([0.0, 1.0]), [SIGMA_MINUS], hbar=hbar)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad, message", [
+    (np.inf, "times must be finite"), (-np.inf, "times must be finite"),
+    (np.nan, "times must be finite"), (1e308, "matrix must be finite, got 1-norm inf"),
+])
+def test_lindblad_propagate_refuses_a_non_finite_time_without_a_warning(bad, message):
+    # gen * inf used to warn "invalid value encountered in multiply", and the
+    # 1-norm of gen * 1e308 "overflow encountered in reduce", before expm_pade
+    # refused the matrix
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lindblad_propagate(np.diag([0.0, 1.0]), 0.4 * SIGMA_X, [SIGMA_MINUS],
+                           np.array([0.0, 0.5, bad]))

@@ -8,7 +8,8 @@ once, with a valid value of the argument and a call that is valid apart
 from it.  The counts among them (``COUNTS``) also refuse a float or a bool,
 as the config schema's ``integer`` does.  The steppers that divide their
 phases by a spec's hbar (``HBAR_STEPPERS``) refuse one other than their
-state's, naming both.
+state's, naming both.  ``absorbing_potential`` also refuses a zero or
+negative dt or hbar and a mask value outside [0, 1].
 """
 
 import math
@@ -42,6 +43,7 @@ from dynkit.tdse import (
     PauliHamiltonianSpec,
     SpinorWaveFunction,
     SplitStepEngine,
+    absorbing_potential,
     cosine_absorbing_mask,
     gaussian_packet,
     imaginary_time_ground,
@@ -57,6 +59,7 @@ from dynkit.wigner import (
 OSCILLATOR = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
                              potential=lambda t, x: x ** 2 / 2)
 GRID = make_grid(8.0, 16)
+MASK = cosine_absorbing_mask(GRID)
 LEVELS = np.array([0.0, 0.5, 1.2])
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _TWO_LEVEL = (np.array([0.0, 1.0], dtype=complex), np.diag([0.0, 1.0]).astype(complex),
@@ -132,6 +135,8 @@ CONTRACT = [
         GRID, OSCILLATOR).run(gaussian_packet(GRID).values, 0.0, 0.05, 2, stride=v))),
     ("cosine_absorbing_mask", "power", 0.125,
      lambda v: cosine_absorbing_mask(GRID, power=v)),
+    ("absorbing_potential", "dt", 0.01, lambda v: absorbing_potential(MASK, v)),
+    ("absorbing_potential", "hbar", 1.0, lambda v: absorbing_potential(MASK, 0.01, v)),
     ("imaginary_time_ground", "dtau", 0.05, lambda v: imaginary_time_ground(
         gaussian_packet(GRID), v, OSCILLATOR, tol=1e-6)),
     ("imaginary_time_ground", "tol", 1e-6, lambda v: imaginary_time_ground(
@@ -167,6 +172,36 @@ def test_counts_table_holds_every_count_argument():
                          "mcwf_ensemble-stride", "mcwf_ensemble-n_traj",
                          "SplitStepEngine.run-stride", "propagate_ensemble-n_steps",
                          "propagate_ensemble-stride"]
+
+
+def _mask_with(value):
+    mask = MASK.copy()
+    mask[3] = value
+    return mask
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mask, dt, hbar, message", [
+    (MASK, 0.0, 1.0, "dt must be positive and finite, got 0.0"),
+    (MASK, -0.01, 1.0, "dt must be positive and finite, got -0.01"),
+    (MASK, 0.01, -1.0, "hbar must be positive and finite, got -1.0"),
+    (MASK, 0.01, 0.0, "hbar must be positive and finite, got 0.0"),
+    (MASK, 1e-10, 1e300, "2 hbar / dt must be finite, got inf"),
+    (_mask_with(math.nan), 0.01, 1.0, "mask values must lie in \\[0, 1\\]"),
+    (_mask_with(1.5), 0.01, 1.0, "mask values must lie in \\[0, 1\\]"),
+    (_mask_with(-0.1), 0.01, 1.0, "mask values must lie in \\[0, 1\\]"),
+], ids=["dt0", "dt<0", "hbar<0", "hbar0", "scale-overflow", "nan-mask",
+        "mask>1", "mask<0"])
+def test_absorbing_potential_refuses_a_non_absorbing_b(mask, dt, hbar, message):
+    # each of these gave a ZeroDivisionError, an all-NaN B or a negative,
+    # amplifying B instead of naming its argument
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        absorbing_potential(mask, dt, hbar)
+
+
+def test_absorbing_potential_takes_a_mask_reaching_zero():
+    b = absorbing_potential(_mask_with(0.0), 0.01)
+    assert b[3] == np.inf and np.all(b[np.arange(GRID.n) != 3] >= 0)
 
 
 #: (stepper, the state's hbar it compares with spec.hbar, a call with spec.hbar = v);
