@@ -37,7 +37,8 @@ class ClassicalSpec:
 
     ``dk_dp(p, s_p)`` is the velocity, ``du_dx(x, s_x)`` the potential
     gradient (the force is its negative).  Autonomous systems simply ignore
-    the second argument.
+    the second argument; a time-dependent one reads its time there, since
+    the clock s advances at unit rate and equals T after a time T from s = 0.
     """
 
     dk_dp: Callable[[np.ndarray, float], np.ndarray]
@@ -69,17 +70,6 @@ class ClassicalEnsemble:
 
 def uniform_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
-
-
-def extend_time_dependent(dk_dp_t: Callable, du_dx_t: Callable) -> ClassicalSpec:
-    """Autonomize dx/dt = K'(p, t), dp/dt = -U'(x, t).
-
-    The returned spec reads the fictitious pair (s_x, s_p) instead of wall
-    time; both advance at unit rate from s = 0, so after integrating for a
-    time T the ensemble clock equals T.  For callables that ignore their
-    second argument the (x, p) dynamics is unchanged.
-    """
-    return ClassicalSpec(dk_dp=dk_dp_t, du_dx=du_dx_t)
 
 
 def _kick_drift_kick(x: np.ndarray, p: np.ndarray, s: float, dt: float,

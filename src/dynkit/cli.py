@@ -578,8 +578,8 @@ def _run_classical(cfg, sink):
     u_fun, du = potential_from_config(block["forces"])
     k_fun, dk = kinetic_from_config(None)
     amp, omega = block["drive"]["amplitude"], block["drive"]["omega"]
-    spec = cl.extend_time_dependent(
-        lambda p, t: dk(p), lambda x, t: du(x) - amp * np.cos(omega * t))
+    spec = cl.ClassicalSpec(lambda p, t: dk(p),
+                            lambda x, t: du(x) - amp * np.cos(omega * t))
     cloud = block["cloud"]
     rng = _numpy_random().default_rng(block["seed"])
     n = block["n_particles"]

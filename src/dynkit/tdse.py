@@ -22,6 +22,10 @@ from .grids import (HamiltonianSpec, UniformGrid, _alt_signs, _bridge, _fft,
 from .steps import (require, require_count, require_one_hbar, require_step,
                     step_count)
 
+#: Trailing fraction of the recorded imaginary-time window over which the gap
+#: fit takes the decay slope of ln|<[H, O]>|.
+GAP_FIT_FRACTION = 0.4
+
 #: Triple-jump substep coefficient, the real root of 2 s^3 + (1 - 2s)^3 = 0.
 TRIPLE_JUMP_S = 2.0 ** (1.0 / 3.0) / 3.0 + 2.0 ** (2.0 / 3.0) / 6.0 + 2.0 / 3.0
 
@@ -99,11 +103,11 @@ class PauliHamiltonianSpec:
 
     ``kinetic`` and ``potential`` are 4-tuples indexed by j = 0..3 (identity
     and the three Pauli matrices); entries may be None for vanishing terms.
+    The phases divide by the stepped spinor's ``grid.hbar``.
     """
 
     kinetic: Sequence[Callable | None]
     potential: Sequence[Callable | None]
-    hbar: float = 1.0
 
 
 @dataclass
@@ -141,11 +145,11 @@ def apply_hamiltonian(psi: WaveFunction, spec: HamiltonianSpec,
     return SplitStepEngine(psi.grid, spec).apply_hamiltonian(psi.values, t)
 
 
-def _checked_mask(mask, n: int | None = None) -> np.ndarray:
-    """``mask`` as floats; ValueError unless its values lie in [0, 1] and, when
-    ``n`` is given, it has the grid's n points."""
+def _checked_mask(mask, n: int) -> np.ndarray:
+    """``mask`` as floats; ValueError unless it has the grid's n points and its
+    values lie in [0, 1]."""
     mask = np.asarray(mask, dtype=float)
-    if n is not None and mask.shape != (n,):
+    if mask.shape != (n,):
         raise ValueError("mask length must match the grid")
     if not np.all((mask >= 0.0) & (mask <= 1.0)):  # NaN fails both
         raise ValueError("mask values must lie in [0, 1]")
@@ -332,27 +336,20 @@ def _observables(engine: SplitStepEngine, times, rows: np.ndarray):
 
 
 def split_op_step(psi: WaveFunction, t: float, dt: complex,
-                  spec: HamiltonianSpec) -> WaveFunction:
-    """One Strang step: half-potential, full-kinetic, half-potential phases.
+                  spec: HamiltonianSpec, order: int = 2) -> WaveFunction:
+    """One Strang step (``order`` 2) or one triple-jump step (``order`` 4).
 
-    Both factors are evaluated at the midpoint t + dt/2, giving local error
+    A Strang step applies half-potential, full-kinetic and half-potential
+    phases, all evaluated at the midpoint t + dt/2, giving local error
     O(dt^3); for real dt the step is exactly unitary up to rounding.  dt may
     be complex (Wick-rotated -i dtau) in which case the caller renormalizes.
+
+    The triple jump composes three Strang substeps of lengths (s, 1-2s, s) dt
+    with s = 2^(1/3)/3 + 2^(2/3)/6 + 2/3, cancelling the leading error term;
+    each substep evaluates K and U at its own shifted midpoint, so the
+    composition stays fourth order for time-dependent Hamiltonians.
     """
-    return WaveFunction(SplitStepEngine(psi.grid, spec).step(psi.values, t, dt),
-                        psi.grid)
-
-
-def split_op_step_o4(psi: WaveFunction, t: float, dt: complex,
-                     spec: HamiltonianSpec) -> WaveFunction:
-    """Fourth-order step: triple jump of Strang substeps.
-
-    Three second-order substeps of lengths (s, 1-2s, s) dt with
-    s = 2^(1/3)/3 + 2^(2/3)/6 + 2/3 cancel the leading error term; each
-    substep evaluates K and U at its own shifted midpoint, so the composition
-    stays fourth order for time-dependent Hamiltonians.
-    """
-    values = SplitStepEngine(psi.grid, spec).step(psi.values, t, dt, order=4)
+    values = SplitStepEngine(psi.grid, spec).step(psi.values, t, dt, order)
     return WaveFunction(values, psi.grid)
 
 
@@ -386,20 +383,6 @@ def propagate(psi0: WaveFunction, t0: float, t1: float, dt: float,
 def apply_absorbing_boundary(psi: WaveFunction, mask: np.ndarray) -> WaveFunction:
     """Pointwise multiply by a window 0 <= w(x) <= 1; the norm never grows."""
     return WaveFunction(psi.values * _checked_mask(mask, psi.grid.n), psi.grid)
-
-
-def absorbing_potential(mask: np.ndarray, dt: float, hbar: float = 1.0) -> np.ndarray:
-    """Imaginary potential B(x) = -(2 hbar / dt) log w(x) equivalent to the mask.
-
-    ``dt`` and ``hbar`` must be positive and finite and w in [0, 1], so that
-    B >= 0 absorbs (B = inf where w = 0); ValueError otherwise.
-    """
-    require("dt", dt, above=0)
-    require("hbar", hbar, above=0)
-    scale = 2.0 * hbar / dt
-    require("2 hbar / dt", scale)
-    with np.errstate(divide="ignore"):
-        return -scale * np.log(_checked_mask(mask))
 
 
 def cosine_absorbing_mask(grid: UniformGrid, fraction: float = 0.2,
@@ -479,7 +462,7 @@ def _imaginary_time(psi_guess, dtau, spec, tol, max_iter, known):
     )
 
 
-def _fit_decay_slope(taus, ys, fit_fraction):
+def _fit_decay_slope(taus, ys):
     taus = np.asarray(taus)
     ys = np.asarray(ys)
     finite = np.isfinite(ys)
@@ -488,7 +471,7 @@ def _fit_decay_slope(taus, ys, fit_fraction):
         raise ConvergenceError(
             "commutator expectation underflowed before a linear window was found"
         )
-    start = taus[-1] - fit_fraction * (taus[-1] - taus[0])
+    start = taus[-1] - GAP_FIT_FRACTION * (taus[-1] - taus[0])
     window = taus >= start
     t_w, y_w = taus[window], ys[window]
     # keep the longest strictly-decreasing prefix so a rounding floor at the
@@ -504,22 +487,22 @@ def _fit_decay_slope(taus, ys, fit_fraction):
     return -float(slope)
 
 
-def _gap_from_magnitudes(mags, dtau, fit_fraction):
+def _gap_from_magnitudes(mags, dtau):
     """Decay rate of ln|C| for commutator magnitudes at tau = m dtau, m = 0, 1, ..."""
     taus = [m * dtau for m in range(len(mags))]
     ys = [np.log(mag) if mag > 0 else -np.inf for mag in mags]
-    return _fit_decay_slope(taus, ys, fit_fraction)
+    return _fit_decay_slope(taus, ys)
 
 
 def spectral_gap_estimate(psi0: WaveFunction, observable: np.ndarray,
-                          dtau: float, tau_max: float, spec: HamiltonianSpec,
-                          fit_fraction: float = 0.4) -> float:
+                          dtau: float, tau_max: float,
+                          spec: HamiltonianSpec) -> float:
     """Energy gap from the decay rate of ln|<[H, O]>| under normalized imaginary time.
 
     Under the first-order condition (a non-real cross matrix element of O
     between the lowest two eigenspaces, promoted in practice by boosting the
     initial state) the log-commutator decays with slope -(E_1 - E_0); the
-    slope is fit over the trailing ``fit_fraction`` of the recorded window.
+    slope is fit over the trailing ``GAP_FIT_FRACTION`` of the recorded window.
     """
     n_steps = step_count(tau_max, dtau)
     if n_steps < 8:
@@ -528,13 +511,12 @@ def spectral_gap_estimate(psi0: WaveFunction, observable: np.ndarray,
     mags = []
     for block in _blocks(_flow(engine, psi0.values, dtau, n_steps), psi0.grid.n):
         mags.extend(np.abs(engine.commutator(np.array(block), observable)))
-    return _gap_from_magnitudes(mags, dtau, fit_fraction)
+    return _gap_from_magnitudes(mags, dtau)
 
 
 def spectral_gap_estimate_discrete(psi0: np.ndarray, hamiltonian: np.ndarray,
                                    observable: np.ndarray, dtau: float,
-                                   tau_max: float,
-                                   fit_fraction: float = 0.4) -> float:
+                                   tau_max: float) -> float:
     """Same estimator for a discrete-level system given dense H and O."""
     from .matfunc import func_of_hermitian
 
@@ -552,7 +534,7 @@ def spectral_gap_estimate_discrete(psi0: np.ndarray, hamiltonian: np.ndarray,
         mags.append(np.abs(np.conj(psi) @ commutator @ psi))
         psi = u @ psi
         psi = psi / np.linalg.norm(psi)
-    return _gap_from_magnitudes(mags, dtau, fit_fraction)
+    return _gap_from_magnitudes(mags, dtau)
 
 
 def _two_level_rotation(c1, c2, c3, dt, hbar):
@@ -606,8 +588,7 @@ def pauli_split_op_step(spinor: SpinorWaveFunction, t: float, dt: float,
     require_step(dt)
     grid = spinor.grid
     grid.require_fft_bridge()
-    require_one_hbar(spec.hbar, "spinor.grid.hbar", grid.hbar)
-    hbar = spec.hbar
+    hbar = grid.hbar
     tm = t + dt / 2.0
     half = _pauli_factors(dt / 2.0, hbar, _pauli_coeffs(spec.potential, tm, grid.x))
     kin = _pauli_factors(dt, hbar, _pauli_coeffs(spec.kinetic, tm, grid.p_fft))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import HermiticityError
 from .grids import UniformGrid, _bridge
-from .steps import require, require_one_hbar
+from .steps import require
 from .tdse import WaveFunction, _two_level_rotation
 
 
@@ -87,7 +87,8 @@ class TwoStateWigner:
 class MoleculeSpec:
     """Two-surface molecule: K(p), adiabatic curves, dipole and laser pulse.
 
-    The coupling is V_eg(x, t) = -dipole(x) * pulse(t).
+    The coupling is V_eg(x, t) = -dipole(x) * pulse(t).  The Moyal step
+    takes hbar from the stepped ``TwoStateWigner``.
     """
 
     kinetic: Callable[[np.ndarray], np.ndarray]
@@ -95,7 +96,6 @@ class MoleculeSpec:
     v_excited: Callable[[np.ndarray], np.ndarray]
     dipole: Callable[[np.ndarray], np.ndarray]
     pulse: Callable[[float], float]
-    hbar: float = 1.0
 
 
 def _wigner_axes(grid: UniformGrid):
@@ -254,13 +254,13 @@ def _product(a, b):
 
 
 def _rotation_entries(spec: MoleculeSpec, q: np.ndarray, v_g: np.ndarray,
-                      v_e: np.ndarray, t: float, dt: float):
+                      v_e: np.ndarray, t: float, dt: float, hbar: float):
     """Entries of T(q) = exp[-(i dt/hbar)(sigma_x V_eg + sigma_z (V_g - V_e)/2)].
 
     ``v_g`` and ``v_e`` are the surfaces already evaluated on q.
     """
     v_eg = -np.asarray(spec.dipole(q)) * spec.pulse(t)
-    return _two_level_rotation(v_eg, 0.0, 0.5 * (v_g - v_e), dt, spec.hbar)
+    return _two_level_rotation(v_eg, 0.0, 0.5 * (v_g - v_e), dt, hbar)
 
 
 def _dagger(tmat):
@@ -278,7 +278,7 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
     kinetic shear exp[(i dt/hbar)(K(p - h lambda/2) - K(p + h lambda/2))] in
     the axis conjugate to x.  First order in dt as displayed; ``symmetrize``
     splits the kinetic shear around the potential sandwich for a symmetric
-    composition.
+    composition.  hbar (h) is the state's ``w2.hbar``.
 
     The centered conjugate grids carry one unpaired Nyquist slot (the -max
     frequency has no +max partner); content there cannot respect the
@@ -291,8 +291,7 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
     should keep copies of the blocks it needs.
     """
     require("dt", dt)
-    require_one_hbar(spec.hbar, "w2.hbar", w2.hbar)
-    hbar = spec.hbar
+    hbar = w2.hbar
     n_x, n_p = w2.w_g.shape
     if n_x % 4 or n_p % 4:
         raise ValueError("both Wigner axes must be divisible by 4")
@@ -329,8 +328,8 @@ def moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
     def potential():
         _bridge(b, 3)
         b[..., 0] = 0.0
-        tl = _rotation_entries(spec, x_minus, vg_minus, ve_minus, tm, dt)
-        tr = _dagger(_rotation_entries(spec, x_plus, vg_plus, ve_plus, tm, dt))
+        tl = _rotation_entries(spec, x_minus, vg_minus, ve_minus, tm, dt, hbar)
+        tr = _dagger(_rotation_entries(spec, x_plus, vg_plus, ve_plus, tm, dt, hbar))
         (b[0, 0], b[0, 1]), (b[1, 0], b[1, 1]) = _product(_product(tl, b), tr)
         np.multiply(mean_phase, b, out=b)
         _bridge(b, 3, inverse=True)

@@ -7,6 +7,7 @@ tolerances are pinned here and nowhere else.
 import hashlib
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from dynkit import (
     eigensolve,
     expm_pade,
     expm_taylor,
-    extend_time_dependent,
     fermi_dirac_rates,
     frft,
     func_of_hermitian,
@@ -46,7 +46,6 @@ from dynkit import (
     spectral_gap_estimate,
     spectral_gap_estimate_discrete,
     split_op_step,
-    split_op_step_o4,
     verlet_step,
     vonneumann_step,
     wigner_from_density,
@@ -152,7 +151,7 @@ def test_criterion_03_split_operator():
     ratio2 = e1 / e2
     ok_order2 = 3.5 <= ratio2 <= 4.5
 
-    e1, e2 = _endpoint_errors(split_op_step_o4, 0.16, 1.6, DRIVEN)
+    e1, e2 = _endpoint_errors(partial(split_op_step, order=4), 0.16, 1.6, DRIVEN)
     ratio4 = e1 / e2
     ok_order4 = 12.0 <= ratio4 <= 20.0
 
@@ -222,7 +221,7 @@ def test_criterion_05_uncertainty():
     PROPAGATED_STATES.append(psi)
     psi = gaussian_packet(g, x0=-0.5, p0=1.0)
     for m in range(80):
-        psi = split_op_step_o4(psi, m * 0.02, 0.02, DRIVEN)
+        psi = split_op_step(psi, m * 0.02, 0.02, DRIVEN, order=4)
     PROPAGATED_STATES.append(psi)
 
     ok_bound = True
@@ -267,7 +266,7 @@ def test_criterion_06_classical():
     e0, omega = 0.3, 1.6
     dk = lambda p, t: p
     du = lambda x, t: x - e0 * np.cos(omega * t)
-    spec = extend_time_dependent(dk, du)
+    spec = ClassicalSpec(dk, du)
     dt = 0.001
     n = int(round(10 * 2 * np.pi / dt))
     ens = ClassicalEnsemble(x=[1.0], p=[0.0], weights=[1.0])

@@ -5,7 +5,6 @@ from dynkit.classical import (
     ClassicalEnsemble,
     ClassicalSpec,
     ehrenfest_series,
-    extend_time_dependent,
     multi_dim_verlet_step,
     propagate_ensemble,
     uniform_weights,
@@ -17,24 +16,6 @@ OSCILLATOR = ClassicalSpec(dk_dp=lambda p, s: p, du_dx=lambda x, s: x)
 
 def single(x0, p0):
     return ClassicalEnsemble(x=[x0], p=[p0], weights=[1.0])
-
-
-def rk4_time_dependent(x0, p0, dt, n_steps, dk_dp_t, du_dx_t):
-    """Independent high-order oracle for dx/dt = K'(p,t), dp/dt = -U'(x,t)."""
-    def rhs(state, t):
-        x, p = state
-        return np.array([dk_dp_t(p, t), -du_dx_t(x, t)])
-
-    state = np.array([x0, p0], dtype=float)
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(state, t)
-        k2 = rhs(state + dt / 2 * k1, t + dt / 2)
-        k3 = rhs(state + dt / 2 * k2, t + dt / 2)
-        k4 = rhs(state + dt * k3, t + dt)
-        state = state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-    return state
 
 
 class TestVerletStep:
@@ -128,35 +109,11 @@ class TestVerletStep:
 
 class TestAutonomization:
     def test_clock_advances_like_time(self):
-        spec = extend_time_dependent(lambda p, t: p, lambda x, t: x)
+        spec = ClassicalSpec(lambda p, t: p, lambda x, t: x)
         ens = single(1.0, 0.0)
         for _ in range(250):
             ens = verlet_step(ens, 0.02, spec)
         assert abs(ens.s - 5.0) < 1e-12
-
-    def test_driven_oscillator_matches_rk4(self):
-        e0, omega = 0.3, 1.6
-        dk = lambda p, t: p
-        du = lambda x, t: x - e0 * np.cos(omega * t)
-        spec = extend_time_dependent(dk, du)
-        dt = 0.001
-        periods = 10 * 2 * np.pi
-        n = int(round(periods / dt))
-        ens = single(1.0, 0.0)
-        for _ in range(n):
-            ens = verlet_step(ens, dt, spec)
-        oracle = rk4_time_dependent(1.0, 0.0, dt / 5, 5 * n, dk, du)
-        assert abs(ens.x[0] - oracle[0]) < 1e-5
-        assert abs(ens.p[0] - oracle[1]) < 1e-5
-
-    def test_autonomous_dynamics_unchanged_by_extension(self):
-        plain = OSCILLATOR
-        extended = extend_time_dependent(lambda p, t: p, lambda x, t: x)
-        a, b = single(0.5, 0.5), single(0.5, 0.5)
-        for _ in range(100):
-            a = verlet_step(a, 0.03, plain)
-            b = verlet_step(b, 0.03, extended)
-        assert a.x[0] == b.x[0] and a.p[0] == b.p[0]
 
 
 class TestMultiDim:
@@ -256,7 +213,7 @@ def reference_trajectory(ensemble, dt, n_steps, spec, stride):
     return out
 
 
-DRIVEN_ANHARMONIC = extend_time_dependent(
+DRIVEN_ANHARMONIC = ClassicalSpec(
     lambda p, t: p + 0.05 * np.sin(1.3 * t) * p ** 2,
     lambda x, t: x + 0.4 * x ** 3 - 0.3 * np.cos(1.6 * t))
 

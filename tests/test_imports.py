@@ -34,10 +34,9 @@ EXPORTED = {
             "compute_uncertainty gaussian_packet imaginary_time_excited "
             "imaginary_time_ground pauli_split_op_step propagate "
             "spectral_gap_estimate spectral_gap_estimate_discrete "
-            "split_op_step split_op_step_o4",
+            "split_op_step",
     "classical": "ClassicalEnsemble ClassicalSpec ehrenfest_series "
-                 "extend_time_dependent multi_dim_verlet_step "
-                 "propagate_ensemble verlet_step",
+                 "multi_dim_verlet_step propagate_ensemble verlet_step",
     "open_systems": "DensityMatrix RateMatrix "
                     "dissipator_split fermi_dirac_rates gibbs_density "
                     "gibbs_rates lindblad_propagate lindblad_superoperator "

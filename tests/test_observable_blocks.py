@@ -614,9 +614,9 @@ def _captured_gap_samples(monkeypatch, *args):
     captured = {}
     fit = tdse._fit_decay_slope
 
-    def recording(taus, ys, fit_fraction):
+    def recording(taus, ys):
         captured["taus"], captured["ys"] = list(taus), list(ys)
-        return fit(taus, ys, fit_fraction)
+        return fit(taus, ys)
 
     monkeypatch.setattr(tdse, "_fit_decay_slope", recording)
     gap = spectral_gap_estimate(*args)
@@ -640,7 +640,7 @@ def test_gap_matches_per_step_commutator(monkeypatch, n, observable, rows):
     assert len(ys) == step_count(6.0, 0.02) + 1
     assert_bitwise(taus, taus_ref)
     assert_bitwise(ys, ys_ref)
-    assert gap == tdse._fit_decay_slope(taus_ref, ys_ref, 0.4)
+    assert gap == tdse._fit_decay_slope(taus_ref, ys_ref)
 
 
 def test_gap_samples_stay_near_the_legacy_loop():
@@ -650,8 +650,8 @@ def test_gap_samples_stay_near_the_legacy_loop():
     taus_old, ys_old = legacy_gap_samples(psi0, grid.x, 0.02, 6.0, OSCILLATOR)
     assert_bitwise(taus, taus_old)
     assert np.max(np.abs(np.subtract(ys, ys_old))) <= LEGACY_BOUND
-    assert abs(tdse._fit_decay_slope(taus, ys, 0.4)
-               - tdse._fit_decay_slope(taus_old, ys_old, 0.4)) <= LEGACY_BOUND
+    assert abs(tdse._fit_decay_slope(taus, ys)
+               - tdse._fit_decay_slope(taus_old, ys_old)) <= LEGACY_BOUND
 
 
 def test_gap_vanishing_commutator_still_reported():
@@ -660,7 +660,7 @@ def test_gap_vanishing_commutator_still_reported():
                                      OSCILLATOR, tol=1e-13)
     taus, ys = reference_gap_samples(psi0, grid.x, 0.05, 8.0, OSCILLATOR)
     with pytest.raises(ConvergenceError):
-        tdse._fit_decay_slope(taus, ys, 0.4)
+        tdse._fit_decay_slope(taus, ys)
     with pytest.raises(ConvergenceError):
         spectral_gap_estimate(psi0, grid.x, 0.05, 8.0, OSCILLATOR)
 

@@ -27,7 +27,7 @@ def reference_pauli_split_op_step(spinor: SpinorWaveFunction, t: float, dt: floa
     require_step(dt)
     grid = spinor.grid
     grid.require_fft_bridge()
-    hbar = spec.hbar
+    hbar = grid.hbar
     tm = t + dt / 2.0
     half = _pauli_factors(dt / 2.0, hbar, _pauli_coeffs(spec.potential, tm, grid.x))
     kin = _pauli_factors(dt, hbar, _pauli_coeffs(spec.kinetic, tm, grid.p_fft))
@@ -49,13 +49,14 @@ DRIVEN = PauliHamiltonianSpec(
     potential=(lambda t, x: x ** 2 / 2,
                lambda t, x: 0.4 * np.exp(-x ** 2) * np.sin(3.0 * t),
                lambda t, x: 0.2 * x * np.cos(2.0 * t),
-               lambda t, x: 0.3 * np.tanh(x)),
-    hbar=0.9)
+               lambda t, x: 0.3 * np.tanh(x)))
+#: the steps take hbar from the spinor's grid
+HBAR = 0.9
 
 
 @pytest.mark.parametrize("n", [64, 1024])
 def test_pauli_step_matches_reference_over_many_steps(n):
-    grid = make_grid(10.0, n, DRIVEN.hbar)
+    grid = make_grid(10.0, n, HBAR)
     up = np.exp(-(grid.x - 1.0) ** 2 + 0.5j * grid.x)
     down = 0.6 * np.exp(-(grid.x + 0.5) ** 2 / 2)
     new = ref = SpinorWaveFunction(up, down, grid)
@@ -70,7 +71,7 @@ def test_pauli_step_matches_reference_over_many_steps(n):
 
 
 def test_pauli_step_leaves_its_input_unchanged():
-    grid = make_grid(10.0, 64, DRIVEN.hbar)
+    grid = make_grid(10.0, 64, HBAR)
     up = np.exp(-grid.x ** 2).astype(complex)
     down = 0.5 * up
     spinor = SpinorWaveFunction(up.copy(), down.copy(), grid)

@@ -94,8 +94,7 @@ def moyal_rotation(hbar, n_steps):
     oscillator = MoleculeSpec(kinetic=lambda p: p ** 2 / 2,
                               v_ground=lambda x: x ** 2 / 2,
                               v_excited=lambda x: x ** 2 / 2,
-                              dipole=lambda x: 0.0 * x, pulse=lambda t: 0.0,
-                              hbar=hbar)
+                              dipole=lambda x: 0.0 * x, pulse=lambda t: 0.0)
     dt = QUARTER / n_steps
     for m in range(n_steps):
         w2 = moyal_two_state_step(w2, m * dt, dt, oscillator, symmetrize=True)

@@ -6,10 +6,10 @@ refuses NaN, +inf and -inf with a ``ValueError`` whose message starts with
 the argument's name.  ``CONTRACT`` lists each (function, argument) pair
 once, with a valid value of the argument and a call that is valid apart
 from it.  The counts among them (``COUNTS``) also refuse a float or a bool,
-as the config schema's ``integer`` does.  The steppers that divide their
-phases by a spec's hbar (``HBAR_STEPPERS``) refuse one other than their
-state's, naming both.  ``absorbing_potential`` also refuses a zero or
-negative dt or hbar and a mask value outside [0, 1].
+as the config schema's ``integer`` does.  The stepper that divides its
+phases by a spec's hbar (``HBAR_STEPPERS``) refuses one other than its
+state's, naming both.  The two-level specs have no hbar: their steppers
+read the state's.
 """
 
 import math
@@ -41,13 +41,10 @@ from dynkit.stationary import (
 from dynkit.steps import is_finite_number, require, require_count
 from dynkit.tdse import (
     PauliHamiltonianSpec,
-    SpinorWaveFunction,
     SplitStepEngine,
-    absorbing_potential,
     cosine_absorbing_mask,
     gaussian_packet,
     imaginary_time_ground,
-    pauli_split_op_step,
 )
 from dynkit.wigner import (
     MoleculeSpec,
@@ -59,7 +56,6 @@ from dynkit.wigner import (
 OSCILLATOR = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
                              potential=lambda t, x: x ** 2 / 2)
 GRID = make_grid(8.0, 16)
-MASK = cosine_absorbing_mask(GRID)
 LEVELS = np.array([0.0, 0.5, 1.2])
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _TWO_LEVEL = (np.array([0.0, 1.0], dtype=complex), np.diag([0.0, 1.0]).astype(complex),
@@ -80,20 +76,11 @@ def _collision(gamma):
     return random_collision_step(rho, 0.0, 0.05, OSCILLATOR, gamma, rho)
 
 
-def _two_state(dt, spec=MOLECULE):
+def _two_state(dt):
     w = wigner_from_density(_rho())
     w2 = TwoStateWigner(w.values, 0.25 * w.values, (0.3 + 0.1j) * w.values,
                         w.x, w.p, GRID.hbar)
-    return moyal_two_state_step(w2, 0.0, dt, spec)
-
-
-def _pauli(hbar):
-    psi = gaussian_packet(GRID, x0=0.5)
-    spec = PauliHamiltonianSpec(kinetic=(lambda t, p: p ** 2 / 2, None, None, None),
-                                potential=(None, lambda t, x: 0.3 * x, None, None),
-                                hbar=hbar)
-    return pauli_split_op_step(SpinorWaveFunction(psi.values, 0.5 * psi.values, GRID),
-                               0.0, 0.05, spec)
+    return moyal_two_state_step(w2, 0.0, dt, MOLECULE)
 
 
 def _ensemble(n_steps=2, stride=1):
@@ -135,8 +122,6 @@ CONTRACT = [
         GRID, OSCILLATOR).run(gaussian_packet(GRID).values, 0.0, 0.05, 2, stride=v))),
     ("cosine_absorbing_mask", "power", 0.125,
      lambda v: cosine_absorbing_mask(GRID, power=v)),
-    ("absorbing_potential", "dt", 0.01, lambda v: absorbing_potential(MASK, v)),
-    ("absorbing_potential", "hbar", 1.0, lambda v: absorbing_potential(MASK, 0.01, v)),
     ("imaginary_time_ground", "dtau", 0.05, lambda v: imaginary_time_ground(
         gaussian_packet(GRID), v, OSCILLATOR, tol=1e-6)),
     ("imaginary_time_ground", "tol", 1e-6, lambda v: imaginary_time_ground(
@@ -174,44 +159,11 @@ def test_counts_table_holds_every_count_argument():
                          "propagate_ensemble-stride"]
 
 
-def _mask_with(value):
-    mask = MASK.copy()
-    mask[3] = value
-    return mask
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("mask, dt, hbar, message", [
-    (MASK, 0.0, 1.0, "dt must be positive and finite, got 0.0"),
-    (MASK, -0.01, 1.0, "dt must be positive and finite, got -0.01"),
-    (MASK, 0.01, -1.0, "hbar must be positive and finite, got -1.0"),
-    (MASK, 0.01, 0.0, "hbar must be positive and finite, got 0.0"),
-    (MASK, 1e-10, 1e300, "2 hbar / dt must be finite, got inf"),
-    (_mask_with(math.nan), 0.01, 1.0, "mask values must lie in \\[0, 1\\]"),
-    (_mask_with(1.5), 0.01, 1.0, "mask values must lie in \\[0, 1\\]"),
-    (_mask_with(-0.1), 0.01, 1.0, "mask values must lie in \\[0, 1\\]"),
-], ids=["dt0", "dt<0", "hbar<0", "hbar0", "scale-overflow", "nan-mask",
-        "mask>1", "mask<0"])
-def test_absorbing_potential_refuses_a_non_absorbing_b(mask, dt, hbar, message):
-    # each of these gave a ZeroDivisionError, an all-NaN B or a negative,
-    # amplifying B instead of naming its argument
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        absorbing_potential(mask, dt, hbar)
-
-
-def test_absorbing_potential_takes_a_mask_reaching_zero():
-    b = absorbing_potential(_mask_with(0.0), 0.01)
-    assert b[3] == np.inf and np.all(b[np.arange(GRID.n) != 3] >= 0)
-
-
 #: (stepper, the state's hbar it compares with spec.hbar, a call with spec.hbar = v);
 #: GRID and the states built on it have hbar = 1
 HBAR_STEPPERS = [
     ("SplitStepEngine", "grid.hbar",
      lambda v: SplitStepEngine(GRID, replace(OSCILLATOR, hbar=v))),
-    ("pauli_split_op_step", "spinor.grid.hbar", _pauli),
-    ("moyal_two_state_step", "w2.hbar",
-     lambda v: _two_state(0.01, replace(MOLECULE, hbar=v))),
 ]
 
 
@@ -229,6 +181,18 @@ def test_spec_hbar_other_than_the_states_refused_naming_both(stepper, name, call
 def test_spec_hbar_of_the_state_accepted(stepper, name, call):
     # so each refusal above is the hbar's, not another argument's
     call(1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PauliHamiltonianSpec(kinetic=(None,) * 4, potential=(None,) * 4, hbar=0.5),
+    lambda: MoleculeSpec(MOLECULE.kinetic, MOLECULE.v_ground, MOLECULE.v_excited,
+                         MOLECULE.dipole, MOLECULE.pulse, hbar=0.5),
+], ids=["PauliHamiltonianSpec", "MoleculeSpec"])
+def test_two_level_specs_take_no_hbar(build):
+    # their steppers read hbar from the state (spinor.grid.hbar, w2.hbar), so a
+    # spec's own could only disagree with it
+    with pytest.raises(TypeError, match="hbar"):
+        build()
 
 
 @pytest.mark.filterwarnings("error")

@@ -32,7 +32,6 @@ from dynkit.tdse import (
     gaussian_packet,
     propagate,
     split_op_step,
-    split_op_step_o4,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -178,7 +177,7 @@ def test_order_four_refuses_a_non_real_step(dt):
     engine = SplitStepEngine(grid, HARMONIC)
     for call in (lambda: engine.step(psi.values, 0.0, dt, 4),
                  lambda: next(engine.run(psi.values, 0.0, dt, 3, 4)),
-                 lambda: split_op_step_o4(psi, 0.0, dt, HARMONIC)):
+                 lambda: split_op_step(psi, 0.0, dt, HARMONIC, order=4)):
         with pytest.raises(ValueError, match="order 4 needs a real dt"):
             call()
 
@@ -192,7 +191,7 @@ def test_order_two_imaginary_and_order_four_real_steps_still_run():
     assert cooled.tobytes() == first.tobytes()
     assert np.max(np.abs(cooled - reference_step(psi, 0.0, -0.01j,
                                                  HARMONIC).values)) <= 1e-12
-    moved = split_op_step_o4(psi, 0.0, 0.01, HARMONIC)
+    moved = split_op_step(psi, 0.0, 0.01, HARMONIC, order=4)
     assert np.max(np.abs(moved.values - reference_step_o4(psi, 0.0, 0.01,
                                                          HARMONIC).values)) <= 1e-12
 
@@ -317,7 +316,7 @@ def test_non_finite_phases_are_refused(term, bad, time_independent):
     engine = SplitStepEngine(grid, spec)
     rho = pure_state_density(psi)
     calls = [lambda: split_op_step(psi, 0.0, 0.01, spec),
-             lambda: split_op_step_o4(psi, 0.0, 0.01, spec),
+             lambda: split_op_step(psi, 0.0, 0.01, spec, order=4),
              lambda: next(engine.run(psi.values, 0.0, -0.01j, 3)),
              lambda: next(run_density(engine, rho.values, 0.0, 0.01, 3)),
              lambda: lindblad_x_step(rho, 0.0, 0.01, spec, lambda x: 0.3 * x),

@@ -104,9 +104,9 @@ def _sandwich_blocks(tl, blocks, tr):
             (m21 * r11 + m22 * r21, m21 * r12 + m22 * r22))
 
 
-def _rotation_entries(spec: MoleculeSpec, q: np.ndarray, t: float, dt: float):
+def _rotation_entries(spec: MoleculeSpec, q: np.ndarray, t: float, dt: float,
+                      hbar: float):
     """Entries of T(q) = exp[-(i dt/hbar)(sigma_x V_eg + sigma_z (V_g - V_e)/2)]."""
-    hbar = spec.hbar
     v_eg = -np.asarray(spec.dipole(q)) * spec.pulse(t)
     half_gap = 0.5 * (np.asarray(spec.v_ground(q)) - np.asarray(spec.v_excited(q)))
     d = np.sqrt(v_eg ** 2 + half_gap ** 2)
@@ -125,7 +125,7 @@ def _dagger(tmat):
 def reference_moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
                                    spec: MoleculeSpec,
                                    symmetrize: bool = False) -> TwoStateWigner:
-    hbar = spec.hbar
+    hbar = w2.hbar
     n_x, n_p = w2.w_g.shape
     if n_x % 4 or n_p % 4:
         raise ValueError("both Wigner axes must be divisible by 4")
@@ -170,8 +170,8 @@ def reference_moyal_two_state_step(w2: TwoStateWigner, t: float, dt: float,
     def potential(blocks):
         transformed = tuple(tuple(drop_nyquist(fft_bridge(b, axis=1), 1)
                                   for b in row) for row in blocks)
-        tl = _rotation_entries(spec, x_minus, tm, dt)
-        tr = _dagger(_rotation_entries(spec, x_plus, tm, dt))
+        tl = _rotation_entries(spec, x_minus, tm, dt, hbar)
+        tr = _dagger(_rotation_entries(spec, x_plus, tm, dt, hbar))
         sandwiched = _sandwich_blocks(tl, transformed, tr)
         sandwiched = tuple(tuple(mean_phase * b for b in row)
                            for row in sandwiched)
