@@ -1,15 +1,15 @@
 """One contract for scalar arguments: ``steps.require``, ``steps.require_count``
 and ``steps.is_finite_number``.
 
-Every library argument checked through ``require`` or ``require_count``
-refuses NaN, +inf and -inf with a ``ValueError`` whose message starts with
-the argument's name.  ``CONTRACT`` lists each (function, argument) pair
+Every library argument checked through ``require``, ``require_count`` or,
+for a step dt, ``require_step`` refuses NaN, +inf and -inf with a
+``ValueError`` whose message starts with the argument's name.  ``CONTRACT`` lists each (function, argument) pair
 once, with a valid value of the argument and a call that is valid apart
 from it.  The counts among them (``COUNTS``) also refuse a float or a bool,
 as the config schema's ``integer`` does.  The stepper that divides its
 phases by a spec's hbar (``HBAR_STEPPERS``) refuses one other than its
 state's, naming both.  The two-level specs have no hbar: their steppers
-read the state's.
+divide their phases by the state's.
 """
 
 import math
@@ -41,10 +41,13 @@ from dynkit.stationary import (
 from dynkit.steps import is_finite_number, require, require_count
 from dynkit.tdse import (
     PauliHamiltonianSpec,
+    SpinorWaveFunction,
     SplitStepEngine,
     cosine_absorbing_mask,
     gaussian_packet,
     imaginary_time_ground,
+    pauli_split_op_step,
+    split_op_step,
 )
 from dynkit.wigner import (
     MoleculeSpec,
@@ -83,6 +86,14 @@ def _two_state(dt):
     return moyal_two_state_step(w2, 0.0, dt, MOLECULE)
 
 
+def _pauli(dt):
+    psi = gaussian_packet(GRID, x0=0.5)
+    spec = PauliHamiltonianSpec(kinetic=(lambda t, p: p ** 2 / 2, None, None, None),
+                                potential=(None, lambda t, x: 0.3 * x, None, None))
+    return pauli_split_op_step(SpinorWaveFunction(psi.values, 0.5 * psi.values, GRID),
+                               0.0, dt, spec)
+
+
 def _ensemble(n_steps=2, stride=1):
     spec = ClassicalSpec(dk_dp=lambda p, s: p, du_dx=lambda x, s: x)
     ensemble = ClassicalEnsemble(np.array([0.1]), np.array([0.2]), np.array([1.0]))
@@ -118,6 +129,9 @@ CONTRACT = [
     ("find_spectral_peaks", "rel_threshold", 0.05, lambda v: find_spectral_peaks(
         np.arange(4.0), np.ones(4), rel_threshold=v)),
     ("gaussian_packet", "sigma", 1.0, lambda v: gaussian_packet(GRID, sigma=v)),
+    ("split_op_step", "dt", 0.05, lambda v: split_op_step(
+        gaussian_packet(GRID), 0.0, v, OSCILLATOR, order=4)),
+    ("pauli_split_op_step", "dt", 0.05, _pauli),
     ("SplitStepEngine.run", "stride", 1, lambda v: list(SplitStepEngine(
         GRID, OSCILLATOR).run(gaussian_packet(GRID).values, 0.0, 0.05, 2, stride=v))),
     ("cosine_absorbing_mask", "power", 0.125,
@@ -193,6 +207,50 @@ def test_two_level_specs_take_no_hbar(build):
     # spec's own could only disagree with it
     with pytest.raises(TypeError, match="hbar"):
         build()
+
+
+#: a constant sigma_z splitting: C on the ground/up level, -C on the other
+SPLITTING = 0.7
+
+
+def _pauli_phases(hbar, dt):
+    """(stepped, exact) spinors under H = C sigma_z, on a grid of ``hbar``."""
+    grid = make_grid(8.0, 16, hbar=hbar)
+    psi = gaussian_packet(grid, x0=0.5).values
+    spec = PauliHamiltonianSpec(kinetic=(None,) * 4,
+                                potential=(None, None, None,
+                                           lambda t, x: SPLITTING + 0.0 * x))
+    out = pauli_split_op_step(SpinorWaveFunction(psi, 0.5 * psi, grid), 0.0, dt, spec)
+    phase = np.exp(-1j * SPLITTING * dt / hbar)
+    return (np.array([out.up, out.down]),
+            np.array([phase * psi, 0.5 * psi / phase]))
+
+
+def _moyal_phases(hbar, dt):
+    """(stepped, exact) coherences under surfaces C and -C, on a grid of ``hbar``."""
+    grid = make_grid(8.0, 16, hbar=hbar)
+    w = wigner_from_density(pure_state_density(gaussian_packet(grid, x0=0.5)))
+    w2 = TwoStateWigner(w.values, 0.25 * w.values, (0.3 + 0.1j) * w.values,
+                        w.x, w.p, w.hbar)
+
+    def coherence(splitting):
+        spec = MoleculeSpec(kinetic=lambda p: 0.0 * p,
+                            v_ground=lambda x: splitting + 0.0 * x,
+                            v_excited=lambda x: -splitting + 0.0 * x,
+                            dipole=lambda x: 0.0 * x, pulse=lambda t: 1.0)
+        return moyal_two_state_step(w2, 0.0, dt, spec).w_ge.copy()
+
+    # T = exp[-(i dt/hbar) sigma_z C] on the left and its adjoint on the right;
+    # the unsplit step only projects out the unpaired Nyquist slots
+    return coherence(SPLITTING), np.exp(-2j * SPLITTING * dt / hbar) * coherence(0.0)
+
+
+@pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("phases", [_pauli_phases, _moyal_phases],
+                         ids=["pauli_split_op_step", "moyal_two_state_step"])
+def test_two_level_step_divides_its_phases_by_the_states_hbar(phases, hbar):
+    stepped, exact = phases(hbar, 0.05)
+    assert np.max(np.abs(stepped - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 @pytest.mark.filterwarnings("error")

@@ -182,6 +182,36 @@ def test_order_four_refuses_a_non_real_step(dt):
             call()
 
 
+@pytest.mark.parametrize("order", [1, 3, "4"])
+@pytest.mark.parametrize("entry", ["split_op_step", "propagate", "SplitStepEngine.step",
+                                   "SplitStepEngine.run"])
+def test_an_order_other_than_two_or_four_is_refused(entry, order):
+    grid = make_grid(8.0, 64)
+    psi = gaussian_packet(grid)
+    engine = SplitStepEngine(grid, HARMONIC)
+    call = {
+        "split_op_step": lambda: split_op_step(psi, 0.0, 0.01, HARMONIC, order=order),
+        "propagate": lambda: propagate(psi, 0.0, 0.03, 0.01, HARMONIC, order=order),
+        "SplitStepEngine.step": lambda: engine.step(psi.values, 0.0, 0.01, order),
+        "SplitStepEngine.run": lambda: next(engine.run(psi.values, 0.0, 0.01, 3, order)),
+    }[entry]
+    with pytest.raises(ValueError, match="^order must be 2 or 4$"):
+        call()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_split_op_step_is_the_engine_step_of_its_order(order):
+    # one public step for both orders: split_op_step(..., order) is the
+    # engine's step of that order, bit for bit, and the default is Strang
+    grid = make_grid(8.0, 64)
+    psi = gaussian_packet(grid, x0=0.5, p0=0.3)
+    expected = SplitStepEngine(grid, DRIVEN).step(psi.values, 0.2, 0.01, order)
+    assert split_op_step(psi, 0.2, 0.01, DRIVEN, order=order).values.tobytes() \
+        == expected.tobytes()
+    if order == 2:
+        assert split_op_step(psi, 0.2, 0.01, DRIVEN).values.tobytes() == expected.tobytes()
+
+
 def test_order_two_imaginary_and_order_four_real_steps_still_run():
     grid = make_grid(16.0, 4096)
     psi = gaussian_packet(grid)

@@ -3,6 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from dynkit import tdse
 from dynkit.errors import ConvergenceError
 from dynkit.grids import fft_bridge, make_grid
 from dynkit.matfunc import func_of_hermitian
@@ -319,6 +320,30 @@ class TestSpectralGap:
                                          0.01, OSCILLATOR, tol=1e-13)
         with pytest.raises(ConvergenceError):
             spectral_gap_estimate(psi0, g.x, 0.05, 8.0, OSCILLATOR)
+
+    @pytest.mark.parametrize("fraction", [tdse.GAP_FIT_FRACTION, 0.25])
+    def test_fit_takes_the_trailing_gap_fit_fraction(self, monkeypatch, fraction):
+        # ln|C| falls at rate 3 until the trailing fraction of the window and
+        # at rate 1 within it, so only a fit over that fraction gives 1
+        monkeypatch.setattr(tdse, "GAP_FIT_FRACTION", fraction)
+        dtau, n = 0.02, 601
+        kink = (1.0 - fraction) * (n - 1) * dtau
+        taus = dtau * np.arange(n)
+        ys = np.where(taus < kink, -3.0 * taus, -3.0 * kink - (taus - kink))
+        assert abs(tdse._gap_from_magnitudes(np.exp(ys), dtau) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("estimate", ["continuous", "discrete"])
+    def test_estimators_take_no_fit_fraction(self, estimate):
+        g = make_grid(10.0, 128)
+        h = np.diag([0.0, 1.7]).astype(complex)
+        sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+        with pytest.raises(TypeError, match="fit_fraction"):
+            if estimate == "continuous":
+                spectral_gap_estimate(gaussian_packet(g, x0=0.4, p0=1.0), g.x,
+                                      0.02, 10.0, OSCILLATOR, fit_fraction=0.4)
+            else:
+                spectral_gap_estimate_discrete(np.array([1.0, 1.0j]), h, sigma_x,
+                                               0.02, 12.0, fit_fraction=0.4)
 
     def test_partial_last_step_rejected(self):
         g = make_grid(10.0, 128)
