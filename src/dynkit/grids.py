@@ -136,7 +136,9 @@ def _fft(w, axis=-1, inverse=False):
     ``ifft`` bit for bit (the same gufunc, factor and axes) without their
     Python wrapper, which costs about as much as the transform itself at
     n = 256.  ``axes=`` is passed only for an axis other than the last,
-    where it would cost a third of a microsecond more per call.
+    where it would cost a third of a microsecond more per call.  A pass
+    along an axis whose stride is a multiple of 4 KiB, as down the columns
+    of a 256 x 256 or 512 x 512 array, runs about 1.6-1.9x slower.
     """
     transform = _gufuncs()[inverse]
     fct = 1.0 / w.shape[axis] if inverse else 1.0

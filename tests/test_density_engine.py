@@ -339,6 +339,9 @@ def _loop_cases(n, spec_name, stride, loop):
     got = []
     for m, values in run_density(SplitStepEngine(rho.grid, spec), rho.values,
                                  T0, DT, n_steps, g, stride):
+        # momentum_distribution ravels a record, which copies a padded view
+        assert values.shape == (n, n) and values.dtype == np.complex128
+        assert values.flags.c_contiguous and values.flags.owndata
         got.append((m, values.tobytes()))
         values[...] = np.nan  # a yield the loop still used would spoil the rest
     assert [m for m, _ in got] == [m for m, _ in expected]
@@ -347,12 +350,40 @@ def _loop_cases(n, spec_name, stride, loop):
 
 @pytest.mark.parametrize("stride", [1, 7])
 @pytest.mark.parametrize("spec_name", sorted(SPECS))
-@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("n", [64, 256, 512])
 def test_in_place_loop_is_the_out_of_place_loop_bit_for_bit(n, spec_name,
                                                             stride):
-    # the driven spec rebuilds K and the merged factor every step
+    # the driven spec rebuilds K and the merged factor every step; at
+    # n = 256 and 512 an unpadded row would be a multiple of 4 KiB
     got, expected = _loop_cases(n, spec_name, stride, reference_run_density)
     assert [b for _, b in got] == [v.tobytes() for _, v in expected]
+
+
+def _inf_filled(make):
+    def filled(*args, **kwargs):
+        a = make(*args, **kwargs)
+        if np.issubdtype(a.dtype, np.inexact):
+            a.fill(np.inf)
+        return a
+    return filled
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_loop_pad_column_never_reaches_a_number(n, monkeypatch):
+    # the loop's arrays are allocated empty; filled with inf instead, a pad
+    # entry the loop did not zero would make inf * 0 in the next product
+    monkeypatch.setattr(np, "empty", _inf_filled(np.empty))
+    monkeypatch.setattr(np, "empty_like", _inf_filled(np.empty_like))
+    rho = _state(n, "nonhermitian", DRIVEN.hbar)
+    g = coupling_factor(rho.grid, COUPLINGS["complex"], DT)
+    assert g.dtype == np.complex128
+    n_steps = 4
+    expected = list(reference_run_density(SplitStepEngine(rho.grid, DRIVEN),
+                                          rho.values, T0, DT, n_steps, g))
+    with np.errstate(all="raise"):  # stride 1 rebuilds the merged factor
+        got = list(run_density(SplitStepEngine(rho.grid, DRIVEN), rho.values,
+                               T0, DT, n_steps, g, stride=1))
+    assert [v.tobytes() for _, v in got] == [v.tobytes() for _, v in expected]
 
 
 #: Largest |difference| allowed between the split kinetic factors and the
