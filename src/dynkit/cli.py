@@ -596,7 +596,6 @@ def _run_classical(cfg, sink):
 
 
 def _run_lindblad(cfg, sink):
-    import numpy as np
     from . import open_systems as osys
     from .tdse import SplitStepEngine, gaussian_packet
 
@@ -607,17 +606,10 @@ def _run_lindblad(cfg, sink):
     dt = block["dt"]
     n_steps = step_count(block["t_max"], dt)
     engine = SplitStepEngine(grid, spec)
-    u, k = engine.terms()
-    dp = grid.p_fft[1] - grid.p_fft[0]
     rows = []
 
     def record(step, rho):
-        px = osys.position_distribution(rho)
-        pp = osys.momentum_distribution(rho)
-        x_mean = float(np.sum(grid.x * px) * grid.dx)
-        p_mean = float(np.sum(grid.p_fft * pp) * dp)
-        energy = float(np.sum(k * pp) * dp + np.sum(u * px) * grid.dx)
-        rows.append((step * dt, x_mean, p_mean, energy, rho.trace().real))
+        rows.append((step * dt, *osys._density_observables(engine, step * dt, rho)))
 
     record(0, rho)
     g = osys.coupling_factor(grid, coupling, dt)

@@ -23,7 +23,7 @@ from .grids import HamiltonianSpec, UniformGrid, _alt_signs, _fft
 from .matfunc import (_hermitian_solve, _hermiticity_defect, expm_pade,
                       func_of_hermitian)
 from .steps import require, require_count, require_step, step_count
-from .tdse import SplitStepEngine, WaveFunction, _spreads
+from .tdse import SplitStepEngine, WaveFunction
 
 
 @dataclass
@@ -121,10 +121,23 @@ def momentum_distribution(rho: DensityMatrix) -> np.ndarray:
     return p * (grid.dx ** 2 / (2.0 * np.pi * grid.hbar))
 
 
-def density_uncertainty(rho: DensityMatrix) -> tuple[float, float]:
-    """(sigma_x, sigma_p) from trace moments of a grid density matrix."""
-    return _spreads(rho.grid, position_distribution(rho),
-                    momentum_distribution(rho))
+def _density_observables(engine: SplitStepEngine, t: float, rho: DensityMatrix):
+    """(x_mean, p_mean, energy, trace) of a grid density at time ``t``.
+
+    The density counterpart of ``tdse._observables``: each moment is the sum
+    of its axis times P(x) or P(p), with weight dx or dp, and the energy adds
+    <K(t, p)> and <U(t, x)> from ``engine.terms(t)``.  The means are not
+    divided by the trace.
+    """
+    grid = engine.grid
+    u, k = engine.terms(t)
+    px = position_distribution(rho)
+    pp = momentum_distribution(rho)
+    dp = grid.p_fft[1] - grid.p_fft[0]
+    x_mean = float(np.sum(grid.x * px) * grid.dx)
+    p_mean = float(np.sum(grid.p_fft * pp) * dp)
+    energy = float(np.sum(k * pp) * dp + np.sum(u * px) * grid.dx)
+    return x_mean, p_mean, energy, rho.trace().real
 
 
 def gibbs_density(h: np.ndarray, beta: float,
@@ -416,18 +429,6 @@ def pauli_master_solve(rates: RateMatrix, p0: np.ndarray,
 # ---------------------------------------------------------------------------
 # dissipator structure and the superoperator oracle
 # ---------------------------------------------------------------------------
-
-
-def dissipator_action(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """rho -> A rho A^H - (1/2){A^H A, rho}."""
-    a = np.asarray(a, dtype=complex)
-    ad = a.conj().T
-    ada = ad @ a
-
-    def act(rho):
-        return a @ rho @ ad - 0.5 * (rho @ ada + ada @ rho)
-
-    return act
 
 
 def dissipator_split(a: np.ndarray) -> tuple[Callable, Callable]:

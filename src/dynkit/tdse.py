@@ -139,12 +139,6 @@ def energy_expectation(psi: WaveFunction, spec: HamiltonianSpec,
     return SplitStepEngine(psi.grid, spec).energy(psi.values, t)
 
 
-def apply_hamiltonian(psi: WaveFunction, spec: HamiltonianSpec,
-                      t: float = 0.0) -> np.ndarray:
-    """H psi = F^-1[K(t,p) F[psi]] + U(t,x) psi as raw amplitudes."""
-    return SplitStepEngine(psi.grid, spec).apply_hamiltonian(psi.values, t)
-
-
 def _checked_mask(mask, n: int) -> np.ndarray:
     """``mask`` as floats; ValueError unless it has the grid's n points and its
     values lie in [0, 1]."""

@@ -177,6 +177,57 @@ def test_module_import_graph_has_no_cycle():
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
+# (module, name): why a public name with neither an export nor a reader in
+# the package stays
+UNREAD = {
+    ("tdse", "energy_expectation"):
+        "perfbench's tracer wraps it to time energy evaluations, until the "
+        "per-layer numbers come from each run's manifest",
+}
+
+
+def _reads(package, modules):
+    """{(module, name)} of what the package's modules read from one another:
+    a name loaded in its own module, a name imported from a module, or an
+    attribute of a module imported under some name."""
+    reads = set()
+    for module in modules:
+        with open(os.path.join(package, f"{module}.py")) as fh:
+            tree = ast.parse(fh.read())
+        bound = {}  # local name -> the dynkit module it binds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        bound[alias.asname or alias.name] = alias.name
+                    else:
+                        reads.add((node.module, alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add((module, node.id))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in bound):
+                reads.add((bound[node.value.id], node.attr))
+    return reads
+
+
+def test_every_public_definition_is_exported_or_read_in_the_package():
+    package = os.path.dirname(dynkit.__file__)
+    reads = _reads(package, [f[:-3] for f in os.listdir(package)
+                             if f.endswith(".py")])
+    unread = set()
+    for module in dynkit._EXPORTS:
+        with open(os.path.join(package, f"{module}.py")) as fh:
+            body = ast.parse(fh.read()).body
+        unread |= {(module, node.name) for node in body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")
+                   and node.name not in dynkit.__all__
+                   and (module, node.name) not in reads}
+    # a test-only helper belongs in its test; a stale exemption goes too
+    assert sorted(unread) == sorted(UNREAD)
+
+
 @pytest.mark.parametrize("module, name", NAMES)
 def test_exported_names_resolve_to_submodule_objects(module, name):
     assert getattr(dynkit, name) is getattr(

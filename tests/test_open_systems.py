@@ -13,9 +13,8 @@ from dynkit.stationary import (
 from dynkit.open_systems import (
     DensityMatrix,
     RateMatrix,
+    _density_observables,
     coupling_factor,
-    density_uncertainty,
-    dissipator_action,
     dissipator_split,
     fermi_dirac_rates,
     gibbs_density,
@@ -27,14 +26,18 @@ from dynkit.open_systems import (
     mcwf_trajectory,
     momentum_distribution,
     pauli_master_solve,
+    position_distribution,
     pure_state_density,
     random_collision_step,
     vonneumann_step,
 )
-from dynkit.tdse import gaussian_packet, split_op_step
+from dynkit.tdse import (SplitStepEngine, _observables, _spreads,
+                         gaussian_packet, split_op_step)
 
 OSCILLATOR = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
                              potential=lambda t, x: x ** 2 / 2)
+DRIVEN = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
+                         potential=lambda t, x: x ** 2 / 2 + 0.3 * x * np.sin(1.3 * t))
 TRIVIAL = HamiltonianSpec(kinetic=lambda t, p: 0.0 * p,
                           potential=lambda t, x: 0.0 * x)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -130,7 +133,7 @@ class TestLindbladXStep:
         for m in range(60):
             rho = lindblad_x_step(rho, m * 0.02, 0.02, OSCILLATOR,
                                   lambda x: 0.4 * x)
-        sx, sp = density_uncertainty(rho)
+        sx, sp = _spreads(g, position_distribution(rho), momentum_distribution(rho))
         assert sx * sp >= 0.5 - 1e-6
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -327,9 +330,9 @@ class TestDissipatorSplit:
         rng = np.random.default_rng(32)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         sym, anti = dissipator_split(a)
-        full = dissipator_action(a)
         rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.max(np.abs(sym(rho) + anti(rho) - full(rho))) < 1e-12
+        full = lindblad_superoperator(np.zeros((4, 4)), [a]) @ rho.reshape(-1)
+        assert np.max(np.abs((sym(rho) + anti(rho)).reshape(-1) - full)) < 1e-12
 
     def test_lowering_operator_against_superoperator_oracle(self):
         sym, anti = dissipator_split(SIGMA_MINUS)
@@ -475,8 +478,43 @@ class TestDensityHelpers:
         h = build_spectral_hamiltonian(g, OSCILLATOR)
         rho = gibbs_density(h, beta=2.0, grid=g)
         rho.validate()
-        sx, sp = density_uncertainty(rho)
+        sx, sp = _spreads(g, position_distribution(rho), momentum_distribution(rho))
         assert sx * sp >= 0.5 - 1e-6
+
+    @pytest.mark.parametrize("state", ["dephased_boost", "gibbs"])
+    def test_density_observables_match_dense_operator_traces(self, state):
+        g = make_grid(8.0, 64)
+        if state == "gibbs":
+            rho = gibbs_density(build_spectral_hamiltonian(g, OSCILLATOR),
+                                beta=2.0, grid=g)
+        else:
+            rho = pure_state_density(gaussian_packet(g, x0=1.0, p0=1.5, sigma=0.9))
+            for m in range(20):
+                rho = lindblad_x_step(rho, m * 0.02, 0.02, OSCILLATOR,
+                                      lambda x: 0.4 * x)
+        t = 0.7
+        x_mean, p_mean, energy, trace = _density_observables(
+            SplitStepEngine(g, DRIVEN), t, rho)
+        momentum = HamiltonianSpec(kinetic=lambda t, p: p,
+                                   potential=lambda t, x: 0.0 * x)
+        p_dense = build_spectral_hamiltonian(g, momentum)
+        h_dense = build_spectral_hamiltonian(g, DRIVEN, t)
+        assert abs(x_mean - np.sum(g.x * np.diag(rho.values).real) * g.dx) < 1e-12
+        assert abs(p_mean - np.trace(p_dense @ rho.values).real * g.dx) < 1e-12
+        assert abs(energy - np.trace(h_dense @ rho.values).real * g.dx) < 1e-12
+        assert abs(trace - 1.0) < 1e-12
+
+    def test_density_observables_of_a_pure_state_are_its_packets(self):
+        g = make_grid(8.0, 64)
+        psi = gaussian_packet(g, x0=1.0, p0=1.5, sigma=0.9)
+        engine, t = SplitStepEngine(g, DRIVEN), 0.7
+        got = _density_observables(engine, t, pure_state_density(psi))
+        x_mean, p_mean, energy, norm = (
+            float(column[0]) for column in _observables(engine, [t], psi.values[None]))
+        assert abs(got[0] - x_mean) < 1e-12
+        assert abs(got[1] - p_mean) < 1e-12
+        assert abs(got[2] - energy) < 1e-12
+        assert abs(got[3] - norm ** 2) < 1e-12
 
     @pytest.mark.parametrize("beta", [np.nan, np.inf, -0.5])
     def test_gibbs_density_rejects_bad_beta(self, beta):

@@ -16,9 +16,9 @@ from dynkit.tdse import (
     TRIPLE_JUMP_S,
     PauliHamiltonianSpec,
     SpinorWaveFunction,
+    SplitStepEngine,
     WaveFunction,
     apply_absorbing_boundary,
-    apply_hamiltonian,
     compute_uncertainty,
     cosine_absorbing_mask,
     gaussian_packet,
@@ -438,7 +438,7 @@ def test_apply_hamiltonian_matches_the_dense_spectral_hamiltonian(spec, t):
     g = make_grid(8.0, 64)
     psi = gaussian_packet(g, x0=0.8, p0=-1.1, sigma=0.9)
     dense = build_spectral_hamiltonian(g, spec, t) @ psi.values
-    got = apply_hamiltonian(psi, spec, t)
+    got = SplitStepEngine(g, spec).apply_hamiltonian(psi.values, t)
     assert got.shape == psi.values.shape
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
