@@ -552,7 +552,8 @@ def _run_imagtime(cfg, sink):
     states = []
     for n in range(block["n_states"]):
         guess = tdse.gaussian_packet(grid, x0=0.3 * n, sigma=1.0 / (1.0 + 0.3 * n))
-        e, psi = tdse.imaginary_time_excited(n, states, guess, dtau, spec, tol)
+        e, psi = tdse.imaginary_time_ground(guess, dtau, spec, tol,
+                                            known_states=states)
         energies.append(e)
         states.append(psi)
     sink.csv("energies.csv", ("index", "E"), list(enumerate(energies)))

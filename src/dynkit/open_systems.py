@@ -293,29 +293,21 @@ def _step_values(engine: SplitStepEngine, values: np.ndarray, t: float,
     return next(run_density(engine, values, t, dt, 1, g))[1]
 
 
-def vonneumann_step(rho: DensityMatrix, t: float, dt: float,
-                    spec: HamiltonianSpec) -> DensityMatrix:
-    """Second-order unitary step rho <- U rho U^H with U the Strang split step.
-
-    U is ``SplitStepEngine``'s step, with the potential and kinetic terms
-    at the midpoint; on the pair (x, x') it amounts to the phases
-    V(x') - V(x) and K(p') - K(p).  Trace and hermiticity are preserved
-    exactly (a unitary similarity), local error O(dt^3).
-    """
-    engine = _grid_engine(rho, spec, "vonneumann_step")
-    return DensityMatrix(_step_values(engine, rho.values, t, dt), rho.grid)
-
-
 def lindblad_x_step(rho: DensityMatrix, t: float, dt: float,
-                    spec: HamiltonianSpec, coupling: Callable) -> DensityMatrix:
-    """Dissipative step G o U (G o rho) U^H for a position-diagonal coupling A(x).
+                    spec: HamiltonianSpec,
+                    coupling: Callable | None = None) -> DensityMatrix:
+    """Second-order step G o U (G o rho) U^H for a position-diagonal coupling A(x).
 
-    U is the unitary step of ``vonneumann_step`` and G the (x, x') factor of
-    ``coupling_factor``, whose diagonal is one, so the trace is conserved
-    and hermiticity kept.  A constant coupling reproduces the unitary step.
+    U is ``SplitStepEngine``'s Strang step, with the potential and kinetic
+    terms at the midpoint; on the pair (x, x') it amounts to the phases
+    V(x') - V(x) and K(p') - K(p).  G is the (x, x') factor of
+    ``coupling_factor``, whose diagonal is one, so the trace is conserved and
+    hermiticity kept.  With no coupling (G = 1) the step is the unitary
+    von Neumann step rho <- U rho U^H, exact in trace and hermiticity with
+    local error O(dt^3); a constant coupling gives the same step.
     """
     engine = _grid_engine(rho, spec, "lindblad_x_step")
-    g = coupling_factor(rho.grid, coupling, dt)
+    g = 1.0 if coupling is None else coupling_factor(rho.grid, coupling, dt)
     return DensityMatrix(_step_values(engine, rho.values, t, dt, g), rho.grid)
 
 

@@ -414,38 +414,28 @@ def _flow(engine, values, dtau, n_steps, known=()):
 
 def imaginary_time_ground(psi_guess: WaveFunction, dtau: float,
                           spec: HamiltonianSpec, tol: float = 1e-12,
-                          max_iter: int = 200_000) -> tuple[float, WaveFunction]:
-    """Ground state by Wick-rotated split-operator flow with per-step renormalization.
+                          max_iter: int = 200_000,
+                          known_states: Sequence[WaveFunction] = ()
+                          ) -> tuple[float, WaveFunction]:
+    """Lowest state orthogonal to ``known_states`` by Wick-rotated split-operator flow.
 
-    Iterates psi <- N exp(-dtau H / hbar) psi until the energy expectation
-    changes by less than ``tol`` between steps.  Requires a guess with nonzero
-    ground-state overlap (not checkable; almost any positive function works).
+    Iterates psi <- N exp(-dtau H / hbar) psi, with the ``known_states``
+    projected out before each renormalization, until the energy expectation
+    changes by less than ``tol`` between steps: the ground state for no known
+    states, the n-th excited state for the n converged lower ones.  Requires
+    a guess with nonzero overlap with the target state (not checkable;
+    almost any positive function works).
     """
-    return _imaginary_time(psi_guess, dtau, spec, tol, max_iter, known=())
-
-
-def imaginary_time_excited(n_target: int, known_states: Sequence[WaveFunction],
-                           psi_guess: WaveFunction, dtau: float,
-                           spec: HamiltonianSpec, tol: float = 1e-12,
-                           max_iter: int = 200_000) -> tuple[float, WaveFunction]:
-    """n-th excited state: same flow with the known lower states projected out after every step."""
-    if len(known_states) != n_target:
-        raise ValueError(
-            f"need the {n_target} converged lower states, got {len(known_states)}"
-        )
-    return _imaginary_time(psi_guess, dtau, spec, tol, max_iter, known=known_states)
-
-
-def _imaginary_time(psi_guess, dtau, spec, tol, max_iter, known):
     require("dtau", dtau, above=0)
     require("tol", tol, above=0)
+    require_count("max_iter", max_iter, 0)
     grid = psi_guess.grid
     engine = SplitStepEngine(grid, spec)
     # energies come a block of iterations at a time; the first iteration whose
     # energy change is below tol ends the flow, and the rest of its block is dropped
     previous = None
-    for block in _blocks(_flow(engine, psi_guess.values, dtau, max_iter, known),
-                         grid.n):
+    for block in _blocks(_flow(engine, psi_guess.values, dtau, max_iter,
+                               known_states), grid.n):
         energies = _observables(engine, [0.0] * len(block), np.array(block))[2]
         for values, energy in zip(block, energies):
             if previous is not None and abs(energy - previous) < tol:
@@ -488,46 +478,44 @@ def _gap_from_magnitudes(mags, dtau):
     return _fit_decay_slope(taus, ys)
 
 
-def spectral_gap_estimate(psi0: WaveFunction, observable: np.ndarray,
+def spectral_gap_estimate(psi0: WaveFunction | np.ndarray, observable: np.ndarray,
                           dtau: float, tau_max: float,
-                          spec: HamiltonianSpec) -> float:
+                          hamiltonian: HamiltonianSpec | np.ndarray) -> float:
     """Energy gap from the decay rate of ln|<[H, O]>| under normalized imaginary time.
 
-    Under the first-order condition (a non-real cross matrix element of O
-    between the lowest two eigenspaces, promoted in practice by boosting the
-    initial state) the log-commutator decays with slope -(E_1 - E_0); the
-    slope is fit over the trailing ``GAP_FIT_FRACTION`` of the recorded window.
+    ``psi0`` is a ``WaveFunction`` with ``hamiltonian`` a ``HamiltonianSpec``
+    and ``observable`` O(x) on the grid, or the state vector of a
+    discrete-level system with ``hamiltonian`` and ``observable`` dense
+    matrices.  Under the first-order condition (a non-real cross matrix
+    element of O between the lowest two eigenspaces, promoted in practice by
+    boosting the initial state) the log-commutator decays with slope
+    -(E_1 - E_0); the slope is fit over the trailing ``GAP_FIT_FRACTION`` of
+    the recorded window.
     """
+    require("dtau", dtau, above=0)
+    require("tau_max", tau_max, above=0)
     n_steps = step_count(tau_max, dtau)
     if n_steps < 8:
         raise ValueError("tau_max/dtau must allow at least 8 samples")
-    engine = SplitStepEngine(psi0.grid, spec)
     mags = []
-    for block in _blocks(_flow(engine, psi0.values, dtau, n_steps), psi0.grid.n):
-        mags.extend(np.abs(engine.commutator(np.array(block), observable)))
-    return _gap_from_magnitudes(mags, dtau)
+    if isinstance(psi0, WaveFunction):
+        engine = SplitStepEngine(psi0.grid, hamiltonian)
+        for block in _blocks(_flow(engine, psi0.values, dtau, n_steps),
+                             psi0.grid.n):
+            mags.extend(np.abs(engine.commutator(np.array(block), observable)))
+    else:
+        from .matfunc import func_of_hermitian
 
-
-def spectral_gap_estimate_discrete(psi0: np.ndarray, hamiltonian: np.ndarray,
-                                   observable: np.ndarray, dtau: float,
-                                   tau_max: float) -> float:
-    """Same estimator for a discrete-level system given dense H and O."""
-    from .matfunc import func_of_hermitian
-
-    n_steps = step_count(tau_max, dtau)
-    if n_steps < 8:
-        raise ValueError("tau_max/dtau must allow at least 8 samples")
-    h = np.asarray(hamiltonian, dtype=complex)
-    o = np.asarray(observable, dtype=complex)
-    commutator = h @ o - o @ h
-    u = func_of_hermitian(h, lambda lam: np.exp(-dtau * lam))
-    psi = np.asarray(psi0, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    mags = []
-    for _ in range(n_steps + 1):
-        mags.append(np.abs(np.conj(psi) @ commutator @ psi))
-        psi = u @ psi
+        h = np.asarray(hamiltonian, dtype=complex)
+        o = np.asarray(observable, dtype=complex)
+        commutator = h @ o - o @ h
+        u = func_of_hermitian(h, lambda lam: np.exp(-dtau * lam))
+        psi = np.asarray(psi0, dtype=complex)
         psi = psi / np.linalg.norm(psi)
+        for _ in range(n_steps + 1):
+            mags.append(np.abs(np.conj(psi) @ commutator @ psi))
+            psi = u @ psi
+            psi = psi / np.linalg.norm(psi)
     return _gap_from_magnitudes(mags, dtau)
 
 

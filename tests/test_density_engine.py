@@ -25,7 +25,6 @@ from dynkit.open_systems import (
     pure_state_density,
     random_collision_step,
     run_density,
-    vonneumann_step,
 )
 from dynkit.stationary import HamiltonianSpec
 from dynkit.tdse import SplitStepEngine, gaussian_packet
@@ -63,10 +62,10 @@ def _vonneumann_kernel(values, grid, spec, t_eval, dt):
     return _two_sided_kernel(values, xfactor, _kinetic_factor(grid, spec, t_eval, dt))
 
 
-def reference_vonneumann_step(rho: DensityMatrix, t: float, dt: float,
+def reference_unitary_step(rho: DensityMatrix, t: float, dt: float,
                               spec: HamiltonianSpec) -> DensityMatrix:
     if rho.grid is None:
-        raise ValueError("vonneumann_step needs a grid density matrix")
+        raise ValueError("the unitary step needs a grid density matrix")
     rho.grid.require_fft_bridge()
     out = _vonneumann_kernel(rho.values, rho.grid, spec, t + dt / 2.0, dt)
     return DensityMatrix(out, rho.grid)
@@ -145,8 +144,8 @@ def _state(n, kind, hbar=1.0):
 def _steppers(name, spec, rho_beta):
     """(new step, reference step), each taking (rho, t, dt)."""
     if name == "vonneumann":
-        return (lambda r, t, dt: vonneumann_step(r, t, dt, spec),
-                lambda r, t, dt: reference_vonneumann_step(r, t, dt, spec))
+        return (lambda r, t, dt: lindblad_x_step(r, t, dt, spec),
+                lambda r, t, dt: reference_unitary_step(r, t, dt, spec))
     if name == "collision":
         return (lambda r, t, dt: random_collision_step(r, t, dt, spec, GAMMA,
                                                        rho_beta),
@@ -189,7 +188,7 @@ def test_flagged_spec_evaluates_terms_once_per_step():
     spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2, potential=potential,
                            time_independent=True)
     rho = _state(64, "hermitian")
-    vonneumann_step(rho, 0.0, DT, spec)
+    lindblad_x_step(rho, 0.0, DT, spec)
     lindblad_x_step(rho, 0.0, DT, spec, COUPLINGS["linear"])
     random_collision_step(rho, 0.0, DT, spec, GAMMA, rho)
     assert len(calls) == 3
@@ -206,7 +205,7 @@ def test_loop_matches_two_sided_kernel_over_many_steps(coupling_name, spec_name,
     rho = _state(64, rho_kind, spec.hbar)
     if coupling_name is None:
         g = 1.0
-        ref = lambda r, t: reference_vonneumann_step(r, t, DT, spec)
+        ref = lambda r, t: reference_unitary_step(r, t, DT, spec)
     else:
         coupling = COUPLINGS[coupling_name]
         g = coupling_factor(rho.grid, coupling, DT)

@@ -31,9 +31,8 @@ EXPORTED = {
                   "find_spectral_peaks spectrum_via_propagation",
     "tdse": "EvolutionTrace PauliHamiltonianSpec SpinorWaveFunction "
             "SplitStepEngine WaveFunction apply_absorbing_boundary "
-            "compute_uncertainty gaussian_packet imaginary_time_excited "
-            "imaginary_time_ground pauli_split_op_step propagate "
-            "spectral_gap_estimate spectral_gap_estimate_discrete "
+            "compute_uncertainty gaussian_packet imaginary_time_ground "
+            "pauli_split_op_step propagate spectral_gap_estimate "
             "split_op_step",
     "classical": "ClassicalEnsemble ClassicalSpec ehrenfest_series "
                  "multi_dim_verlet_step propagate_ensemble verlet_step",
@@ -42,7 +41,7 @@ EXPORTED = {
                     "gibbs_rates lindblad_propagate lindblad_superoperator "
                     "lindblad_x_step mcwf_ensemble mcwf_trajectory "
                     "pauli_master_solve pure_state_density "
-                    "random_collision_step vonneumann_step",
+                    "random_collision_step",
     "wigner": "MoleculeSpec TwoStateWigner WignerFunction density_from_wigner "
               "moyal_two_state_step wigner_from_density wigner_marginals",
 }

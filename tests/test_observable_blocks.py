@@ -31,7 +31,6 @@ from dynkit.tdse import (
     cosine_absorbing_mask,
     energy_expectation,
     gaussian_packet,
-    imaginary_time_excited,
     imaginary_time_ground,
     propagate,
     spectral_gap_estimate,
@@ -535,15 +534,12 @@ def test_excited_states_match_per_iteration_loop(monkeypatch, rows):
     if rows is not None:
         rows_per_block(monkeypatch, grid.n, rows)
     known = []
-    for n_target, x0 in enumerate((0.0, 0.5, 0.9)):
+    for x0 in (0.0, 0.5, 0.9):
         guess = gaussian_packet(grid, x0=x0, sigma=0.7)
         e_ref, psi_ref, _ = reference_imaginary_time(guess, 0.01, STATIC, 1e-10,
                                                      10_000, list(known))
-        if n_target == 0:
-            energy, psi = imaginary_time_ground(guess, 0.01, STATIC, 1e-10)
-        else:
-            energy, psi = imaginary_time_excited(n_target, list(known), guess,
-                                                 0.01, STATIC, 1e-10)
+        energy, psi = imaginary_time_ground(guess, 0.01, STATIC, 1e-10,
+                                            known_states=list(known))
         assert_bitwise(energy, e_ref)
         assert_bitwise(psi.values, psi_ref.values)
         known.append(psi)
@@ -558,7 +554,8 @@ def test_imaginary_time_matches_at_any_block_size(monkeypatch, rows):
     e_ref, psi_ref, _ = reference_imaginary_time(guess, 0.01, STATIC, 1e-10,
                                                  10_000, [ground])
     rows_per_block(monkeypatch, grid.n, rows)
-    energy, psi = imaginary_time_excited(1, [ground], guess, 0.01, STATIC, 1e-10)
+    energy, psi = imaginary_time_ground(guess, 0.01, STATIC, 1e-10,
+                                        known_states=[ground])
     assert_bitwise(energy, e_ref)
     assert_bitwise(psi.values, psi_ref.values)
 
@@ -588,7 +585,8 @@ def test_imaginary_time_refuses_a_tol_that_cannot_be_met(monkeypatch, tol,
     with pytest.raises(ValueError, match="tol must be positive"):
         if excited:
             ground = gaussian_packet(grid, sigma=0.7)
-            imaginary_time_excited(1, [ground], guess, dtau, OSCILLATOR, tol)
+            imaginary_time_ground(guess, dtau, OSCILLATOR, tol,
+                                  known_states=[ground])
         else:
             imaginary_time_ground(guess, dtau, OSCILLATOR, tol)
     assert counter.calls == 0

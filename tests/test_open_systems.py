@@ -29,7 +29,6 @@ from dynkit.open_systems import (
     position_distribution,
     pure_state_density,
     random_collision_step,
-    vonneumann_step,
 )
 from dynkit.tdse import (SplitStepEngine, _observables, _spreads,
                          gaussian_packet, split_op_step)
@@ -59,7 +58,7 @@ class TestVonNeumannStep:
     def test_trivial_hamiltonian_is_identity(self):
         g = make_grid(8.0, 64)
         rho = pure_state_density(gaussian_packet(g, x0=0.5))
-        out = vonneumann_step(rho, 0.0, 0.05, TRIVIAL)
+        out = lindblad_x_step(rho, 0.0, 0.05, TRIVIAL)
         assert np.max(np.abs(out.values - rho.values)) < 1e-13
 
     def test_pure_state_matches_wavefunction_propagation(self):
@@ -68,7 +67,7 @@ class TestVonNeumannStep:
         rho = pure_state_density(psi)
         dt = 0.02
         for m in range(20):
-            rho = vonneumann_step(rho, m * dt, dt, OSCILLATOR)
+            rho = lindblad_x_step(rho, m * dt, dt, OSCILLATOR)
             psi = split_op_step(psi, m * dt, dt, OSCILLATOR)
         diag = np.real(np.diag(rho.values))
         assert np.max(np.abs(diag - np.abs(psi.values) ** 2)) < 1e-9
@@ -77,14 +76,14 @@ class TestVonNeumannStep:
         g = make_grid(10.0, 64)
         rho = pure_state_density(gaussian_packet(g, x0=1.0))
         for m in range(50):
-            rho = vonneumann_step(rho, m * 0.02, 0.02, OSCILLATOR)
+            rho = lindblad_x_step(rho, m * 0.02, 0.02, OSCILLATOR)
             assert abs(rho.trace() - 1.0) <= 1e-12
             assert rho.hermiticity_defect() <= 1e-10
 
     def test_rejects_local_density(self):
         rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
-            vonneumann_step(rho, 0.0, 0.1, OSCILLATOR)
+            lindblad_x_step(rho, 0.0, 0.1, OSCILLATOR)
 
 
 class TestLindbladXStep:
@@ -92,7 +91,7 @@ class TestLindbladXStep:
         g = make_grid(10.0, 64)
         rho = pure_state_density(gaussian_packet(g, x0=0.7))
         a = lindblad_x_step(rho, 0.0, 0.05, OSCILLATOR, lambda x: 0.0 * x)
-        b = vonneumann_step(rho, 0.0, 0.05, OSCILLATOR)
+        b = lindblad_x_step(rho, 0.0, 0.05, OSCILLATOR)
         assert np.max(np.abs(a.values - b.values)) < 1e-14
 
     def test_constant_coupling_cancels(self):
@@ -100,7 +99,7 @@ class TestLindbladXStep:
         rho = pure_state_density(gaussian_packet(g, x0=0.7))
         a = lindblad_x_step(rho, 0.0, 0.05, OSCILLATOR,
                             lambda x: np.full_like(x, 2.0 + 1.0j, dtype=complex))
-        b = vonneumann_step(rho, 0.0, 0.05, OSCILLATOR)
+        b = lindblad_x_step(rho, 0.0, 0.05, OSCILLATOR)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
     def test_pure_dephasing_closed_form(self):
@@ -168,7 +167,7 @@ class TestRandomCollision:
 
         def deviation(dt):
             a = random_collision_step(rho, 0.0, dt, OSCILLATOR, 0.0, rho_beta)
-            b = vonneumann_step(rho, 0.0, dt, OSCILLATOR)
+            b = lindblad_x_step(rho, 0.0, dt, OSCILLATOR)
             return np.max(np.abs(a.values - b.values))
 
         # two half-steps differ from one full step only at the O(dt^3)

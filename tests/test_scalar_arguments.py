@@ -47,6 +47,7 @@ from dynkit.tdse import (
     gaussian_packet,
     imaginary_time_ground,
     pauli_split_op_step,
+    spectral_gap_estimate,
     split_op_step,
 )
 from dynkit.wigner import (
@@ -61,6 +62,7 @@ OSCILLATOR = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
 GRID = make_grid(8.0, 16)
 LEVELS = np.array([0.0, 0.5, 1.2])
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _TWO_LEVEL = (np.array([0.0, 1.0], dtype=complex), np.diag([0.0, 1.0]).astype(complex),
               [SIGMA_MINUS])
 MOLECULE = MoleculeSpec(kinetic=lambda p: p ** 2 / 2,
@@ -92,6 +94,14 @@ def _pauli(dt):
                                 potential=(None, lambda t, x: 0.3 * x, None, None))
     return pauli_split_op_step(SpinorWaveFunction(psi.values, 0.5 * psi.values, GRID),
                                0.0, dt, spec)
+
+
+def _gap(dtau=0.1, tau_max=2.0, levels=False):
+    if levels:
+        return spectral_gap_estimate(np.array([1.0, 1.0j]), SIGMA_X, dtau, tau_max,
+                                     np.diag([0.0, 1.7]))
+    return spectral_gap_estimate(gaussian_packet(GRID, x0=0.4, p0=1.0), GRID.x,
+                                 dtau, tau_max, OSCILLATOR)
 
 
 def _ensemble(n_steps=2, stride=1):
@@ -140,6 +150,13 @@ CONTRACT = [
         gaussian_packet(GRID), v, OSCILLATOR, tol=1e-6)),
     ("imaginary_time_ground", "tol", 1e-6, lambda v: imaginary_time_ground(
         gaussian_packet(GRID), 0.05, OSCILLATOR, tol=v)),
+    ("imaginary_time_ground", "max_iter", 1000, lambda v: imaginary_time_ground(
+        gaussian_packet(GRID), 0.05, OSCILLATOR, tol=1e-6, max_iter=v)),
+    ("spectral_gap_estimate(grid)", "dtau", 0.1, lambda v: _gap(dtau=v)),
+    ("spectral_gap_estimate(grid)", "tau_max", 2.0, lambda v: _gap(tau_max=v)),
+    ("spectral_gap_estimate(levels)", "dtau", 0.1, lambda v: _gap(dtau=v, levels=True)),
+    ("spectral_gap_estimate(levels)", "tau_max", 2.0,
+     lambda v: _gap(tau_max=v, levels=True)),
     ("propagate_ensemble", "n_steps", 2, lambda v: _ensemble(n_steps=v)),
     ("propagate_ensemble", "stride", 1, lambda v: _ensemble(stride=v)),
     ("moyal_two_state_step", "dt", 0.01, _two_state),
@@ -147,7 +164,8 @@ CONTRACT = [
 ]
 IDS = [f"{function}-{argument}" for function, argument, _, _ in CONTRACT]
 #: the rows of CONTRACT whose argument is a count, checked by ``require_count``
-COUNTS = [row for row in CONTRACT if row[1] in ("stride", "n_steps", "n_traj")]
+COUNTS = [row for row in CONTRACT
+          if row[1] in ("stride", "n_steps", "n_traj", "max_iter")]
 COUNT_IDS = [f"{function}-{argument}" for function, argument, _, _ in COUNTS]
 
 
@@ -169,8 +187,8 @@ def test_contract_calls_are_valid_otherwise(function, argument, valid, call):
 def test_counts_table_holds_every_count_argument():
     assert COUNT_IDS == ["run_density-stride", "mcwf_trajectory-stride",
                          "mcwf_ensemble-stride", "mcwf_ensemble-n_traj",
-                         "SplitStepEngine.run-stride", "propagate_ensemble-n_steps",
-                         "propagate_ensemble-stride"]
+                         "SplitStepEngine.run-stride", "imaginary_time_ground-max_iter",
+                         "propagate_ensemble-n_steps", "propagate_ensemble-stride"]
 
 
 #: (stepper, the state's hbar it compares with spec.hbar, a call with spec.hbar = v);

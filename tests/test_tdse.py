@@ -22,12 +22,10 @@ from dynkit.tdse import (
     compute_uncertainty,
     cosine_absorbing_mask,
     gaussian_packet,
-    imaginary_time_excited,
     imaginary_time_ground,
     pauli_split_op_step,
     propagate,
     spectral_gap_estimate,
-    spectral_gap_estimate_discrete,
     split_op_step,
     step_count,
 )
@@ -255,20 +253,15 @@ class TestImaginaryTime:
         e0, psi0 = imaginary_time_ground(gaussian_packet(g, sigma=0.8),
                                          0.005, OSCILLATOR, tol=1e-13)
         guess1 = gaussian_packet(g, x0=0.5, sigma=0.8)
-        e1, psi1 = imaginary_time_excited(1, [psi0], guess1, 0.005,
-                                          OSCILLATOR, tol=1e-13)
+        e1, psi1 = imaginary_time_ground(guess1, 0.005, OSCILLATOR, tol=1e-13,
+                                         known_states=[psi0])
         assert abs(e1 - 1.5) < 1e-5
         overlap = np.abs(np.sum(np.conj(psi0.values) * psi1.values) * g.dx)
         assert overlap < 1e-8
         guess2 = gaussian_packet(g, x0=0.9, sigma=0.6)
-        e2, psi2 = imaginary_time_excited(2, [psi0, psi1], guess2, 0.005,
-                                          OSCILLATOR, tol=1e-13)
+        e2, psi2 = imaginary_time_ground(guess2, 0.005, OSCILLATOR, tol=1e-13,
+                                         known_states=[psi0, psi1])
         assert abs(e2 - 2.5) < 1e-4
-
-    def test_wrong_known_state_count_rejected(self):
-        g = make_grid(10.0, 128)
-        with pytest.raises(ValueError):
-            imaginary_time_excited(2, [], gaussian_packet(g), 0.01, OSCILLATOR)
 
     def test_quartic_matches_eigensolve(self):
         # shared problem with no closed form: the imaginary-time energy must
@@ -295,7 +288,7 @@ class TestSpectralGap:
         h = np.diag([0.0, delta]).astype(complex)
         sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
         psi0 = np.array([1.0, np.exp(0.7j)]) / np.sqrt(2)
-        gap = spectral_gap_estimate_discrete(psi0, h, sigma_x, 0.02, 12.0)
+        gap = spectral_gap_estimate(psi0, sigma_x, 0.02, 12.0, h)
         assert abs(gap - delta) < 0.01
 
     def test_three_level_second_gap_when_first_condition_violated(self):
@@ -303,7 +296,7 @@ class TestSpectralGap:
         o = np.zeros((3, 3), dtype=complex)
         o[0, 2] = o[2, 0] = 1.0  # no coupling between the lowest two levels
         psi0 = np.array([1.0, 0.5, 0.5j * np.exp(0.3j)])
-        gap = spectral_gap_estimate_discrete(psi0, h, o, 0.02, 12.0)
+        gap = spectral_gap_estimate(psi0, o, 0.02, 12.0, h)
         assert abs(gap - 2.5) < 0.02
 
     def test_oscillator_second_gap_with_even_chirped_state(self):
@@ -342,8 +335,25 @@ class TestSpectralGap:
                 spectral_gap_estimate(gaussian_packet(g, x0=0.4, p0=1.0), g.x,
                                       0.02, 10.0, OSCILLATOR, fit_fraction=0.4)
             else:
-                spectral_gap_estimate_discrete(np.array([1.0, 1.0j]), h, sigma_x,
-                                               0.02, 12.0, fit_fraction=0.4)
+                spectral_gap_estimate(np.array([1.0, 1.0j]), sigma_x, 0.02,
+                                      12.0, h, fit_fraction=0.4)
+
+    @pytest.mark.parametrize("dtau, tau_max, name", [
+        (-0.05, -8.0, "dtau"), (0.0, 8.0, "dtau"), (0.05, -8.0, "tau_max"),
+        (0.05, 0.0, "tau_max")])
+    @pytest.mark.parametrize("levels", [False, True], ids=["grid", "levels"])
+    def test_non_positive_dtau_or_tau_max_refused_by_name(self, levels, dtau,
+                                                          tau_max, name):
+        # a negative pair divides to a whole step count, and would run it
+        if levels:
+            args = (np.array([1.0, 1.0j]), np.array([[0, 1], [1, 0]]), dtau,
+                    tau_max, np.diag([0.0, 1.7]))
+        else:
+            g = make_grid(10.0, 128)
+            args = (gaussian_packet(g, x0=0.4, p0=1.0), g.x, dtau, tau_max,
+                    OSCILLATOR)
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            spectral_gap_estimate(*args)
 
     def test_partial_last_step_rejected(self):
         g = make_grid(10.0, 128)
@@ -353,8 +363,8 @@ class TestSpectralGap:
         h = np.diag([0.0, 1.7]).astype(complex)
         sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
         with pytest.raises(ValueError):
-            spectral_gap_estimate_discrete(np.array([1.0, 1.0j]), h, sigma_x,
-                                           0.02, 10.05)
+            spectral_gap_estimate(np.array([1.0, 1.0j]), sigma_x, 0.02, 10.05,
+                                  h)
 
 
 class TestPauliStep:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynkit.grids import POSITION, SpectralSignal, cft_forward_custom, make_grid
-from dynkit.open_systems import DensityMatrix, pure_state_density, vonneumann_step
+from dynkit.open_systems import DensityMatrix, lindblad_x_step, pure_state_density
 from dynkit.stationary import HamiltonianSpec, build_spectral_hamiltonian, eigensolve
 from dynkit.tdse import WaveFunction, gaussian_packet
 from dynkit.wigner import (
@@ -204,7 +204,7 @@ class TestMoyalTwoState:
         dt, steps = 0.01, 50
         w2_sym = w2
         for m in range(steps):
-            rho = vonneumann_step(rho, m * dt, dt, OSCILLATOR)
+            rho = lindblad_x_step(rho, m * dt, dt, OSCILLATOR)
             w2_sym = moyal_two_state_step(w2_sym, m * dt, dt, spec,
                                           symmetrize=True)
         w_of_rho = wigner_from_density(rho)
