@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import ConvergenceError
-from .steps import is_finite_number, step_count
+from .steps import GAP_MIN_STEPS, is_finite_number, step_count
 
 # ---------------------------------------------------------------------------
 # config schema: one table both validates a config and fills its defaults
@@ -113,10 +113,8 @@ def _whole_steps(span_key, dt_key, minimum=1):
         if block[span_key] is None or block[dt_key] is None:
             return
         try:
-            steps = step_count(block[span_key], block[dt_key])
-        except (ValueError, OverflowError):
-            steps = -1
-        if steps < minimum:
+            step_count(block[span_key], block[dt_key], minimum)
+        except ValueError:
             problems.append(f"{path}.{span_key}: must be a whole number of "
                             f"{dt_key} steps, at least {minimum}")
     return rule
@@ -762,7 +760,7 @@ _TASKS = {
             "dtau": _POSITIVE, "tau_max": _POSITIVE,
             "observable": _choice("x", "x2", default="x"),
             "initial": _block({**_GAUSSIAN, "p0": _number(1.0)}, default={}),
-        }, default={}, rule=_whole_steps("tau_max", "dtau", minimum=8)),
+        }, default={}, rule=_whole_steps("tau_max", "dtau", GAP_MIN_STEPS)),
     }, lambda c: [("grid.n", c["grid"]["n"]),
                   _series(c, "gap", "tau_max", 2, "dtau")],
         _run_gap),

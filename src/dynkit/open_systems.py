@@ -248,6 +248,7 @@ def run_density(engine: SplitStepEngine, values: np.ndarray, t0: float,
     view).
     """
     require_step(dt)
+    require_count("n_steps", n_steps, 0)
     require_count("stride", stride, 1)
     cur = engine._step_phases(t0, dt, 2)
     n = len(cur.lead)
@@ -524,9 +525,7 @@ def _mcwf_loop(psi0, spec, jump_ops, dt, t_max, stride):
     and after the last step, and must copy what it keeps.  ``run`` returns
     the sample times and each row's (time, channel) jumps.
     """
-    n_steps = step_count(t_max, dt)
-    if n_steps < 1:
-        raise ValueError("t_max must be a positive integer multiple of dt")
+    n_steps = step_count(t_max, dt, 1)
     require_count("stride", stride, 1)
     ops = list(jump_ops)
     if isinstance(psi0, WaveFunction):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grids import HamiltonianSpec, UniformGrid, _alt_signs, _fft
 from .matfunc import _hermitian_solve
-from .steps import require, step_count
+from .steps import require, require_count, step_count
 
 FD_SCHEMES = ("forward", "backward", "central")
 
@@ -160,8 +160,8 @@ def band_structure(cell_spec: HamiltonianSpec, lattice_constant: float,
     bands in ascending order.
     """
     require("lattice_constant", lattice_constant, above=0)
-    if n_bands < 1 or n_cell_grid < 2:
-        raise ValueError("need n_bands >= 1 and n_cell_grid >= 2")
+    require_count("n_bands", n_bands, 1)
+    require_count("n_cell_grid", n_cell_grid, 2)
     if n_bands > n_cell_grid:
         raise ValueError(f"n_bands={n_bands} exceeds n_cell_grid={n_cell_grid}")
     a = float(lattice_constant)
@@ -190,9 +190,7 @@ def spectrum_via_propagation(psi0, spec: HamiltonianSpec, duration: float,
     # local import: eigen and bands runs, which never propagate, load no tdse
     from .tdse import SplitStepEngine
 
-    n_steps = step_count(duration, dt)
-    if n_steps < 2:
-        raise ValueError("duration must be a positive integer multiple of dt")
+    n_steps = step_count(duration, dt, 2)
     if n_steps % 2 != 0:
         raise ValueError("duration/dt must be even so the energy grid is centered")
     grid = psi0.grid

@@ -9,6 +9,10 @@ from __future__ import annotations
 import cmath
 import math
 
+#: Fewest imaginary-time steps a gap estimate takes: its decay fit needs a
+#: window of samples.
+GAP_MIN_STEPS = 8
+
 
 def _finite(value) -> bool:
     try:
@@ -56,12 +60,16 @@ def require_one_hbar(spec_hbar: float, name: str, hbar: float) -> None:
                          "build the spec and the state with one hbar")
 
 
-def step_count(span: float, dt: float) -> int:
-    """span/dt as an integer; ValueError unless it is one to 1e-9 relative."""
-    if not (math.isfinite(span) and math.isfinite(dt)) or dt == 0:
-        raise ValueError(f"need a finite span and a finite nonzero step, got "
-                         f"{span!r} and {dt!r}")
+def step_count(span: float, dt: float, minimum: int = 0) -> int:
+    """span/dt as an integer; ValueError unless it is one to 1e-9 relative and
+    at least ``minimum``, the caller's floor (``GAP_MIN_STEPS`` for a gap fit)."""
+    if dt == 0 or not (math.isfinite(dt) and math.isfinite(span / dt)):
+        raise ValueError(f"need a finite span, a finite nonzero step and a finite "
+                         f"span/step, got {span!r} and {dt!r}")
     n_steps = int(round(span / dt))
     if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"{span!r} is not an integer multiple of the step {dt!r}")
+    if n_steps < minimum:
+        raise ValueError(f"a span of {span!r} in steps of {dt!r} counts {n_steps}, "
+                         f"fewer than {minimum}")
     return n_steps

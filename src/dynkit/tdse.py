@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ConvergenceError
 from .grids import (HamiltonianSpec, UniformGrid, _alt_signs, _bridge, _fft,
                     fft_bridge)
-from .steps import (require, require_count, require_one_hbar, require_step,
-                    step_count)
+from .steps import (GAP_MIN_STEPS, require, require_count, require_one_hbar,
+                    require_step, step_count)
 
 #: Trailing fraction of the recorded imaginary-time window over which the gap
 #: fit takes the decay slope of ln|<[H, O]>|.
@@ -131,12 +131,6 @@ def gaussian_packet(grid: UniformGrid, x0: float = 0.0, p0: float = 0.0,
                  + 1j * p0 * grid.x / grid.hbar)
     out = WaveFunction(psi, grid)
     return out.normalized()
-
-
-def energy_expectation(psi: WaveFunction, spec: HamiltonianSpec,
-                       t: float = 0.0) -> float:
-    """<K(t,p)> + <U(t,x)> with momentum moments through the FFT bridge."""
-    return SplitStepEngine(psi.grid, spec).energy(psi.values, t)
 
 
 def _checked_mask(mask, n: int) -> np.ndarray:
@@ -257,6 +251,7 @@ class SplitStepEngine:
         ``order`` selects Strang (2) or triple-jump (4) steps.  dt may be
         complex (Wick-rotated -i dtau).
         """
+        require_count("n_steps", n_steps, 0)
         require_count("stride", stride, 1)
         cur = self._checked_phases(t0, dt, order)
         w = cur.lead * values
@@ -353,13 +348,11 @@ def propagate(psi0: WaveFunction, t0: float, t1: float, dt: float,
               ) -> tuple[WaveFunction, EvolutionTrace]:
     """Repeated stepping from t0 to t1 with observables sampled every ``stride`` steps.
 
-    (t1 - t0)/dt must be a positive integer.  ``order`` selects the Strang (2)
+    (t1 - t0)/dt must be a nonnegative integer.  ``order`` selects the Strang (2)
     or triple-jump (4) stepper; an optional absorbing mask is applied after
     every step.
     """
     n_steps = step_count(t1 - t0, dt)
-    if n_steps < 0:
-        raise ValueError("(t1 - t0)/dt must be a nonnegative integer")
     grid = psi0.grid
     engine = SplitStepEngine(grid, spec, absorbing_mask)
     steps = engine.run(psi0.values, t0, dt, n_steps, order, stride)
@@ -494,9 +487,7 @@ def spectral_gap_estimate(psi0: WaveFunction | np.ndarray, observable: np.ndarra
     """
     require("dtau", dtau, above=0)
     require("tau_max", tau_max, above=0)
-    n_steps = step_count(tau_max, dtau)
-    if n_steps < 8:
-        raise ValueError("tau_max/dtau must allow at least 8 samples")
+    n_steps = step_count(tau_max, dtau, GAP_MIN_STEPS)
     mags = []
     if isinstance(psi0, WaveFunction):
         engine = SplitStepEngine(psi0.grid, hamiltonian)

@@ -629,6 +629,68 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out" / "manifest").exists()
 
 
+def test_absorber_fraction_above_its_bound_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, _shipped_with("propagate_coherent.json", "propagate",
+                                                "absorber", {"fraction": 0.5}))
+    message = "propagate.absorber.fraction: must be <= 0.49"
+    assert validate(path) == 2
+    assert capsys.readouterr().out == message + "\n"
+    assert run(path, str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"schema error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_builder_refuses_a_bad_parameter_by_its_path():
+    from dynkit.cli import potential_from_config
+
+    with pytest.raises(ValueError, match=r"^potential\.omega: must be a finite number$"):
+        potential_from_config({"name": "harmonic", "omega": "fast"})
+
+
+def _out_below_a_file(tmp_path, monkeypatch):
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file" / "out"
+
+
+def _writer_fails(tmp_path, monkeypatch):
+    def full(self, name, chunks):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(_OutputSink, "_write", full)
+    return tmp_path / "out"
+
+
+def _manifest_not_replaced(tmp_path, monkeypatch):
+    # the tests run as root, so a read-only directory would not refuse it
+    def refused(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refused)
+    return tmp_path / "out"
+
+
+#: (the output directory a failure is set up for, the one line run prints)
+IO_FAILURES = {
+    "out_below_a_file": (_out_below_a_file,
+                         "error: cannot prepare output directory: [Errno 20] "
+                         "Not a directory: "),
+    "writer_fails": (_writer_fails, "i/o failure: [Errno 28] No space left on device"),
+    "manifest_not_replaced": (_manifest_not_replaced,
+                              "i/o failure: [Errno 13] Permission denied"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IO_FAILURES))
+def test_io_failures_exit_4_with_one_line(tmp_path, capsys, monkeypatch, name):
+    setup, line = IO_FAILURES[name]
+    path = write_config(tmp_path, minimal_eigen_config())
+    out = setup(tmp_path, monkeypatch)
+    assert run(path, str(out)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "manifest").exists()
+
+
 # ---------------------------------------------------------------------------
 # run-level exit codes: every mutated shipped config exits 0, 2, 3 or 4, and
 # one that validates never exits 2

@@ -1,6 +1,9 @@
-"""The outputs of the shipped configs, held against committed values.
+"""The outputs of the shipped and the seed-1 benchmark configs, held against
+committed values.
 
-Each of the configs in ``configs/`` runs once, in-process, and three checks
+Each of the configs in ``configs/``, and each config that
+``perfbench/workloads.py`` builds for the ``wavepacket``, ``density`` and
+``ensemble`` workloads at seed 1, runs once, in-process, and three checks
 read what it wrote:
 
 - ``tests/golden/digests.json`` holds the SHA-256 and size of every data
@@ -8,12 +11,16 @@ read what it wrote:
   bit, but only under the Python, numpy and machine that wrote them
   (``tests/golden/provenance.json``): another numpy's FFTs may round
   differently.  Elsewhere the check is skipped, and says why.
-- ``tests/golden/<config>/`` holds each CSV file of the configs in
-  ``CSV_CONFIGS``.  The same files, headers and row counts are required,
-  and every value is compared at ``RTOL``/``ATOL``: far inside the
-  acceptance tolerances, yet loose enough for another numpy.
+- ``tests/golden/<config>/`` holds each CSV file of a config that writes
+  one.  The same files, headers and row counts are required, and every
+  value is compared at ``RTOL``/``ATOL``: far inside the acceptance
+  tolerances, yet loose enough for another numpy.
 - ``tests/golden/fields.json`` holds the shape, sum, min and max of every
   ``.f64`` field, compared at the same tolerances.
+
+The configs in ``PROCESS_RUNS`` write bytes that depend on the BLAS thread
+count (a dense eigensolve), so they run as a ``python -m dynkit.cli run``
+process, which pins one thread, for the checks and for their golden values.
 
 After a change that moves a number or a bit on purpose, regenerate the
 files with
@@ -26,7 +33,10 @@ import json
 import os
 import platform
 import shutil
+import subprocess
+import sys
 import tempfile
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
 import pytest
@@ -36,17 +46,42 @@ from dynkit.cli import run
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIG_DIR = os.path.join(HERE, "..", "configs")
 GOLDEN_DIR = os.path.join(HERE, "golden")
+SRC = os.path.join(HERE, "..", "src")
 SHIPPED = sorted(f[:-len(".json")] for f in os.listdir(CONFIG_DIR)
                  if f.endswith(".json"))
-CSV_CONFIGS = ("bands_cosine", "classical_driven", "eigen_central_fd",
-               "eigen_oscillator", "gap_oscillator", "imagtime_ladder",
-               "lindblad_dephasing", "propagate_coherent")
+_spec = spec_from_file_location(
+    "perfbench_workloads", os.path.join(HERE, "..", "perfbench", "workloads.py"))
+workloads = module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+WORKLOADS = ("wavepacket", "density", "ensemble")
+SEED = 1
+NAMES = SHIPPED + [name for workload in WORKLOADS
+                   for name, _ in workloads.GENERATORS[workload](SEED)]
+PROCESS_RUNS = ("eigen_spectral_n512",)
 RTOL, ATOL = 1e-12, 1e-14
 
 
-def _run(name, out):
-    """Run configs/<name>.json into ``out``; returns the data files it wrote."""
-    assert run(os.path.join(CONFIG_DIR, name + ".json"), out) == 0, name
+def _configs(directory):
+    """name -> config path of every name in NAMES; the workload configs are
+    written into ``directory``."""
+    configs = {name: os.path.join(CONFIG_DIR, name + ".json") for name in SHIPPED}
+    for workload in WORKLOADS:
+        for name, path, _ in workloads.build(workload, SEED, CONFIG_DIR, directory):
+            configs[name] = path
+    return configs
+
+
+def _run(name, path, out):
+    """Run the config at ``path`` into ``out``; returns the data files it wrote."""
+    if name in PROCESS_RUNS:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "dynkit.cli", "run", path,
+                               "--out", out], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    else:
+        assert run(path, out) == 0, name
     return sorted(f for f in os.listdir(out) if f != "manifest")
 
 
@@ -83,20 +118,21 @@ def _provenance():
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Each shipped config run once: name -> (its output directory, its data files)."""
+    """Each config run once: name -> (its output directory, its data files)."""
     root = tmp_path_factory.mktemp("golden")
     runs = {}
-    for name in SHIPPED:
+    for name, path in _configs(str(root)).items():
         out = str(root / name)
-        runs[name] = out, _run(name, out)
+        runs[name] = out, _run(name, path, out)
     return runs
 
 
-def test_every_shipped_config_has_golden_digests():
-    assert sorted(_load("digests.json")) == SHIPPED
+def test_every_config_has_golden_digests():
+    assert len(set(NAMES)) == len(NAMES) == 23
+    assert sorted(_load("digests.json")) == sorted(NAMES)
 
 
-@pytest.mark.parametrize("name", SHIPPED)
+@pytest.mark.parametrize("name", NAMES)
 def test_data_files_match_the_golden_digests(outputs, name):
     written = _load("provenance.json")
     if written != _provenance():
@@ -108,11 +144,12 @@ def test_data_files_match_the_golden_digests(outputs, name):
         assert _digest(os.path.join(out, f)) == golden[f], f"{name}/{f}"
 
 
-@pytest.mark.parametrize("name", CSV_CONFIGS)
+@pytest.mark.parametrize("name", NAMES)
 def test_csv_outputs_match_the_golden_values(outputs, name):
     out, files = outputs[name]
     written = [f for f in files if f.endswith(".csv")]
-    assert written == sorted(os.listdir(os.path.join(GOLDEN_DIR, name)))
+    golden_dir = os.path.join(GOLDEN_DIR, name)
+    assert written == (sorted(os.listdir(golden_dir)) if os.path.isdir(golden_dir) else [])
     for csv in written:
         header, got = _read_csv(os.path.join(out, csv))
         golden_header, golden = _read_csv(os.path.join(GOLDEN_DIR, name, csv))
@@ -144,19 +181,21 @@ def _dump(name, data):
 
 def _regenerate():
     digests, fields = {}, {}
-    for name in SHIPPED:
-        with tempfile.TemporaryDirectory() as out:
-            files = _run(name, out)
+    with tempfile.TemporaryDirectory() as root:
+        for name, path in _configs(root).items():
+            out = os.path.join(root, name)
+            files = _run(name, path, out)
             digests[name] = {f: _digest(os.path.join(out, f)) for f in files}
             fields.update({f"{name}/{f}": _field_summary(out, f)
                            for f in files if f.endswith(".f64")})
-            if name in CSV_CONFIGS:
-                target = os.path.join(GOLDEN_DIR, name)
-                shutil.rmtree(target, ignore_errors=True)
+            target = os.path.join(GOLDEN_DIR, name)
+            shutil.rmtree(target, ignore_errors=True)
+            csvs = [f for f in files if f.endswith(".csv")]
+            if csvs:
                 os.makedirs(target)
-                for f in files:
-                    if f.endswith(".csv"):
-                        shutil.copy(os.path.join(out, f), target)
+            for f in csvs:
+                shutil.copy(os.path.join(out, f), target)
+            shutil.rmtree(out)
     _dump("digests.json", digests)
     _dump("fields.json", fields)
     _dump("provenance.json", _provenance())

@@ -193,6 +193,10 @@ class TestFrft:
             np.testing.assert_allclose(frft(x, alpha), direct_frft(x, alpha),
                                        atol=1e-10, rtol=0)
 
+    def test_empty_input_gives_an_empty_output(self):
+        y = frft(np.array([]), 0.25)
+        assert y.shape == (0,) and y.dtype == complex
+
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_alpha(self, alpha):
         # a NaN or infinite chirp made every output NaN without an error

@@ -178,11 +178,7 @@ def test_module_import_graph_has_no_cycle():
 
 # (module, name): why a public name with neither an export nor a reader in
 # the package stays
-UNREAD = {
-    ("tdse", "energy_expectation"):
-        "perfbench's tracer wraps it to time energy evaluations, until the "
-        "per-layer numbers come from each run's manifest",
-}
+UNREAD = {}
 
 
 def _reads(package, modules):

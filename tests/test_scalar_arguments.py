@@ -1,5 +1,5 @@
-"""One contract for scalar arguments: ``steps.require``, ``steps.require_count``
-and ``steps.is_finite_number``.
+"""One contract for scalar arguments: ``steps.require``, ``steps.require_count``,
+``steps.step_count`` and ``steps.is_finite_number``.
 
 Every library argument checked through ``require``, ``require_count`` or,
 for a step dt, ``require_step`` refuses NaN, +inf and -inf with a
@@ -9,9 +9,14 @@ from it.  The counts among them (``COUNTS``) also refuse a float or a bool,
 as the config schema's ``integer`` does.  The stepper that divides its
 phases by a spec's hbar (``HBAR_STEPPERS``) refuses one other than its
 state's, naming both.  The two-level specs have no hbar: their steppers
-divide their phases by the state's.
+divide their phases by the state's.  Each entry point that counts its steps
+from a span and a step (``FLOORS``) refuses fewer than its floor through
+``step_count``, and the gap's floor is the schema's too.  A state or
+operator built from arrays of the wrong shape, and an operation that needs
+a grid given none, is refused with its own message (``MALFORMED``).
 """
 
+import json
 import math
 import re
 from dataclasses import replace
@@ -20,14 +25,18 @@ import numpy as np
 import pytest
 
 from dynkit.classical import ClassicalEnsemble, ClassicalSpec, propagate_ensemble
+from dynkit.cli import validate
 from dynkit.grids import POSITION, SpectralSignal, cft_forward_custom, frft, make_grid
 from dynkit.matfunc import expm_taylor
 from dynkit.open_systems import (
+    DensityMatrix,
+    RateMatrix,
     fermi_dirac_rates,
     gibbs_density,
     gibbs_rates,
     mcwf_ensemble,
     mcwf_trajectory,
+    momentum_distribution,
     pure_state_density,
     random_collision_step,
     run_density,
@@ -37,22 +46,28 @@ from dynkit.stationary import (
     band_structure,
     build_spectral_hamiltonian,
     find_spectral_peaks,
+    spectrum_via_propagation,
 )
-from dynkit.steps import is_finite_number, require, require_count
+from dynkit.steps import GAP_MIN_STEPS, is_finite_number, require, require_count
 from dynkit.tdse import (
     PauliHamiltonianSpec,
     SpinorWaveFunction,
     SplitStepEngine,
+    WaveFunction,
+    apply_absorbing_boundary,
     cosine_absorbing_mask,
     gaussian_packet,
     imaginary_time_ground,
     pauli_split_op_step,
+    propagate,
     spectral_gap_estimate,
     split_op_step,
 )
 from dynkit.wigner import (
     MoleculeSpec,
     TwoStateWigner,
+    WignerFunction,
+    density_from_wigner,
     moyal_two_state_step,
     wigner_from_density,
 )
@@ -119,6 +134,8 @@ CONTRACT = [
         SpectralSignal(np.zeros(16), GRID, POSITION), dp=v)),
     ("gibbs_density", "beta", 1.0, lambda v: gibbs_density(
         build_spectral_hamiltonian(GRID, OSCILLATOR), beta=v, grid=GRID)),
+    ("run_density", "n_steps", 2, lambda v: list(run_density(
+        SplitStepEngine(GRID, OSCILLATOR), _rho().values, 0.0, 0.05, v))),
     ("run_density", "stride", 1, lambda v: list(run_density(
         SplitStepEngine(GRID, OSCILLATOR), _rho().values, 0.0, 0.05, 2, stride=v))),
     ("random_collision_step", "gamma", 0.5, _collision),
@@ -136,12 +153,18 @@ CONTRACT = [
         *_TWO_LEVEL, 0.1, 0.2, v, base_seed=1)),
     ("band_structure", "lattice_constant", 2.0, lambda v: band_structure(
         OSCILLATOR, v, 8, [0.0], 2)),
+    ("band_structure", "n_cell_grid", 8, lambda v: band_structure(
+        OSCILLATOR, 2.0, v, [0.0], 2)),
+    ("band_structure", "n_bands", 2, lambda v: band_structure(
+        OSCILLATOR, 2.0, 8, [0.0], v)),
     ("find_spectral_peaks", "rel_threshold", 0.05, lambda v: find_spectral_peaks(
         np.arange(4.0), np.ones(4), rel_threshold=v)),
     ("gaussian_packet", "sigma", 1.0, lambda v: gaussian_packet(GRID, sigma=v)),
     ("split_op_step", "dt", 0.05, lambda v: split_op_step(
         gaussian_packet(GRID), 0.0, v, OSCILLATOR, order=4)),
     ("pauli_split_op_step", "dt", 0.05, _pauli),
+    ("SplitStepEngine.run", "n_steps", 2, lambda v: list(SplitStepEngine(
+        GRID, OSCILLATOR).run(gaussian_packet(GRID).values, 0.0, 0.05, v))),
     ("SplitStepEngine.run", "stride", 1, lambda v: list(SplitStepEngine(
         GRID, OSCILLATOR).run(gaussian_packet(GRID).values, 0.0, 0.05, 2, stride=v))),
     ("cosine_absorbing_mask", "power", 0.125,
@@ -165,7 +188,8 @@ CONTRACT = [
 IDS = [f"{function}-{argument}" for function, argument, _, _ in CONTRACT]
 #: the rows of CONTRACT whose argument is a count, checked by ``require_count``
 COUNTS = [row for row in CONTRACT
-          if row[1] in ("stride", "n_steps", "n_traj", "max_iter")]
+          if row[1] in ("stride", "n_steps", "n_traj", "max_iter", "n_cell_grid",
+                        "n_bands")]
 COUNT_IDS = [f"{function}-{argument}" for function, argument, _, _ in COUNTS]
 
 
@@ -185,8 +209,10 @@ def test_contract_calls_are_valid_otherwise(function, argument, valid, call):
 
 
 def test_counts_table_holds_every_count_argument():
-    assert COUNT_IDS == ["run_density-stride", "mcwf_trajectory-stride",
-                         "mcwf_ensemble-stride", "mcwf_ensemble-n_traj",
+    assert COUNT_IDS == ["run_density-n_steps", "run_density-stride",
+                         "mcwf_trajectory-stride", "mcwf_ensemble-stride",
+                         "mcwf_ensemble-n_traj", "band_structure-n_cell_grid",
+                         "band_structure-n_bands", "SplitStepEngine.run-n_steps",
                          "SplitStepEngine.run-stride", "imaginary_time_ground-max_iter",
                          "propagate_ensemble-n_steps", "propagate_ensemble-stride"]
 
@@ -272,20 +298,75 @@ def test_two_level_step_divides_its_phases_by_the_states_hbar(phases, hbar):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("value", [2.5, 1.5, 2.0, np.float64(2.0), True],
-                         ids=["2.5", "1.5", "2.0", "float64", "True"])
+@pytest.mark.parametrize("value", [2.5, 1.5, 16.7, 2.0, np.float64(2.0), True],
+                         ids=["2.5", "1.5", "16.7", "2.0", "float64", "True"])
 @pytest.mark.parametrize("function, argument, valid, call", COUNTS, ids=COUNT_IDS)
 def test_non_integer_count_refused_by_name(function, argument, valid, call, value):
     # a float stride is refused rather than sampled where m % stride == 0 (m =
-    # 3, 6, 9 for 1.5), and a float n_steps or n_traj by name, not in range()
+    # 3, 6, 9 for 1.5), a float n_steps or n_traj by name, not in range(), and
+    # a float n_cell_grid rather than truncated (16.7 cell points ran on 16)
     with pytest.raises(ValueError, match=rf"^{argument} must be >= \d and an integer, got "):
         call(value)
+
+
+@pytest.mark.parametrize("function, argument, valid, call", COUNTS, ids=COUNT_IDS)
+def test_negative_count_refused_by_name(function, argument, valid, call):
+    # n_steps = -3 used to run no step and yield nothing, without an error
+    with pytest.raises(ValueError, match=rf"^{argument} must be >= \d and an integer, "
+                                         r"got -3$"):
+        call(-3)
 
 
 @pytest.mark.parametrize("function, argument, valid, call", COUNTS, ids=COUNT_IDS)
 def test_numpy_integer_count_accepted(function, argument, valid, call):
     call(np.int64(valid))
     call(np.int32(valid))
+
+
+#: (entry point, the floor it passes to ``step_count``, the call with n steps);
+#: the gap estimate's floor is tested with the schema's below
+FLOORS = [
+    ("propagate", 0, lambda n: propagate(gaussian_packet(GRID), 0.0, n * 0.05, 0.05,
+                                         OSCILLATOR)),
+    ("spectrum_via_propagation", 2, lambda n: spectrum_via_propagation(
+        gaussian_packet(GRID), OSCILLATOR, n * 0.05, 0.05)),
+    ("mcwf_trajectory", 1, lambda n: mcwf_trajectory(*_TWO_LEVEL, 0.1, n * 0.1, seed=1)),
+]
+FLOOR_IDS = [row[0] for row in FLOORS]
+
+
+@pytest.mark.parametrize("function, floor, call", FLOORS, ids=FLOOR_IDS)
+def test_fewer_steps_than_the_floor_refused_naming_count_and_floor(function, floor, call):
+    # propagate's -1 is t1 < t0, mcwf's 0 is t_max = 0
+    with pytest.raises(ValueError, match=rf"^a span of \S+ in steps of \S+ counts "
+                                         rf"{floor - 1}, fewer than {floor}$"):
+        call(floor - 1)
+
+
+@pytest.mark.parametrize("function, floor, call", FLOORS, ids=FLOOR_IDS)
+def test_the_floor_itself_runs(function, floor, call):
+    call(floor)
+
+
+@pytest.mark.parametrize("n_steps", [GAP_MIN_STEPS - 1, GAP_MIN_STEPS])
+def test_the_schema_and_the_library_share_the_gap_floor(tmp_path, capsys, n_steps):
+    cfg = {"task": "gap", "grid": {"L": 8.0, "n": 16},
+           "hamiltonian": {"potential": {"name": "harmonic"}},
+           "gap": {"dtau": 0.1, "tau_max": n_steps * 0.1}}
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(cfg))
+    if n_steps < GAP_MIN_STEPS:
+        assert validate(str(path)) == 2
+        assert capsys.readouterr().out == (
+            "gap.tau_max: must be a whole number of dtau steps, at least 8\n")
+        for levels in (False, True):
+            with pytest.raises(ValueError, match="counts 7, fewer than 8$"):
+                _gap(tau_max=n_steps * 0.1, levels=levels)
+    else:
+        assert validate(str(path)) == 0
+        assert capsys.readouterr().out == "ok\n"
+        for levels in (False, True):
+            assert math.isfinite(_gap(tau_max=n_steps * 0.1, levels=levels))
 
 
 @pytest.mark.parametrize("value, minimum", [
@@ -339,3 +420,40 @@ def test_require_refuses_values_outside_the_bound(kwargs, value):
 ])
 def test_is_finite_number_is_the_schema_number_rule(value, expected):
     assert is_finite_number(value) is expected
+
+
+#: (case, a call with a malformed array or without the grid it needs, the message)
+MALFORMED = [
+    ("WaveFunction", lambda: WaveFunction(np.ones(15), GRID),
+     "wave function length (15,) does not match grid size 16"),
+    ("SpinorWaveFunction", lambda: SpinorWaveFunction(np.ones(16), np.ones(15), GRID),
+     "spinor components must match the grid size"),
+    ("DensityMatrix-not-square", lambda: DensityMatrix(np.ones((16, 15))),
+     "density matrix must be square, got (16, 15)"),
+    ("DensityMatrix-grid", lambda: DensityMatrix(np.eye(8) / 8, GRID),
+     "density matrix size does not match the grid"),
+    ("WignerFunction", lambda: WignerFunction(np.ones((4, 3)), np.arange(4.0),
+                                              np.arange(4.0), 1.0),
+     "Wigner array shape does not match its axes"),
+    ("TwoStateWigner", lambda: TwoStateWigner(np.ones((4, 4)), np.ones((4, 4)),
+                                              np.ones((4, 3)), np.arange(4.0),
+                                              np.arange(4.0)),
+     "Wigner blocks must match the axis shape"),
+    ("RateMatrix", lambda: RateMatrix(np.zeros((2, 3))), "rate matrix must be square"),
+    ("apply_absorbing_boundary", lambda: apply_absorbing_boundary(
+        gaussian_packet(GRID), np.ones(15)), "mask length must match the grid"),
+    ("momentum_distribution", lambda: momentum_distribution(DensityMatrix(np.eye(2) / 2)),
+     "momentum_distribution needs a grid density matrix"),
+    ("wigner_from_density", lambda: wigner_from_density(DensityMatrix(np.eye(2) / 2)),
+     "wigner_from_density needs a grid density matrix"),
+    ("density_from_wigner", lambda: density_from_wigner(WignerFunction(
+        np.ones((4, 4)), np.arange(4.0), np.arange(4.0), 1.0)),
+     "supply the UniformGrid the Wigner function came from"),
+]
+
+
+@pytest.mark.parametrize("case, call, message", MALFORMED,
+                         ids=[row[0] for row in MALFORMED])
+def test_malformed_input_refused_with_its_message(case, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -28,7 +28,6 @@ from dynkit.tdse import (
     SplitStepEngine,
     WaveFunction,
     cosine_absorbing_mask,
-    energy_expectation,
     gaussian_packet,
     propagate,
     split_op_step,
@@ -117,7 +116,8 @@ def test_propagate_trace_matches_reference(spec):
             w = np.abs(fft_bridge(psi.values)) ** 2
             rows.append((m * 0.01, np.sum(grid.x * prob) / np.sum(prob),
                          np.sum(grid.p_fft * w) / np.sum(w),
-                         energy_expectation(psi, spec, m * 0.01), psi.norm()))
+                         SplitStepEngine(grid, spec).energy(psi.values, m * 0.01),
+                         psi.norm()))
     expected = np.asarray(rows)
     got = np.column_stack([trace.times, trace.x_mean, trace.p_mean,
                            trace.energy, trace.norm])

@@ -190,11 +190,13 @@ class TestBandStructure:
         with pytest.raises(ValueError, match="n_bands"):
             band_structure(spec, 2.0, 4, [0.0], 5)
 
-    @pytest.mark.parametrize("n_bands, n_cell_grid", [(0, 8), (-1, 8), (1, 1)])
-    def test_rejects_no_bands_or_a_single_cell_point(self, n_bands, n_cell_grid):
+    @pytest.mark.parametrize("n_bands, n_cell_grid, name", [
+        (0, 8, "n_bands"), (-1, 8, "n_bands"), (1, 1, "n_cell_grid")],
+        ids=["0-8", "-1-8", "1-1"])
+    def test_rejects_no_bands_or_a_single_cell_point(self, n_bands, n_cell_grid, name):
         spec = HamiltonianSpec(kinetic=lambda t, p: p ** 2 / 2,
                                potential=lambda t, x: 0.0 * x)
-        with pytest.raises(ValueError, match="need n_bands >= 1 and n_cell_grid >= 2"):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= \d and an integer"):
             band_structure(spec, 2.0, n_cell_grid, [0.0], n_bands)
 
     @pytest.mark.parametrize("a", [np.inf, np.nan, 0.0, -1.0])
@@ -275,8 +277,8 @@ class TestSpectrumViaPropagation:
 
     @pytest.mark.parametrize("duration, message", [
         (0.075, "even"),                   # three steps
-        (0.025, "positive integer multiple"),  # one step
-        (0.0, "positive integer multiple"),
+        (0.025, "in steps of 0.025 counts 1, fewer than 2"),
+        (0.0, "in steps of 0.025 counts 0, fewer than 2"),
     ])
     def test_rejects_an_odd_or_too_short_duration(self, duration, message):
         psi0 = gaussian_packet(make_grid(8.0, 32))
